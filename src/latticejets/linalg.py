@@ -448,12 +448,24 @@ def inverse_unimodular(u: IntMatrix) -> IntMatrix:
     return integer_matrix([row[n:] for row in red])
 
 
+def bezout(a: int, b: int) -> tuple[int, int]:
+    """s, t with s*a + t*b = gcd(a, b) >= 0 (extended Euclid)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
 def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector ``v``."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*v) != 1:
         raise ToolkitError("vector is not primitive")
     n = len(v)
     _, _, vv = smith_normal_form((tuple(v),))

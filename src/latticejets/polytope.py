@@ -2,11 +2,14 @@
 
 Everything is exact: vertices are integer tuples, facet inequalities are
 primitive integer normals with integer offsets, memberships are integer
-comparisons. Enumeration is a bounding-box scan with exact half-space tests
-(adequate for k <= 3 and the small boxes this toolkit meets); slices are
-enumerated inside the slice only, never through the full polytope, because
-Riemann-Roch polytopes of weighted projective spaces are far too large to
-enumerate.
+comparisons. Lattice points come from one fiber kernel: coordinates are
+fixed one at a time, each over the integer range of the exact rational
+section vertices, and the last one over the range its inequalities leave.
+``lattice_points`` runs it on the facet system; ``slice_points`` runs it on
+the facet system plus a level equation, so a slice is enumerated inside the
+slice only, never through the full polytope, because Riemann-Roch polytopes
+of weighted projective spaces are far too large to enumerate. Both are
+bounded by a budget on the fibers and points visited.
 
 Lattice-width certification follows a dual-box argument: any direction v
 whose width beats the best seed W0 pairs with every edge vector e at a
@@ -50,15 +53,8 @@ def _as_point(p, k=None) -> Point:
     return pt
 
 
-def vector_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def primitive(v: Sequence[int]) -> Point:
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ToolkitError("zero vector has no primitive form")
     return tuple(x // g for x in v)
@@ -75,7 +71,7 @@ class Direction:
         object.__setattr__(self, "coords", c)
         if not any(c):
             raise InputError("direction must be nonzero")
-        if vector_gcd(c) != 1:
+        if gcd(*c) != 1:
             raise InputError(f"direction {c} is not primitive")
 
     @property
@@ -378,26 +374,17 @@ def _enumerate_fibers(verts, ineqs, prefix, out, counter):
     """
     if not verts:
         return
-    counter[0] += 1
-    if counter[0] > counter[1]:
-        raise BudgetExceededError(
-            f"lattice-point enumeration exceeded the budget {counter[1]}",
-            diagnostics={"budget": counter[1]})
+    _charge(counter, 1)
     if len(verts[0]) == 1:
         interval = _fiber_interval(ineqs)
         if interval is None:
             return
         lo, hi = interval
-        counter[0] += hi - lo + 1
-        if counter[0] > counter[1]:
-            raise BudgetExceededError(
-                f"lattice-point enumeration exceeded the budget {counter[1]}",
-                diagnostics={"budget": counter[1]})
+        _charge(counter, hi - lo + 1)
         out.extend(prefix + (c,) for c in range(lo, hi + 1))
         return
-    lo = ceil(min(v[0] for v in verts))
-    hi = floor(max(v[0] for v in verts))
-    for c in range(lo, hi + 1):
+    firsts = [v[0] for v in verts]
+    for c in range(ceil(min(firsts)), floor(max(firsts)) + 1):
         new_ineqs = []
         feasible = True
         for (coeffs, b) in ineqs:
@@ -415,23 +402,34 @@ def _enumerate_fibers(verts, ineqs, prefix, out, counter):
             if interval is None:
                 continue
             y_lo, y_hi = interval
-            counter[0] += y_hi - y_lo + 2
-            if counter[0] > counter[1]:
-                raise BudgetExceededError(
-                    f"lattice-point enumeration exceeded the budget {counter[1]}",
-                    diagnostics={"budget": counter[1]})
+            _charge(counter, y_hi - y_lo + 2)
             out.extend(prefix + (c, y) for y in range(y_lo, y_hi + 1))
             continue
-        section = []
-        for v in verts:
-            if v[0] == c:
-                section.append(v[1:])
-        for va, vb in combinations(verts, 2):
-            if (va[0] < c < vb[0]) or (vb[0] < c < va[0]):
-                t = Fraction(c - va[0], vb[0] - va[0])
-                section.append(tuple(x + t * (y - x) for x, y in zip(va[1:], vb[1:])))
-        if section:
-            _enumerate_fibers(section, new_ineqs, prefix + (c,), out, counter)
+        section = [x[1:] for x in _section(verts, firsts, c)]
+        _enumerate_fibers(section, new_ineqs, prefix + (c,), out, counter)
+
+
+def _charge(counter, n):
+    """Count n more fibers or points against the budget ``counter[1]``."""
+    counter[0] += n
+    if counter[0] > counter[1]:
+        raise BudgetExceededError(
+            f"lattice-point enumeration exceeded the budget {counter[1]}",
+            diagnostics={"budget": counter[1]})
+
+
+def _section(verts, values, level):
+    """Vertices of conv(verts) on {value = level}, with values[i] the value of verts[i].
+
+    They are the vertices on the level and the crossings of the segments
+    between vertices on either side of it.
+    """
+    out = [x for x, f in zip(verts, values) if f == level]
+    for (a, fa), (b, fb) in combinations(zip(verts, values), 2):
+        if (fa < level < fb) or (fb < level < fa):
+            t = Fraction(level - fa, fb - fa)
+            out.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    return out
 
 
 def width_in_direction(p: LatticePolytope, v: Direction) -> int:
@@ -441,51 +439,23 @@ def width_in_direction(p: LatticePolytope, v: Direction) -> int:
 
 
 def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
-    """Lattice points of P on the hyperplane <x,v> = level.
+    """Lattice points of P on the hyperplane <x,v> = level, in graded-lex order.
 
-    Enumerates only the slice: a (k-1)-dimensional box obtained from the
-    section's vertices (edge-hyperplane crossings), with the remaining
-    coordinate solved from the level equation.
+    The slice is the polytope's facet system plus the level equation, written
+    as the two inequalities <v,x> >= level and <-v,x> >= -level, and it is
+    enumerated by the same fiber kernel as ``lattice_points``, with fiber
+    ranges taken from the exact section vertices (edge-hyperplane crossings).
+    Only the slice is visited, never the full polytope; when v = (1, 0, ..., 0)
+    the slice is a single x1-fiber and the cost follows its point count.
     """
     values = [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
         return PointConfig(p.dim, ())
-    # section vertices lie on segments between polytope vertices
-    section: list[tuple[Fraction, ...]] = []
-    for a, fa in zip(p.vertices, values):
-        if fa == level:
-            section.append(tuple(Fraction(x) for x in a))
-    for (a, fa), (b, fb) in combinations(zip(p.vertices, values), 2):
-        if (fa < level < fb) or (fb < level < fa):
-            t = Fraction(level - fa, fb - fa)
-            section.append(tuple(Fraction(x) + t * (y - x) for x, y in zip(a, b)))
-    if not section:
-        return PointConfig(p.dim, ())
-    facets = p.facets()
-    coords = v.coords
-    pivot = max(range(p.dim), key=lambda i: abs(coords[i]))
-    box = []
-    for i in range(p.dim):
-        lo = min(pt[i] for pt in section)
-        hi = max(pt[i] for pt in section)
-        box.append((ceil(lo), floor(hi)))
-    ranges = [range(box[i][0], box[i][1] + 1) for i in range(p.dim) if i != pivot]
-    others = [i for i in range(p.dim) if i != pivot]
-    pts = []
-    for combo in product(*ranges):
-        rest = level - sum(coords[i] * x for i, x in zip(others, combo))
-        q, r = divmod(rest, coords[pivot])
-        if r:
-            continue
-        if not (box[pivot][0] <= q <= box[pivot][1]):
-            continue
-        candidate = [0] * p.dim
-        for i, x in zip(others, combo):
-            candidate[i] = x
-        candidate[pivot] = q
-        candidate = tuple(candidate)
-        if all(sum(a * b for a, b in zip(f.normal, candidate)) >= f.offset for f in facets):
-            pts.append(candidate)
+    ineqs = [(f.normal, f.offset) for f in p.facets()]
+    ineqs += [(v.coords, level), (tuple(-x for x in v.coords), -level)]
+    pts: list[Point] = []
+    _enumerate_fibers(_section(p.vertices, values, level), ineqs, (), pts,
+                      [0, LATTICE_POINT_BUDGET])
     pts.sort(key=point_key)
     return PointConfig(p.dim, tuple(pts))
 
@@ -592,7 +562,7 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
         v = tuple(x // det for x in num)
         if not any(v):
             continue
-        g = vector_gcd(v)
+        g = gcd(*v)
         if g != 1:
             continue  # the primitive multiple is also in the box and no wider
         v = _canonical_direction(v)

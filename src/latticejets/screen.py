@@ -132,17 +132,16 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
     p_max = min(maxs, key=point_key)
 
     slice_cfg = slice_points(p, v, lo + 1)
-    diffs = _difference_vectors(slice_cfg.points)
-    span_rank = linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0
-    cond2_vacuous = len(slice_cfg) == 0
-    cond2 = cond2_vacuous or (p.dim - span_rank >= 2)
+    basis = _affine_basis(slice_cfg.points)
+    cond2_vacuous = not basis
+    cond2 = cond2_vacuous or (p.dim - (len(basis) - 1) >= 2)
 
-    cond3 = _line_misses_span(p_min, p_max, slice_cfg.points)
+    cond3 = _line_misses_span(p_min, p_max, basis)
 
     witness = None
     verified = False
     if cond1 and cond2 and cond3:
-        witness = _build_witness(p, v, p_min, p_max, slice_cfg, lo, hi)
+        witness = _build_witness(v, p_min, p_max, basis, lo, hi)
         verified = _verify_witness(p, v, witness, p_min, p_max, slice_cfg, lo, hi)
     return CorollaryReport(direction=v, lw=lw, p_min=p_min, p_max=p_max,
                            slice_config=slice_cfg, cond1=cond1, cond2=cond2,
@@ -150,36 +149,55 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
                            witness=witness, verified=verified)
 
 
-def _difference_vectors(points):
-    if len(points) < 2:
-        return []
+def _affine_basis(points) -> tuple:
+    """The points, in order, that raise the affine rank: an affine basis of their span.
+
+    The first point is kept, then every point whose difference from it is
+    independent of the differences kept so far. The result equals the pivot
+    columns of ``linalg.rref`` on the transposed differences; an integer
+    echelon is used instead because it reduces each new difference against
+    at most k kept rows, where the RREF updates Fractions in every column.
+    """
+    if not points:
+        return ()
     base = points[0]
-    return [tuple(a - b for a, b in zip(q, base)) for q in points[1:]]
+    basis = [base]
+    echelon = []  # (pivot column, row); each row is zero at every earlier pivot
+    for q in points[1:]:
+        row = [a - b for a, b in zip(q, base)]
+        for col, piv in echelon:
+            if row[col]:
+                row = [piv[col] * x - row[col] * y for x, y in zip(row, piv)]
+        if any(row):
+            echelon.append((next(i for i, x in enumerate(row) if x), row))
+            basis.append(q)
+    return tuple(basis)
 
 
-def _line_misses_span(p_min, p_max, span_points) -> bool:
-    """True iff the segment's line does not meet the affine span of the points."""
-    if not span_points:
+def _line_misses_span(p_min, p_max, basis) -> bool:
+    """True iff the segment's line does not meet the affine span of the basis points."""
+    if not basis:
         return True
     k = len(p_min)
-    dirs = _difference_vectors(span_points)
     seg = tuple(a - b for a, b in zip(p_max, p_min))
-    # p_min + alpha*seg = q0 + sum beta_i d_i  <=>  solvable in (alpha, beta)
-    cols = [seg] + [tuple(-x for x in d) for d in dirs]
+    # p_min + alpha*seg = q0 + sum beta_i (q_i - q0)  <=>  solvable in (alpha, beta)
+    cols = [seg] + [tuple(b - a for a, b in zip(q, basis[0])) for q in basis[1:]]
     a = tuple(tuple(Fraction(col[i]) for col in cols) for i in range(k))
-    b = [Fraction(q - pm) for q, pm in zip(span_points[0], p_min)]
+    b = [Fraction(q - pm) for q, pm in zip(basis[0], p_min)]
     return linalg.solve(a, b) is None
 
 
-def _build_witness(p, v, p_min, p_max, slice_cfg, lo, hi) -> CorollaryWitness:
+def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:
     lw = hi - lo
     if lw < 2:
         raise InvariantError("witness construction needs width >= 2")
-    k = p.dim
-    # f affine with f|Lambda = 0, f(p_min) = 0, f(p_max) = lw - 1
+    k = v.dim
+    # f affine with f|Lambda = 0, f(p_min) = 0, f(p_max) = lw - 1; the basis
+    # rows span the same row space as all of Lambda's, so the RREF and the
+    # canonical solution are the same
     rows = []
     rhs = []
-    for q in list(slice_cfg.points) + [p_min]:
+    for q in list(basis) + [p_min]:
         rows.append(tuple(Fraction(x) for x in q) + (Fraction(1),))
         rhs.append(Fraction(0))
     rows.append(tuple(Fraction(x) for x in p_max) + (Fraction(1),))

@@ -167,7 +167,7 @@ def classify(p: LatticePolytope) -> PolygonClass:
     anchor = min(axis_pts, key=point_key)
     others = sorted(axis_pts - {anchor}, key=point_key)
     d = primitive((others[0][0] - anchor[0], others[0][1] - anchor[1]))
-    bz_s, bz_t = _bezout(d[0], d[1])
+    bz_s, bz_t = linalg.bezout(d[0], d[1])
 
     frame = _Frame(pts.points)
     frame.apply(t=(-anchor[0], -anchor[1]))
@@ -243,21 +243,6 @@ def classify(p: LatticePolytope) -> PolygonClass:
             f"{expected.vertices}, got {got_vertices}")
     return PolygonClass(kind, a, b, frame.u, frame.t,
                         in_table_range=in_table_range(kind, a, b))
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """s, t with s*a + t*b = gcd(a, b) = 1 for primitive (a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 # ---------------------------------------------------------------------------

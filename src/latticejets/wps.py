@@ -48,10 +48,7 @@ class WeightVector:
         object.__setattr__(self, "weights", w)
         if len(w) != 4 or any(x <= 0 for x in w):
             raise InputError("need four positive weights")
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*w) != 1:
             raise InputError("weights must have gcd 1")
 
     @property
@@ -159,10 +156,7 @@ class _BinomialStream:
             for i in range(len(mons)):
                 for j in range(i + 1, len(mons)):
                     u = _sign_normalized(tuple(a - b for a, b in zip(mons[i], mons[j])))
-                    g = 0
-                    for x in u:
-                        g = gcd(g, x)
-                    if g != 1 or u in self.seen:
+                    if gcd(*u) != 1 or u in self.seen:
                         continue
                     found[u] = BinomialGenerator(u=u, degree=self.degree)
             # ties within one degree: graded-lex-minimal u+ goes first
@@ -238,24 +232,10 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
     alpha, beta = int(sol[0]), int(sol[1])
     if gcd(alpha, beta) != 1:
         raise InvariantError("weights are imprimitive in the orthogonal lattice")
-    s, t = _bezout(alpha, beta)
+    s, t = linalg.bezout(alpha, beta)
     # det [[alpha, beta], [-t, s]] = alpha*s + beta*t = 1
     v = tuple(-t * b1 + s * b2 for b1, b2 in zip(kernel[0], kernel[1]))
     return _reduce_mod_weights(v, w.weights)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def _reduce_mod_weights(v, w):
@@ -304,10 +284,7 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int],
     v_q = tuple(sum(a * b for a, b in zip(row, v_tilde)) for row in basis)
     if not any(v_q):
         raise InputError("direction is a multiple of the weights")
-    g = 0
-    for x in v_q:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*v_q) != 1:
         raise InvariantError(f"projected direction {v_q} is imprimitive")
     u = linalg.complete_to_unimodular(v_q)
     new_coords = [linalg.mat_vec(u, c) for c in coords]
@@ -514,24 +491,24 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     """Screen all ordered weight quadruples in a range; yield the reports.
 
     Exploratory mode beyond the published table: quadruples are strictly
-    increasing with gcd 1. Stage errors and budget exhaustion on individual
-    quadruples are recorded as skips, not fatal.
+    increasing with gcd 1. Budget exhaustion, bad input and other stage
+    errors on individual quadruples are recorded as skips, not fatal; an
+    ``InvariantError`` is a bug, not an inconclusive quadruple, and propagates.
     """
     from itertools import combinations as _comb
 
     hits = 0
     for quad in _comb(range(min_weight, max_weight + 1), 4):
-        g = 0
-        for x in quad:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*quad) != 1:
             continue
         w = WeightVector(quad)
         if well_formed_only and not w.well_formed:
             continue
         try:
             report = screen(w, budget=budget)
-        except (BudgetExceededError, ToolkitError) as exc:
+        except InvariantError:
+            raise
+        except ToolkitError as exc:
             yield {"weights": list(quad), "error": str(exc)}
             continue
         yield report

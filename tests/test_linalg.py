@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -231,3 +232,15 @@ def test_inverse_unimodular():
     u = linalg.integer_matrix([[2, 1], [1, 1]])
     inv = linalg.inverse_unimodular(u)
     assert linalg.mat_mul(u, inv) == linalg.identity(2)
+
+
+def test_bezout_coprime_pairs():
+    rng = random.Random(17)
+    pairs = [(0, 1), (0, -1), (1, 0), (-1, 0), (-3, -5), (7, -12), (-10**9, 10**9 + 1)]
+    while len(pairs) < 500:
+        a, b = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
+        if gcd(a, b) == 1:
+            pairs.append((a, b))
+    for a, b in pairs:
+        s, t = linalg.bezout(a, b)
+        assert s * a + t * b == 1, (a, b)

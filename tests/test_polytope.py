@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from latticejets import linalg, oracles
+from latticejets import linalg, oracles, polytope
 from latticejets.errors import BudgetExceededError, InputError, ToolkitError
 from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
                                   config_from_json, config_to_json, lattice_points,
@@ -219,6 +219,38 @@ def test_slice_points_subset_of_lattice_points():
         values = [v.pair(q) for q in p.vertices]
         for level in range(min(values), max(values) + 1):
             assert set(slice_points(p, v, level).points) <= all_pts
+
+
+def _box_scan_slices(p, v):
+    """Lattice points of P by level of v, from a bounding-box scan filtered by facets."""
+    facets = p.facets()
+    by_level = {}
+    for c in product(*[range(lo, hi + 1) for lo, hi in p.bounding_box()]):
+        if all(sum(a * b for a, b in zip(f.normal, c)) >= f.offset for f in facets):
+            by_level.setdefault(v.pair(c), []).append(c)
+    return {level: sorted(pts, key=point_key) for level, pts in by_level.items()}
+
+
+@pytest.mark.parametrize("k, directions", [
+    (2, [(2, 3), (-5, 3), (1, 0)]),
+    (3, [(2, 3, 5), (-4, 7, 1), (1, 0, 0)]),
+])
+def test_slice_points_matches_box_scan(k, directions):
+    rng = random.Random(41 + k)
+    for _ in range(15):
+        p = random_full_dim_polytope(rng, k)
+        for coords in directions:
+            v = Direction(coords)
+            expected = _box_scan_slices(p, v)
+            values = [v.pair(q) for q in p.vertices]
+            for level in range(min(values) - 1, max(values) + 2):
+                assert list(slice_points(p, v, level).points) == expected.get(level, [])
+
+
+def test_slice_points_budget_guard(monkeypatch):
+    monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", 50)
+    with pytest.raises(BudgetExceededError):
+        slice_points(DELTA_PRIME, Direction((1, 0, 0)), 286)
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 """Obstruction conditions, witness construction, nefness certificate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from latticejets import linalg
 from latticejets.errors import InputError
 from latticejets.polytope import Direction, LatticePolytope, lattice_points
-from latticejets.screen import corollary_check, nef_check, pseudonef_bound
+from latticejets.screen import _affine_basis, corollary_check, nef_check, pseudonef_bound
 from latticejets.surface2 import normal_form
+from tests.conftest import random_config
 
 DELTA_PRIME = LatticePolytope([(0, 0, 0), (572, 286, 143),
                                (390, 195, -585), (495, -330, -165)])
@@ -79,6 +81,22 @@ def test_empty_slice_is_vacuous():
     assert rep.all_conditions
     assert rep.verified
     assert all(rep.witness.is_zero_at(q) for q in lattice_points(p).points)
+
+
+def test_affine_basis_is_a_rank_raising_subsequence():
+    rng = random.Random(29)
+    for _ in range(200):
+        k = rng.choice([2, 3])
+        pts = random_config(rng, k, rng.randint(1, 6), coord_bound=2).points
+        basis = _affine_basis(pts)
+        assert basis[0] == pts[0]
+        assert [q for q in pts if q in basis] == list(basis)
+        for i in range(1, len(basis) + 1):
+            diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in basis[1:i]]
+            assert (linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0) == i - 1
+        diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
+        assert len(basis) - 1 == (linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0)
+    assert _affine_basis(()) == ()
 
 
 def test_corollary_rejects_lower_dimensional():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from latticejets import linalg
-from latticejets.errors import BudgetExceededError, InputError
-from latticejets.polytope import width_in_direction
+from latticejets import linalg, wps
+from latticejets.errors import BudgetExceededError, InputError, InvariantError, ToolkitError
+from latticejets.polytope import slice_points, width_in_direction
+from latticejets.screen import corollary_check
 from latticejets.wps import (BinomialGenerator, WeightVector, load_table,
                              lowest_degree_binomials, project_to_3d,
-                             rows_by_hash, rr_polytope, screen, width_direction)
+                             rows_by_hash, rr_polytope, scan_weights, screen,
+                             width_direction)
 
 W = WeightVector((7, 11, 13, 15))
 
@@ -255,6 +257,65 @@ def test_scan_weights_small_range():
     for item in reports:
         assert isinstance(item, dict) or item.verdict in ("nef_not_semiample",
                                                           "inconclusive")
+
+
+def test_scan_weights_15_hits_are_the_published_rows():
+    reports = list(scan_weights(15))
+    assert len(reports) == 169
+    assert not [item for item in reports if isinstance(item, dict)]
+    hits = {r.weights.weights: r.m for r in reports if r.verdict == "nef_not_semiample"}
+    assert hits == {row.weights: row.m for row in load_table()
+                    if 2 <= min(row.weights) and max(row.weights) <= 15}
+
+
+def _old_cond2_cond3(p, direction, p_min, p_max):
+    """cond2 and cond3 as rank over all slice differences and a solve over all slice points."""
+    lo = min(direction.pair(x) for x in p.vertices)
+    pts = slice_points(p, direction, lo + 1).points
+    if not pts:
+        return True, True
+    diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
+    span_rank = linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0
+    seg = tuple(a - b for a, b in zip(p_max, p_min))
+    cols = [seg] + [tuple(-x for x in d) for d in diffs]
+    a = tuple(tuple(Fraction(col[i]) for col in cols) for i in range(p.dim))
+    b = [Fraction(q - pm) for q, pm in zip(pts[0], p_min)]
+    return p.dim - span_rank >= 2, linalg.solve(a, b) is None
+
+
+def test_slice_conditions_match_all_point_formulation():
+    checked = 0
+    for item in scan_weights(10):
+        w = item.weights
+        chosen, _ = lowest_degree_binomials(w, 2)
+        vt = width_direction(w, chosen[0].u, chosen[1].u)
+        for v_tilde in (vt, tuple(-x for x in vt)):
+            projected, direction = project_to_3d(rr_polytope(w), v_tilde, w)
+            rep = corollary_check(projected, direction)
+            assert (rep.cond2, rep.cond3) == _old_cond2_cond3(
+                projected, direction, rep.p_min, rep.p_max)
+            checked += 1
+    assert checked == 24
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("exc", [BudgetExceededError("over budget"), InputError("bad"),
+                                 ToolkitError("stage failed")])
+def test_scan_weights_records_skips(monkeypatch, exc):
+    monkeypatch.setattr(wps, "screen", _raise(exc))
+    items = list(scan_weights(8))
+    assert items and all(item["error"] == str(exc) for item in items)
+
+
+def test_scan_weights_propagates_invariant_errors(monkeypatch):
+    monkeypatch.setattr(wps, "screen", _raise(InvariantError("broken enumerator")))
+    with pytest.raises(InvariantError, match="broken enumerator"):
+        list(scan_weights(8))
 
 
 def test_width_invariant_under_v_tilde_shifts():
