@@ -5,4 +5,4 @@ projective 3-spaces."""
 __version__ = "0.1.0"
 
 from .polytope import Direction, LatticePolytope, PointConfig  # noqa: F401
-from .wps import WeightVector, screen, reproduce_table  # noqa: F401
+from .wps import WeightVector, reproduce_table  # noqa: F401

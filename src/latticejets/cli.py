@@ -8,7 +8,7 @@ pipeline), ``table`` (the bundled 93-row regression).
 Inputs are JSON files or inline JSON; every report echoes the input and the
 tool version, and identical invocations produce byte-identical output. Exit
 codes: 0 success, 1 negative mathematical verdict under --strict, 2 input
-error, 3 budget exhaustion.
+error, 3 budget exhaustion, 4 a failed internal invariant (a bug).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from . import __version__, jets, linalg, oracles, wps
 from .base_locus import base_locus_k2, is_base_point, is_base_point_via_form
-from .errors import BudgetExceededError, InputError, ToolkitError
+from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from .polytope import (Direction, LatticePolytope, config_from_json,
                        lattice_points, lattice_width, width_in_direction)
 from .surface2 import classify, teo_dim2_suite
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_STRICT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 def _load_json_argument(raw: str):
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except InvariantError as exc:
+        sys.stderr.write(f"internal invariant failed (a bug, not bad input): {exc}\n")
+        return EXIT_INVARIANT
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

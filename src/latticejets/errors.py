@@ -18,4 +18,5 @@ class BudgetExceededError(ToolkitError):
 
 
 class InvariantError(ToolkitError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
+    """An internal consistency check failed; indicates a bug, not bad input
+    (CLI exit code 4, kept apart from the input-error code 2)."""

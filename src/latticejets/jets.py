@@ -84,19 +84,22 @@ def build_jets(s: PointConfig, m: int) -> JetSystem:
     rows = jet_row_indices(k, m)
     # integer entries are exact rationals; downstream eliminations convert
     # to Fraction exactly where they divide
-    j_rows, lt_rows = [], []
-    for alpha in rows:
-        j_rows.append(tuple(
-            _prod(falling_factorial_value(x, a) for x, a in zip(p, alpha))
-            for p in s.points))
-        lt_rows.append(tuple(
-            _prod(x ** a for x, a in zip(p, alpha))
-            for p in s.points))
-    j = tuple(j_rows)
-    lt = tuple(lt_rows)
+    j = _monomial_rows(s, rows, falling_factorial_value)
+    lt = _monomial_rows(s, rows, pow)
     ranks = tuple(linalg.rank(j[:comb(r + k, k)]) for r in range(m + 1))
     return JetSystem(config=s, order=m, row_index=tuple(rows),
                      j_matrix=j, lt_matrix=lt, j_ranks=ranks)
+
+
+def leading_term_matrix(s: PointConfig, m: int) -> linalg.IntMatrix:
+    """The leading-term matrix of ``build_jets(s, m)``, without the jet ranks."""
+    return _monomial_rows(s, jet_row_indices(s.dim, m), pow)
+
+
+def _monomial_rows(s: PointConfig, alphas, value) -> linalg.IntMatrix:
+    """One row per multi-index alpha: prod_j value(p_j, alpha_j) over the points p."""
+    return tuple(tuple(_prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
+                 for alpha in alphas)
 
 
 def _prod(items) -> int:
@@ -141,8 +144,7 @@ def min_vanishing_degree(s: PointConfig) -> int:
     k = s.dim
     d = 1
     while True:
-        lt = build_jets(s, d).lt_matrix
-        if linalg.rank(lt) < comb(d + k, k):
+        if linalg.rank(leading_term_matrix(s, d)) < comb(d + k, k):
             return d
         if d > len(s):
             raise ToolkitError("vanishing-degree search failed to terminate")
@@ -179,27 +181,33 @@ class FundamentalForm:
 def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     """Span of the degree-m forms cut out by sections of multiplicity m.
 
-    Each right-kernel element c of the order-(m-1) jet matrix contributes the
-    form sum_alpha w^alpha (m!/alpha!) (D_m c)_alpha; the multinomial factor
-    is kept exactly, matching the classical jet expansion.
+    Each right-kernel element c of the order-(m-1) jet matrix J contributes
+    the form sum_alpha w^alpha (m!/alpha!) (D_m c)_alpha; the multinomial
+    factor is kept exactly, matching the classical jet expansion. The kernel
+    is spanned by the free-variable vectors read off one RREF of J (1 at a
+    free column, minus that column of the reduced J at the pivots), and only
+    their images are reduced again: the final RREF is canonical for the span,
+    so the basis does not depend on which kernel basis is mapped.
     """
     if m < 1:
         raise InputError("form order must be >= 1")
+    if len(s) == 0:
+        raise InputError("empty point configuration")
     k = s.dim
-    system = build_jets(s, m)
-    kernel = linalg.kernel_basis(system.j_block(m - 1), "right")
     mons = monomials_of_degree(k, m)
-    d_m = system.degree_block(m)
+    weights = [factorial(m) // _prod(factorial(a) for a in alpha) for alpha in mons]
+    d_m = _monomial_rows(s, mons, falling_factorial_value)
+    red, pivots = linalg.rref(_monomial_rows(s, jet_row_indices(k, m - 1),
+                                             falling_factorial_value))
     rows = []
-    for c in kernel.vectors:
-        coeffs = []
-        for alpha, d_row in zip(mons, d_m):
-            mult = Fraction(factorial(m))
-            for a in alpha:
-                mult /= factorial(a)
-            coeffs.append(mult * linalg.dot(d_row, c))
-        rows.append(tuple(coeffs))
-    rows = [r for r in rows if any(r)]
+    for fc in range(len(s)):
+        if fc in pivots:
+            continue
+        steps = [(red[r][fc], pc) for r, pc in enumerate(pivots) if red[r][fc]]
+        row = tuple(w * (d_row[fc] - sum(f * d_row[pc] for f, pc in steps))
+                    for w, d_row in zip(weights, d_m))
+        if any(row):
+            rows.append(row)
     if rows:
         red, _ = linalg.rref(tuple(rows))
         rows = [r for r in red if any(r)]

@@ -6,17 +6,19 @@ integer entries are Python ``int`` (arbitrary precision). Everything here is
 deterministic: identical inputs produce bit-identical outputs, which the
 golden tests rely on.
 
-The main rank routine is a fraction-free Bareiss elimination on a
-denominator-cleared copy; kernels, solving and reduced row echelon forms run
-over Fraction. An independent plain-Gauss rank lives in ``oracles`` so the
-two routes never share code.
+The main rank routine is a fraction-free Bareiss elimination on an integer
+copy: integer rows are used as they are, and only rows holding a Fraction
+are cleared of denominators, so integer callers pass their rows directly.
+Kernels, solving and reduced row echelon forms run over Fraction. An
+independent plain-Gauss rank lives in ``oracles`` so the two routes never
+share code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
@@ -87,20 +89,30 @@ def _nonempty(m) -> None:
 # rank (fraction-free Bareiss)
 # ---------------------------------------------------------------------------
 
-def _cleared_int_rows(m: Matrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
+def _cleared_int_rows(m) -> list[list[int]]:
+    """Integer copies of the rows: a row holding a Fraction is scaled by the
+    lcm of its denominators (rank-preserving), an all-int row is copied."""
+    ncols = len(m[0])
     rows = []
     for row in m:
-        mult = 1
-        for x in row:
-            d = x.denominator if isinstance(x, Fraction) else 1
-            mult = mult * d // gcd(mult, d)
-        rows.append([int(x * mult) for x in row])
+        if len(row) != ncols:
+            raise ToolkitError("ragged matrix")
+        dens = [x.denominator for x in row if isinstance(x, Fraction)]
+        if dens:
+            mult = lcm(*dens)
+            rows.append([int(x * mult) for x in row])
+        else:
+            rows.append(list(row))
     return rows
 
 
-def rank(m: Matrix) -> int:
-    """Rank over Q, computed exactly by fraction-free elimination."""
+def rank(m) -> int:
+    """Rank over Q, computed exactly by fraction-free elimination.
+
+    Rows may mix ``int`` and ``Fraction`` entries. Integer rows are used as
+    they are; only rows holding a Fraction are cleared of denominators, so
+    callers pass integer data directly, without ``rational_matrix``.
+    """
     _nonempty(m)
     a = _cleared_int_rows(m)
     nrows, ncols = len(a), len(a[0])
@@ -372,7 +384,7 @@ def is_saturated(m: IntMatrix) -> bool:
     Requires full row rank; raises on dependent generators.
     """
     _nonempty(m)
-    if rank(rational_matrix(m)) != len(m):
+    if rank(m) != len(m):
         raise ToolkitError("dependent generators")
     return lattice_is_saturated(m)
 

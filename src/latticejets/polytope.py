@@ -118,7 +118,7 @@ class PointConfig:
             return 0
         base = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
-        return linalg.rank(linalg.rational_matrix(diffs))
+        return linalg.rank(diffs)
 
     @property
     def differences_generate(self) -> bool:
@@ -286,7 +286,7 @@ def _extreme_points(points: Sequence[Point], k: int) -> tuple[Point, ...]:
     for p in points:
         active = [f.normal for f in facets
                   if sum(a * b for a, b in zip(f.normal, p)) == f.offset]
-        if active and linalg.rank(linalg.rational_matrix(active)) == k:
+        if active and linalg.rank(active) == k:
             out.append(p)
     return tuple(sorted(out, key=point_key))
 
@@ -504,7 +504,7 @@ def _edges_at_vertex(p: LatticePolytope, vertex: Point) -> list[Point]:
             continue
         shared = [n for n in active_at[vertex]
                   if n in active_at[w]]
-        if k == 1 or (shared and linalg.rank(linalg.rational_matrix(shared)) == k - 1):
+        if k == 1 or (shared and linalg.rank(shared) == k - 1):
             edges.append(tuple(a - b for a, b in zip(w, vertex)))
     return sorted(edges, key=direction_key)
 
@@ -540,7 +540,7 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     edges = _edges_at_vertex(p, vertex)
     e_basis = []
     for e in edges:
-        if linalg.rank(linalg.rational_matrix(e_basis + [e])) == len(e_basis) + 1:
+        if linalg.rank(e_basis + [e]) == len(e_basis) + 1:
             e_basis.append(e)
         if len(e_basis) == k:
             break

@@ -12,8 +12,8 @@ reads the type off the residual points.
 
 The conic itself is never solved for: line detection from collinear point
 subsets is the primary decomposition route (the 3x3 symmetric matrix route
-would need rational square roots and adds nothing here); the jet-rank
-machinery only decides whether a conic exists at all.
+would need rational square roots and adds nothing here); the rank of the
+degree-2 leading-term rows only decides whether a conic exists at all.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 from . import linalg
 from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
-from .jets import build_jets
+from .jets import leading_term_matrix
 from .polytope import (LatticePolytope, PointConfig, lattice_points,
                        lattice_width, point_key, primitive)
 
@@ -154,9 +154,9 @@ def classify(p: LatticePolytope) -> PolygonClass:
     pts = lattice_points(p)
     if len(pts) < 6:
         raise ToolkitError(f"hypothesis fails: {len(pts)} lattice points < 6")
-    # a conic through the points exists iff the degree-2 leading-term matrix
-    # is rank-deficient (full-dimensionality already rules out degree 1)
-    if linalg.rank(build_jets(pts, 2).lt_matrix) == 6:
+    # a conic through the points exists iff the six rows x^a y^b (a + b <= 2)
+    # are rank-deficient (full-dimensionality already rules out degree 1)
+    if linalg.rank(leading_term_matrix(pts, 2)) == 6:
         return PolygonClass(NOT_SPECIAL, None, None, linalg.identity(2), (0, 0))
 
     lines = _lines_through(pts.points)

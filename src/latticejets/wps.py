@@ -184,7 +184,7 @@ def lowest_degree_binomials(w: WeightVector, count: int = 2,
                     alternatives.append(cand)  # a genuine tie at the last degree
                     continue
                 break
-            if linalg.rank(linalg.rational_matrix(rows + [cand.u])) == len(rows) + 1:
+            if linalg.rank(rows + [cand.u]) == len(rows) + 1:
                 rows.append(cand.u)
                 chosen.append(cand)
             elif chosen and cand.degree == chosen[-1].degree:
@@ -220,7 +220,7 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
     for u in (u1, u2):
         if sum(a * b for a, b in zip(u, w.weights)) != 0:
             raise InputError(f"exponent vector {u} is not orthogonal to the weights")
-    if linalg.rank(linalg.rational_matrix([u1, u2])) != 2:
+    if linalg.rank([u1, u2]) != 2:
         raise InputError("u-vectors must be linearly independent")
     kernel = linalg.integral_kernel(linalg.integer_matrix([tuple(u1), tuple(u2)]))
     if len(kernel) != 2:
@@ -318,7 +318,7 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
             skip = {g.u for g in generators}
             stream_iter = (b for b in _BinomialStream(w, budget) if b.u not in skip)
         cand = next(stream_iter)
-        if linalg.rank(linalg.rational_matrix([u1, u2, cand.u])) != 2:
+        if linalg.rank([u1, u2, cand.u]) != 2:
             continue
         trial = l_rows + [cand.u]
         if linalg.elementary_divisors(linalg.integer_matrix(trial)) == \

@@ -2,7 +2,9 @@
 
 import json
 
+from latticejets import cli
 from latticejets.cli import main
+from latticejets.errors import InvariantError
 
 TYPE_II_POLYGON = '{"dim": 2, "vertices": [[0, 0], [0, 1], [5, 0]]}'
 TYPE_II_POINTS = ('{"dim": 2, "points": [[0, 0], [1, 0], [2, 0], [3, 0], '
@@ -126,6 +128,17 @@ def test_budget_exit_3(capsys):
                                 "--enum-budget", "1000"])
     assert code == 3
     assert "budget" in err
+
+
+def test_invariant_error_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise InvariantError("normalization mismatch")
+
+    monkeypatch.setattr(cli, "_cmd_classify", broken)
+    code, out, err = run(capsys, ["classify", TYPE_II_POLYGON])
+    assert code == cli.EXIT_INVARIANT == 4
+    assert out == ""
+    assert "normalization mismatch" in err
 
 
 def test_version_embedded(capsys):

@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from latticejets import linalg
 from latticejets.errors import InputError
 from latticejets.jets import (build_jets, expected_h0, fundamental_form, h0,
-                              is_special, min_vanishing_degree)
+                              is_special, leading_term_matrix, min_vanishing_degree)
+from latticejets.poly import monomials_of_degree
 from latticejets.polytope import LatticePolytope, PointConfig, lattice_points, lattice_width
 from tests.conftest import random_config, random_unimodular
 
@@ -171,3 +172,56 @@ def test_min_vanishing_degree_bounded_by_width():
         if len(pts) < 2:
             continue
         assert min_vanishing_degree(pts) <= lattice_width(p).width + 1
+
+
+def _form_via_canonical_kernel(s, m):
+    """Degree-m form basis by the canonical route: the RREF kernel basis of
+    the order-(m-1) jet block, mapped through the multinomial-weighted D_m."""
+    system = build_jets(s, m)
+    kernel = linalg.kernel_basis(system.j_block(m - 1), "right")
+    rows = []
+    for c in kernel.vectors:
+        row = []
+        for alpha, d_row in zip(monomials_of_degree(s.dim, m), system.degree_block(m)):
+            weight = factorial(m)
+            for a in alpha:
+                weight //= factorial(a)
+            row.append(weight * linalg.dot(d_row, c))
+        if any(row):
+            rows.append(row)
+    if not rows:
+        return kernel.dim, ()
+    red, _ = linalg.rref(linalg.rational_matrix(rows))
+    return kernel.dim, tuple(r for r in red if any(r))
+
+
+def test_fundamental_form_matches_canonical_kernel_route():
+    # For distinct points the jet ranks grow strictly until they reach the
+    # point count, so a nonempty kernel always has a nonzero image: the form
+    # is empty exactly when the kernel is.
+    rng = random.Random(31)
+    empty_kernels = dependent_images = 0
+    for _ in range(240):
+        k = rng.randint(1, 3)
+        m = rng.randint(1, 4)
+        bound = rng.choice([1, 2, 3])
+        n_points = rng.randint(1, min((2 * bound + 1) ** k, 20))
+        s = random_config(rng, k, n_points, coord_bound=bound)
+        kernel_dim, expected = _form_via_canonical_kernel(s, m)
+        form = fundamental_form(s, m)
+        assert form.monomials == tuple(monomials_of_degree(k, m))
+        assert form.basis == expected
+        assert all(type(x) is Fraction for row in form.basis for x in row)
+        empty_kernels += kernel_dim == 0
+        dependent_images += kernel_dim > form.dim
+    assert empty_kernels >= 10
+    assert dependent_images >= 10
+
+
+def test_leading_term_matrix_is_the_build_jets_block():
+    rng = random.Random(32)
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        s = random_config(rng, k, rng.randint(1, 8))
+        m = rng.randint(0, 3)
+        assert leading_term_matrix(s, m) == build_jets(s, m).lt_matrix

@@ -26,6 +26,12 @@ def test_rank_empty_matrix_raises():
         linalg.rank(())
 
 
+def test_rank_rejects_ragged_rows():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [(1, -1, 0, 0), (0, 1, -1)]):
+        with pytest.raises(ToolkitError, match="ragged"):
+            linalg.rank(rows)
+
+
 def test_rank_rem_base_jets(rem_base_points):
     # 11 points on a cubic: the order-3 jet matrix cannot have full row rank
     j3 = build_jets(rem_base_points, 3).j_matrix
@@ -42,6 +48,30 @@ def test_rank_agrees_with_reference_on_randoms():
         m = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                         for _ in range(cols)) for _ in range(rows))
         assert linalg.rank(m) == oracles.rank_reference(m)
+
+
+def test_rank_accepts_int_rows():
+    rng = random.Random(43)
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * cols)
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in rows:
+                row[j] = 0
+        if rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        frozen = [list(row) for row in rows]
+        expected = oracles.rank_reference(rows)
+        assert linalg.rank(rows) == linalg.rank(linalg.rational_matrix(rows)) == expected
+        assert rows == frozen  # the caller's rows are not modified
+        # rows holding non-integer Fractions are still cleared of denominators;
+        # dividing a whole row by one integer keeps the rank
+        mixed = [[Fraction(x, d) for x in row] if d > 1 else row
+                 for row, d in zip(rows, (rng.randint(1, 5) for _ in rows))]
+        assert linalg.rank(mixed) == oracles.rank_reference(mixed) == expected
 
 
 def test_right_kernel_of_identity_is_empty():

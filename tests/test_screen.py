@@ -1,6 +1,7 @@
 """Obstruction conditions, witness construction, nefness certificate."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,12 @@ def test_nef_check_validates_input():
         nef_check([5], 10, 0, linalg.integer_matrix([[1, 0]]))
     with pytest.raises(InputError):
         nef_check([], 10, 2, linalg.integer_matrix([[1, 0]]))
+
+
+def test_screen_module_is_not_shadowed():
+    import latticejets
+    import latticejets.screen as s
+
+    assert isinstance(s, types.ModuleType)
+    assert latticejets.screen is s
+    assert s.corollary_check is corollary_check
