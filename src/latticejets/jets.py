@@ -75,13 +75,17 @@ class JetSystem:
         return self.j_matrix[lo:hi]
 
 
-def build_jets(s: PointConfig, m: int) -> JetSystem:
+def _jet_rows(s: PointConfig, m: int) -> list[tuple[int, ...]]:
     if m < 0:
         raise InputError("jet order must be >= 0")
     if len(s) == 0:
         raise InputError("empty point configuration")
+    return jet_row_indices(s.dim, m)
+
+
+def build_jets(s: PointConfig, m: int) -> JetSystem:
     k = s.dim
-    rows = jet_row_indices(k, m)
+    rows = _jet_rows(s, m)
     # integer entries are exact rationals; downstream eliminations convert
     # to Fraction exactly where they divide
     j = _monomial_rows(s, rows, falling_factorial_value)
@@ -110,7 +114,8 @@ def _prod(items) -> int:
 
 
 def rank_j(s: PointConfig, r: int) -> int:
-    return build_jets(s, r).j_ranks[r]
+    """Rank of the order-r jet matrix, from its rows alone (no leading terms)."""
+    return linalg.rank(_monomial_rows(s, _jet_rows(s, r), falling_factorial_value))
 
 
 def h0(s: PointConfig, m: int) -> int:

@@ -6,12 +6,17 @@ integer entries are Python ``int`` (arbitrary precision). Everything here is
 deterministic: identical inputs produce bit-identical outputs, which the
 golden tests rely on.
 
-The main rank routine is a fraction-free Bareiss elimination on an integer
-copy: integer rows are used as they are, and only rows holding a Fraction
-are cleared of denominators, so integer callers pass their rows directly.
-Kernels, solving and reduced row echelon forms run over Fraction. An
-independent plain-Gauss rank lives in ``oracles`` so the two routes never
-share code.
+Integer routines (no Fraction is formed): ``rank`` and ``bareiss_det`` are
+fraction-free Bareiss eliminations; ``rank`` uses integer rows as they are
+and clears denominators only of rows holding a Fraction, so integer callers
+pass their rows directly. ``independent_rows`` is an integer echelon that
+keeps the rows raising the rank. ``scaled_inverse`` is fraction-free
+Gauss-Jordan, and ``lattice_coordinates`` and ``inverse_unimodular`` build on
+it; Smith and Hermite normal forms, ``integral_kernel`` and the saturation
+tests are integer as well. Rational routines (over Fraction): ``rref``,
+``kernel_basis`` and ``solve``, whose canonical minimal-support solution some
+callers rely on. An independent plain-Gauss rank lives in ``oracles`` so the
+two routes never share code.
 """
 
 from __future__ import annotations
@@ -165,6 +170,83 @@ def bareiss_det(m) -> int:
             a[i][col] = 0
         prev = a[col][col]
     return sign * a[n - 1][n - 1]
+
+
+def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows, in order, that raise the rank of those before.
+
+    An integer echelon: each row is reduced against the kept rows only, one
+    cross-multiplication per kept pivot. The scan stops once the kept rows
+    reach full column rank, so a lazy ``rows`` is consumed no further.
+    """
+    keep = []
+    echelon = []  # (pivot column, row); each row is zero at every earlier pivot
+    for i, row in enumerate(rows):
+        for col, piv in echelon:
+            if row[col]:
+                row = [piv[col] * x - row[col] * y for x, y in zip(row, piv)]
+        if any(row):
+            echelon.append((next(j for j, x in enumerate(row) if x), row))
+            keep.append(i)
+            if len(keep) == len(row):
+                break
+    return keep
+
+
+def scaled_inverse(m) -> tuple[IntMatrix, int]:
+    """(L, d) with L m = d I and d = +-det m, for a nonsingular square integer m.
+
+    Fraction-free Gauss-Jordan on [m | I]: every step divides by the previous
+    pivot, and the Bareiss divisions are exact, so no Fraction is formed and
+    the last pivot is the determinant of the row-swapped matrix.
+    """
+    _nonempty(m)
+    n = len(m)
+    if len(m[0]) != n:
+        raise ToolkitError("inverse of non-square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            raise ToolkitError("singular matrix has no inverse")
+        a[col], a[piv] = a[piv], a[col]
+        prow = a[col]
+        p = prow[col]
+        for i in range(n):
+            if i != col:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
+def lattice_coordinates(basis, vectors):
+    """Integer coordinates c with c B = x for each x, or None where there are none.
+
+    ``basis`` is an r x k integer matrix of full row rank, so a solution is
+    unique when it exists. r independent columns of B are chosen by
+    ``independent_rows`` and the r x r minor is inverted once with
+    ``scaled_inverse``; each candidate L x[cols] / d must divide exactly and
+    satisfy c B = x in all k coordinates. A vector outside the rational span
+    or off the lattice gets None.
+    """
+    _nonempty(basis)
+    cols = independent_rows(transpose(basis))
+    if len(cols) != len(basis):
+        raise ToolkitError("lattice basis does not have full row rank")
+    inv, d = scaled_inverse([tuple(row[c] for row in basis) for c in cols])
+    out = []
+    for x in vectors:
+        num = [sum(a * x[c] for a, c in zip(row, cols)) for row in inv]
+        coords = None
+        if not any(v % d for v in num):
+            c = tuple(v // d for v in num)
+            if all(sum(ci * b for ci, b in zip(c, col)) == xj
+                   for col, xj in zip(zip(*basis), x)):
+                coords = c
+        out.append(coords)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +532,11 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
 
 def inverse_unimodular(u: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
-    n = len(u)
     det = bareiss_det(u)
     if det not in (1, -1):
         raise ToolkitError(f"matrix is not unimodular (det={det})")
-    aug = rational_matrix([list(row) + [1 if i == j else 0 for j in range(n)]
-                           for i, row in enumerate(u)])
-    red, _ = rref(aug)
-    return integer_matrix([row[n:] for row in red])
+    inv, d = scaled_inverse(u)
+    return tuple(tuple(x // d for x in row) for row in inv)
 
 
 def bezout(a: int, b: int) -> tuple[int, int]:

@@ -14,8 +14,13 @@ bounded by a budget on the fibers and points visited.
 Lattice-width certification follows a dual-box argument: any direction v
 whose width beats the best seed W0 pairs with every edge vector e at a
 vertex to |<v,e>| <= W0, so v lies in the image of the box [-W0,W0]^k under
-the inverse edge matrix. If the box is within budget the enumeration is
-exhaustive and the result is certified.
+the inverse edge matrix, which is taken as the integer matrix +-det(E) E^-1
+from ``linalg.scaled_inverse``. If the box is within budget the enumeration
+is exhaustive and the result is certified.
+
+Lower-dimensional point sets (hulls, quotient widths) are handled in
+integer coordinates on a saturated basis of their difference lattice,
+solved with one integer inverse of a basis minor (``linalg.lattice_coordinates``).
 """
 
 from __future__ import annotations
@@ -295,7 +300,9 @@ def _affine_lattice_coordinates(points: Sequence[Point], r: int):
     """Coordinates of ``points`` in a basis of their saturated difference lattice.
 
     Returns (coords, basis B, base point); x = base + coords @ B for every
-    input point, with B an r x k Z-basis in Hermite form.
+    input point, with B an r x k Z-basis in Hermite form. The coordinates
+    come from ``linalg.lattice_coordinates``: one fraction-free inverse of an
+    r x r minor of B, checked against all k coordinates of each point.
     """
     base = points[0]
     diffs = [tuple(a - b for a, b in zip(p, base)) for p in points]
@@ -307,13 +314,9 @@ def _affine_lattice_coordinates(points: Sequence[Point], r: int):
         basis = linalg.integral_kernel(ker)  # saturation of the row span
     else:
         basis = linalg.identity(len(base))
-    coords = []
-    bt = linalg.rational_matrix(linalg.transpose(basis))
-    for d in diffs:
-        sol = linalg.solve(bt, [Fraction(x) for x in d])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise ToolkitError("point outside its own difference lattice")
-        coords.append(tuple(int(c) for c in sol))
+    coords = linalg.lattice_coordinates(basis, diffs)
+    if None in coords:
+        raise ToolkitError("point outside its own difference lattice")
     return coords, basis, base
 
 
@@ -538,22 +541,13 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
 
     vertex = min(p.vertices, key=point_key)
     edges = _edges_at_vertex(p, vertex)
-    e_basis = []
-    for e in edges:
-        if linalg.rank(e_basis + [e]) == len(e_basis) + 1:
-            e_basis.append(e)
-        if len(e_basis) == k:
-            break
+    e_basis = [edges[i] for i in linalg.independent_rows(edges)]
     if len(e_basis) < k:
         raise ToolkitError("vertex cone is not full-dimensional")
     w0 = best_w
     if (2 * w0 + 1) ** k > budget:
         return WidthResult(best_w, Direction(best_v), False)
-    e_mat = linalg.integer_matrix(e_basis)
-    det = linalg.bareiss_det(e_mat)
-    inv = linalg.rref(linalg.rational_matrix(
-        [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(e_mat)]))[0]
-    adj = [[int(x * det) for x in row[k:]] for row in inv]  # det * E^{-1}, integral
+    adj, det = linalg.scaled_inverse(e_basis)  # adj E = det I with det = +-det E, so E^{-1} = adj / det
     seen = set(seeds)
     for y in product(range(-w0, w0 + 1), repeat=k):
         num = [sum(a * b for a, b in zip(row, y)) for row in adj]

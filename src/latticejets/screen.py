@@ -154,37 +154,31 @@ def _affine_basis(points) -> tuple:
 
     The first point is kept, then every point whose difference from it is
     independent of the differences kept so far. The result equals the pivot
-    columns of ``linalg.rref`` on the transposed differences; an integer
-    echelon is used instead because it reduces each new difference against
-    at most k kept rows, where the RREF updates Fractions in every column.
+    columns of ``linalg.rref`` on the transposed differences; the integer
+    echelon of ``linalg.independent_rows`` is used instead because it reduces
+    each new difference against at most k kept rows, where the RREF updates
+    Fractions in every column.
     """
     if not points:
         return ()
     base = points[0]
-    basis = [base]
-    echelon = []  # (pivot column, row); each row is zero at every earlier pivot
-    for q in points[1:]:
-        row = [a - b for a, b in zip(q, base)]
-        for col, piv in echelon:
-            if row[col]:
-                row = [piv[col] * x - row[col] * y for x, y in zip(row, piv)]
-        if any(row):
-            echelon.append((next(i for i, x in enumerate(row) if x), row))
-            basis.append(q)
-    return tuple(basis)
+    keep = linalg.independent_rows([a - b for a, b in zip(q, base)] for q in points[1:])
+    return (base,) + tuple(points[i + 1] for i in keep)
 
 
 def _line_misses_span(p_min, p_max, basis) -> bool:
-    """True iff the segment's line does not meet the affine span of the basis points."""
+    """True iff the segment's line does not meet the affine span of the basis points.
+
+    p_min + alpha*seg = q0 + sum beta_i (q_i - q0) is solvable in (alpha, beta)
+    iff b = q0 - p_min adds nothing to the rank of the columns seg, q_i - q0;
+    ranks of the transposed system are taken, with the columns as integer rows.
+    """
     if not basis:
         return True
-    k = len(p_min)
     seg = tuple(a - b for a, b in zip(p_max, p_min))
-    # p_min + alpha*seg = q0 + sum beta_i (q_i - q0)  <=>  solvable in (alpha, beta)
     cols = [seg] + [tuple(b - a for a, b in zip(q, basis[0])) for q in basis[1:]]
-    a = tuple(tuple(Fraction(col[i]) for col in cols) for i in range(k))
-    b = [Fraction(q - pm) for q, pm in zip(basis[0], p_min)]
-    return linalg.solve(a, b) is None
+    b = tuple(q - pm for q, pm in zip(basis[0], p_min))
+    return linalg.rank(cols + [b]) > linalg.rank(cols)
 
 
 def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -225,11 +224,10 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
     kernel = linalg.integral_kernel(linalg.integer_matrix([tuple(u1), tuple(u2)]))
     if len(kernel) != 2:
         raise InvariantError("orthogonal lattice of two independent vectors must have rank 2")
-    bt = linalg.rational_matrix(linalg.transpose(kernel))
-    sol = linalg.solve(bt, [Fraction(x) for x in w.weights])
-    if sol is None or any(c.denominator != 1 for c in sol):
+    sol = linalg.lattice_coordinates(kernel, [w.weights])[0]
+    if sol is None:
         raise InvariantError("weights do not lie in the orthogonal lattice")
-    alpha, beta = int(sol[0]), int(sol[1])
+    alpha, beta = sol
     if gcd(alpha, beta) != 1:
         raise InvariantError("weights are imprimitive in the orthogonal lattice")
     s, t = linalg.bezout(alpha, beta)
@@ -273,14 +271,10 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int],
     lo = min(values)
     anchors = [x for x, val in zip(rr.vertices, values) if val == lo]
     anchor = min(anchors, key=point_key)
-    bt = linalg.rational_matrix(linalg.transpose(basis))
-    coords = []
-    for x in rr.vertices:
-        diff = [Fraction(a - b) for a, b in zip(x, anchor)]
-        sol = linalg.solve(bt, diff)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise InvariantError("vertex outside the weight-orthogonal lattice")
-        coords.append(tuple(int(c) for c in sol))
+    coords = linalg.lattice_coordinates(
+        basis, [tuple(a - b for a, b in zip(x, anchor)) for x in rr.vertices])
+    if None in coords:
+        raise InvariantError("vertex outside the weight-orthogonal lattice")
     v_q = tuple(sum(a * b for a, b in zip(row, v_tilde)) for row in basis)
     if not any(v_q):
         raise InputError("direction is a multiple of the weights")

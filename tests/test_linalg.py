@@ -274,3 +274,102 @@ def test_bezout_coprime_pairs():
     for a, b in pairs:
         s, t = linalg.bezout(a, b)
         assert s * a + t * b == 1, (a, b)
+
+
+def _random_int_matrix(rng, rows, cols, bound=6):
+    # about a third of the entries are zero, so pivots often need a row swap
+    return [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_scaled_inverse_identity():
+    rng = random.Random(21)
+    fixed = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # pivots only after swaps
+             [[0, 2, 1], [3, 0, 0], [1, 1, 0]], [[2, 1], [1, 1]], [[-1]], [[7]],
+             [[4, 0], [0, 6]]]
+    randoms = [_random_int_matrix(rng, n, n) for n in range(1, 6) for _ in range(120)]
+    seen_dets = set()
+    for m in fixed + randoms:
+        n = len(m)
+        det = linalg.bareiss_det(m)
+        if det == 0:
+            with pytest.raises(ToolkitError, match="singular"):
+                linalg.scaled_inverse(m)
+            continue
+        inv, d = linalg.scaled_inverse(m)
+        assert linalg.mat_mul(inv, m) == tuple(tuple(d if i == j else 0 for j in range(n))
+                                               for i in range(n))
+        assert abs(d) == abs(det)
+        seen_dets.add(min(abs(det), 2))
+    assert seen_dets == {1, 2}  # unimodular and non-unimodular inputs both occur
+    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ToolkitError, match="singular"):
+            linalg.scaled_inverse(singular)
+
+
+def _fraction_solve_coordinates(basis, x):
+    """The reference route: a Fraction solve of B^T c = x, kept only if integral."""
+    sol = linalg.solve(linalg.rational_matrix(linalg.transpose(basis)), [Fraction(v) for v in x])
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+def test_lattice_coordinates_matches_fraction_solve():
+    rng = random.Random(22)
+    kinds = {"lattice": 0, "non-integral": 0, "off-span": 0}
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        k = rng.randint(r, 5)
+        basis = _random_int_matrix(rng, r, k, bound=5)
+        if linalg.rank(basis) != r:
+            continue
+        vectors = []
+        for _ in range(3):  # integer combinations: inside the lattice
+            vectors.append([sum(rng.randint(-4, 4) * row[j] for row in basis) for j in range(k)])
+        for _ in range(3):  # an integral vector c B / q of the span, usually off the lattice
+            q = rng.randint(2, 4)
+            c = [rng.randint(-6, 6) for _ in range(r)]
+            comb = [sum(ci * row[j] for ci, row in zip(c, basis)) for j in range(k)]
+            if all(x % q == 0 for x in comb):
+                vectors.append([x // q for x in comb])
+        for _ in range(3):  # arbitrary integer vectors, off the span when r < k
+            vectors.append([rng.randint(-9, 9) for _ in range(k)])
+        got = linalg.lattice_coordinates(basis, vectors)
+        assert len(got) == len(vectors)
+        for x, coords in zip(vectors, got):
+            assert coords == _fraction_solve_coordinates(basis, x), (basis, x)
+            if coords is not None:
+                kinds["lattice"] += 1
+            elif linalg.rank(basis + [x]) == r:
+                kinds["non-integral"] += 1
+            else:
+                kinds["off-span"] += 1
+    assert min(kinds.values()) >= 20, kinds
+    with pytest.raises(ToolkitError, match="full row rank"):
+        linalg.lattice_coordinates([[1, 2, 3], [2, 4, 6]], [[1, 2, 3]])
+
+
+def test_inverse_unimodular_random():
+    rng = random.Random(23)
+    for n in range(1, 6):
+        for _ in range(40):
+            u = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(rng.randint(0, 8)):
+                i = rng.randrange(n)
+                op = rng.randrange(3) if n > 1 else 2
+                if op == 0:  # row_i += c * row_j
+                    j = rng.choice([x for x in range(n) if x != i])
+                    c = rng.randint(-4, 4)
+                    u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+                elif op == 1:
+                    j = rng.randrange(n)
+                    u[i], u[j] = u[j], u[i]
+                else:
+                    u[i] = [-a for a in u[i]]
+            inv = linalg.inverse_unimodular(u)
+            assert linalg.mat_mul(inv, u) == linalg.mat_mul(u, inv) == linalg.identity(n)
+            assert all(isinstance(x, int) for row in inv for x in row)
+    with pytest.raises(ToolkitError, match="not unimodular"):
+        linalg.inverse_unimodular([[2, 1], [1, 2]])
+

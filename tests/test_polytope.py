@@ -152,6 +152,24 @@ def test_lattice_width_quotient_for_lower_dimensional():
     assert res.direction.pair((2, 4)) - res.direction.pair((0, 0)) in (2, -2)
 
 
+def test_affine_lattice_coordinates_rejects_a_non_saturated_lattice(monkeypatch):
+    # the saturation step returns a basis of index 2: (1, 0, 0) is not on it
+    real = linalg.integral_kernel
+    calls = []
+
+    def doubled_second_call(m):
+        out = real(m)
+        calls.append(m)
+        if len(calls) == 2:
+            out = (tuple(2 * x for x in out[0]),) + out[1:]
+        return out
+
+    monkeypatch.setattr(polytope.linalg, "integral_kernel", doubled_second_call)
+    with pytest.raises(ToolkitError, match="outside its own difference lattice"):
+        polytope._affine_lattice_coordinates([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2)
+    assert len(calls) == 2
+
+
 def test_all_points_within_width_band():
     rng = random.Random(5)
     for _ in range(15):

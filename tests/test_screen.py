@@ -9,7 +9,8 @@ import pytest
 from latticejets import linalg
 from latticejets.errors import InputError
 from latticejets.polytope import Direction, LatticePolytope, lattice_points
-from latticejets.screen import _affine_basis, corollary_check, nef_check, pseudonef_bound
+from latticejets.screen import (_affine_basis, _line_misses_span, corollary_check, nef_check,
+                               pseudonef_bound)
 from latticejets.surface2 import normal_form
 from tests.conftest import random_config
 
@@ -98,6 +99,27 @@ def test_affine_basis_is_a_rank_raising_subsequence():
         diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
         assert len(basis) - 1 == (linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0)
     assert _affine_basis(()) == ()
+
+
+def test_line_misses_span_cases():
+    p_min, p_max = (0, 0, 0), (0, 0, 4)  # the line is the z-axis
+    # skew: the x-direction line at height 1 and y = 1 never meets the z-axis
+    assert _line_misses_span(p_min, p_max, ((0, 1, 1), (1, 1, 1)))
+    # parallel: a line at (1, 0) in the z-direction
+    assert _line_misses_span(p_min, p_max, ((1, 0, 1), (1, 0, 2)))
+    # through the span: the x-direction line at height 1 crosses the axis at (0, 0, 1)
+    assert not _line_misses_span(p_min, p_max, ((2, 0, 1), (3, 0, 1)))
+    # a plane containing the axis, and one crossing it
+    assert not _line_misses_span(p_min, p_max, ((1, 0, 0), (1, 0, 1), (2, 0, 3)))
+    assert not _line_misses_span(p_min, p_max, ((1, 0, 2), (0, 1, 2), (1, 1, 2)))
+    # one-point basis: on the line or off it
+    assert not _line_misses_span(p_min, p_max, ((0, 0, 7),))
+    assert _line_misses_span(p_min, p_max, ((0, 1, 2),))
+    # empty basis: nothing to meet
+    assert _line_misses_span(p_min, p_max, ())
+    # a tilted segment in the plane: it meets the point (2, 3) but misses (3, 3)
+    assert not _line_misses_span((0, 0), (4, 6), ((2, 3),))
+    assert _line_misses_span((0, 0), (4, 6), ((3, 3),))
 
 
 def test_corollary_rejects_lower_dimensional():

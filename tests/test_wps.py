@@ -122,6 +122,14 @@ def test_projection_alternative_basis_same_verdicts():
     assert len(r1.slice_config) == len(r2.slice_config)
 
 
+def test_projection_rejects_a_non_saturated_basis():
+    rr = rr_polytope(W)
+    basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
+    doubled = (tuple(2 * x for x in basis[0]),) + basis[1:]
+    with pytest.raises(InvariantError, match="vertex outside the weight-orthogonal lattice"):
+        project_to_3d(rr, (3, 5, 6, 7), W, basis=doubled)
+
+
 def test_projection_recovers_weights_if_omitted():
     rr = rr_polytope(W)
     q, v = project_to_3d(rr, (3, 5, 6, 7))
