@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
@@ -226,13 +226,9 @@ def _rational_roots(g):
     if len(g) <= 1:
         return g, []
     # integer-normalize for the rational root theorem
-    den_lcm = 1
-    for c in g:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in g))
     ig = [int(c * den_lcm) for c in g]
-    content = 0
-    for c in ig:
-        content = gcd(content, c)
+    content = gcd(*ig)
     ig = [c // content for c in ig]
     lead, trail = ig[-1], ig[0]
     candidates = set()

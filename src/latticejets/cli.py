@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import __version__, jets, linalg, oracles, wps
+from . import __version__, jets, linalg, oracles, polytope, wps
 from .base_locus import base_locus_k2, is_base_point, is_base_point_via_form
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from .polytope import (Direction, LatticePolytope, config_from_json,
@@ -296,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("input", help="polytope JSON (path or inline)")
     p_poly.add_argument("--direction", help="extra direction to measure")
     p_poly.add_argument("--count-points", action="store_true")
-    p_poly.add_argument("--width-budget", type=int, default=2_000_000)
-    p_poly.add_argument("--enum-budget", type=int, default=2_000_000)
+    p_poly.add_argument("--width-budget", type=int, default=polytope.WIDTH_BUDGET,
+                        help="fibers plus candidate points the width certification may visit")
+    p_poly.add_argument("--enum-budget", type=int, default=polytope.LATTICE_POINT_BUDGET,
+                        help="fibers plus points --count-points may visit")
     common(p_poly)
 
     p_classify = sub.add_parser("classify", help="surface normal-form classification")

@@ -8,15 +8,18 @@ section vertices, and the last one over the range its inequalities leave.
 ``lattice_points`` runs it on the facet system; ``slice_points`` runs it on
 the facet system plus a level equation, so a slice is enumerated inside the
 slice only, never through the full polytope, because Riemann-Roch polytopes
-of weighted projective spaces are far too large to enumerate. Both are
-bounded by a budget on the fibers and points visited.
+of weighted projective spaces are far too large to enumerate;
+``lattice_width`` runs it on a dual parallelepiped. All three are bounded by
+a budget on the fibers and points visited.
 
-Lattice-width certification follows a dual-box argument: any direction v
-whose width beats the best seed W0 pairs with every edge vector e at a
-vertex to |<v,e>| <= W0, so v lies in the image of the box [-W0,W0]^k under
-the inverse edge matrix, which is taken as the integer matrix +-det(E) E^-1
-from ``linalg.scaled_inverse``. If the box is within budget the enumeration
-is exhaustive and the result is certified.
+Lattice-width certification is a flatness argument (Lenstra 1983): any
+direction v whose width is at most the best seed W0 pairs with every edge
+vector e at a vertex to |<v,e>| <= W0. For k independent edges E this is the
+parallelepiped {v : |<v,e_i>| <= W0}, whose corners E^-1 s for s in
+{-W0,W0}^k come from the integer matrix +-det(E) E^-1 of
+``linalg.scaled_inverse``. Its integer points are enumerated by the fiber
+kernel (the Fincke-Pohst scheme, 1985); if that stays within budget the
+search is exhaustive and the result is certified.
 
 Lower-dimensional point sets (hulls, quotient widths) are handled in
 integer coordinates on a saturated basis of their difference lattice,
@@ -33,7 +36,7 @@ from math import gcd, ceil, floor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .errors import BudgetExceededError, InputError, ToolkitError
+from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 
 Point = tuple[int, ...]
 
@@ -63,6 +66,14 @@ def primitive(v: Sequence[int]) -> Point:
     if g == 0:
         raise ToolkitError("zero vector has no primitive form")
     return tuple(x // g for x in v)
+
+
+def sign_normalized(v: Sequence[int]) -> Point:
+    """v or -v, whichever has its first nonzero coordinate positive."""
+    for x in v:
+        if x:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    raise InvariantError("zero vector has no sign normalization")
 
 
 @dataclass(frozen=True)
@@ -277,15 +288,15 @@ def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
 
 
 def _extreme_points(points: Sequence[Point], k: int) -> tuple[Point, ...]:
-    if len(points) == 1:
-        return tuple(points)
+    """Vertices of conv(points), for distinct points, in graded-lex order."""
     cfg_rank = PointConfig(k, tuple(points)).difference_lattice_rank()
+    if len(points) == cfg_rank + 1:
+        return tuple(sorted(points, key=point_key))  # a simplex: every point is a vertex
     if cfg_rank < k:
         # lower-dimensional hull: map to coordinates on the affine span, recurse
         coords, _, _ = _affine_lattice_coordinates(points, cfg_rank)
-        keep = _extreme_points(sorted(set(coords), key=point_key), cfg_rank) if cfg_rank else coords[:1]
-        keep_set = set(keep)
-        return tuple(p for p, c in zip(points, coords) if c in keep_set) if cfg_rank else (points[0],)
+        keep = set(_extreme_points(sorted(set(coords), key=point_key), cfg_rank))
+        return tuple(p for p, c in zip(points, coords) if c in keep)
     facets = _facets_of(points, k)
     out = []
     for p in points:
@@ -484,16 +495,6 @@ class WidthResult(NamedTuple):
     certified: bool
 
 
-def _canonical_direction(v: Sequence[int]) -> Point:
-    v = primitive(v)
-    for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple(-y for y in v)
-    raise ToolkitError("zero direction")
-
-
 def _edges_at_vertex(p: LatticePolytope, vertex: Point) -> list[Point]:
     facets = p.facets()
     active_at = {}
@@ -515,6 +516,11 @@ def _edges_at_vertex(p: LatticePolytope, vertex: Point) -> list[Point]:
 def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult:
     """Minimal lattice width, a minimizing direction, and a certification flag.
 
+    Directions have their first nonzero coordinate positive, and ties go to
+    the least ``direction_key``: a certified result is the least minimizing
+    direction. ``budget`` bounds the fibers plus candidate points that the
+    dual-parallelepiped enumeration visits; past it, the best seed (facet
+    normals and coordinate directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
     and the reported direction is a lift to the ambient dual lattice.
@@ -526,7 +532,7 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
         return _quotient_width(p, budget)
 
     k = p.dim
-    seeds = {(_canonical_direction(f.normal)) for f in p.facets()}
+    seeds = {sign_normalized(f.normal) for f in p.facets()}
     for i in range(k):
         e = [0] * k
         e[i] = 1
@@ -545,29 +551,23 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     if len(e_basis) < k:
         raise ToolkitError("vertex cone is not full-dimensional")
     w0 = best_w
-    if (2 * w0 + 1) ** k > budget:
-        return WidthResult(best_w, Direction(best_v), False)
     adj, det = linalg.scaled_inverse(e_basis)  # adj E = det I with det = +-det E, so E^{-1} = adj / det
-    seen = set(seeds)
-    for y in product(range(-w0, w0 + 1), repeat=k):
-        num = [sum(a * b for a, b in zip(row, y)) for row in adj]
-        if any(x % det for x in num):
-            continue
-        v = tuple(x // det for x in num)
-        if not any(v):
-            continue
-        g = gcd(*v)
-        if g != 1:
-            continue  # the primitive multiple is also in the box and no wider
-        v = _canonical_direction(v)
-        if v in seen:
-            continue
-        seen.add(v)
+    corners = [tuple(Fraction(sum(a * b for a, b in zip(row, s)), det) for row in adj)
+               for s in product((-w0, w0), repeat=k)]
+    ineqs = [(e, -w0) for e in e_basis] + [(tuple(-x for x in e), -w0) for e in e_basis]
+    points: list[Point] = []
+    try:
+        _enumerate_fibers(corners, ineqs, (), points, [0, budget])
+    except BudgetExceededError:
+        return WidthResult(best_w, Direction(best_v), False)
+    # a non-primitive point is no narrower than its primitive multiple, also a point
+    candidates = {sign_normalized(v) for v in points if gcd(*v) == 1} - seeds
+    for v in sorted(candidates, key=direction_key):
         w = width_in_direction(p, Direction(v))
         if (w, direction_key(v)) < (best_w, direction_key(best_v)):
             best_w, best_v = w, v
-            if best_w == 1:
-                break
+            if w == 1:
+                break  # no width is below 1, and the order puts the least key first
     return WidthResult(best_w, Direction(best_v), True)
 
 

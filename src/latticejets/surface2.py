@@ -27,7 +27,7 @@ from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import leading_term_matrix
 from .polytope import (LatticePolytope, PointConfig, lattice_points,
-                       lattice_width, point_key, primitive)
+                       lattice_width, point_key, primitive, sign_normalized)
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV, NOT_SPECIAL = "I", "II", "III", "IV", "NotSpecial"
 
@@ -121,9 +121,7 @@ def _lines_through(points):
         for j in range(i + 1, len(pts)):
             p, q = pts[i], pts[j]
             d = primitive((q[0] - p[0], q[1] - p[1]))
-            normal = (-d[1], d[0])
-            if normal < (0, 0) or (normal[0] == 0 and normal[1] < 0):
-                normal = (-normal[0], -normal[1])
+            normal = sign_normalized((-d[1], d[0]))
             key = (normal, normal[0] * p[0] + normal[1] * p[1])
             lines.setdefault(key, set()).update((p, q))
     return lines

@@ -12,10 +12,10 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
 5. the nefness certificate: generator degrees below lcm(w)/m plus
    saturation of the generated relation lattice.
 
-The verdict is nef_not_semiample only when every predicate passes. Widths
-of the Riemann-Roch simplex are not globally certified (the certification
-box is astronomically large); v~ is the direction observed to realize the
-width, and the published m values are reproduced exactly from it.
+The verdict is nef_not_semiample only when every predicate passes. The
+screen does not certify m as the lattice width of the Riemann-Roch simplex
+(it never calls ``polytope.lattice_width``); v~ is the direction observed to
+realize the width, and the published m values are reproduced exactly from it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import Direction, LatticePolytope, point_key, primitive, width_in_direction
+from .polytope import (Direction, LatticePolytope, point_key, primitive, sign_normalized,
+                       width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
 DEGREE_BUDGET = 4000
@@ -113,15 +114,6 @@ def _monomials_of_weighted_degree(w: Sequence[int], d: int):
                     yield (a1, a2, a3, r3 // w4)
 
 
-def _sign_normalized(u):
-    for x in u:
-        if x > 0:
-            return tuple(u)
-        if x < 0:
-            return tuple(-y for y in u)
-    raise InvariantError("zero exponent difference")
-
-
 class _BinomialStream:
     """Binomial candidates by ascending weighted degree, canonically ordered.
 
@@ -154,7 +146,7 @@ class _BinomialStream:
             found = {}
             for i in range(len(mons)):
                 for j in range(i + 1, len(mons)):
-                    u = _sign_normalized(tuple(a - b for a, b in zip(mons[i], mons[j])))
+                    u = sign_normalized(tuple(a - b for a, b in zip(mons[i], mons[j])))
                     if gcd(*u) != 1 or u in self.seen:
                         continue
                     found[u] = BinomialGenerator(u=u, degree=self.degree)

@@ -48,9 +48,14 @@ def test_polytope_command(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["lattice_width"]["width"] == 572
-    assert result["lattice_width"]["certified"] is False
+    assert result["lattice_width"]["certified"] is True
     assert result["pseudonef_bound"] == 572
     assert result["width_in_direction"]["width"] == 572
+    code, out, _ = run(capsys, ["polytope", DELTA_PRIME, "--width-budget", "10"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["lattice_width"]["width"] == 572
+    assert result["lattice_width"]["certified"] is False
 
 
 def test_polytope_oracle_small(capsys):

@@ -83,6 +83,9 @@ def test_lattice_points_budget_guard():
 def test_vertices_are_extreme_points_only():
     p = LatticePolytope([(0, 0), (2, 0), (1, 0), (0, 2), (1, 1)])
     assert p.vertices == ((0, 0), (0, 2), (2, 0))
+    # one point past a simplex: the extra point is not a vertex
+    assert LatticePolytope([(0, 0), (2, 0), (1, 0), (0, 2)]).vertices == ((0, 0), (0, 2), (2, 0))
+    assert LatticePolytope([(0, 0, 1), (1, 1, 1), (2, 2, 1)]).vertices == ((0, 0, 1), (2, 2, 1))
 
 
 def test_width_in_direction_examples():
@@ -138,9 +141,20 @@ def test_lattice_width_matches_brute_force():
 
 
 def test_lattice_width_budget_falls_back_uncertified():
-    res = lattice_width(DELTA_PRIME)
+    # the dual parallelepiped is enumerated in 16 fibers and points
+    assert lattice_width(DELTA_PRIME) == (572, Direction((1, 0, 0)), True)
+    res = lattice_width(DELTA_PRIME, budget=10)
     assert res.width == 572
     assert res.certified is False
+
+
+def test_lattice_width_one_takes_the_least_direction():
+    # (3, 0, 2) also gives width 1; stopping at the first width-1 point found
+    # is exact only when candidates come in direction_key order
+    p = LatticePolytope([(1, -2, -1), (0, -2, 1), (2, 0, -2), (-1, 0, 2)])
+    assert width_in_direction(p, Direction((3, 0, 2))) == 1
+    assert lattice_width(p) == (1, Direction((1, 0, 1)), True)
+    assert oracles.brute_force_width(p, bound=10) == (1, Direction((1, 0, 1)))
 
 
 def test_lattice_width_quotient_for_lower_dimensional():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticejets import linalg, wps
+from latticejets import linalg, polytope, wps
 from latticejets.errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from latticejets.polytope import slice_points, width_in_direction
 from latticejets.screen import corollary_check
@@ -34,6 +34,17 @@ def test_well_formed_flag():
 def test_rr_polytope_unit_weights():
     rr = rr_polytope(WeightVector((1, 1, 1, 1)))
     assert set(rr.vertices) == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+
+
+def test_rr_polytope_is_a_simplex_without_the_lower_dimensional_hull(monkeypatch):
+    def unreachable(points, r):
+        raise AssertionError("the hull of a simplex needs no lattice coordinates")
+
+    monkeypatch.setattr(polytope, "_affine_lattice_coordinates", unreachable)
+    w = WeightVector(load_table()[0].weights)
+    rr = rr_polytope(w)
+    assert set(rr.vertices) == {tuple(w.lcm // a if j == i else 0 for j in range(4))
+                                for i, a in enumerate(w.weights)}
 
 
 def test_rr_polytope_worked_example():
