@@ -197,7 +197,7 @@ def _cmd_polytope(args) -> int:
         result["lattice_point_count"] = len(pts)
     oracle = None
     if args.oracle:
-        oracle = {"width_scan": oracles.width_oracle_agrees(p, bound=args.oracle_bound)}
+        oracle = {"width_scan": oracles.width_oracle_agrees(p, width, bound=args.oracle_bound)}
     _emit(_envelope("polytope", data, result, oracle), args.format)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from math import gcd
 
 from . import linalg
 from .errors import ToolkitError
-from .polytope import Direction, LatticePolytope, direction_key
+from .polytope import Direction, LatticePolytope, WidthResult, direction_key
 
 
 def rank_reference(m) -> int:
@@ -126,11 +126,8 @@ def binary_form_gcd_degree(forms) -> int:
     return int(sympy.Poly(g, w1, w2).total_degree())
 
 
-def width_oracle_agrees(p: LatticePolytope, bound: int = 10) -> dict:
-    """Diff record between certified width and the brute-force scan."""
-    from .polytope import lattice_width
-
-    main = lattice_width(p)
+def width_oracle_agrees(p: LatticePolytope, main: WidthResult, bound: int = 10) -> dict:
+    """Diff record between ``main``, the width run a caller reports, and the scan."""
     scan_width, scan_dir = brute_force_width(p, bound)
     agree = (not main.certified) or main.width == scan_width
     return {

@@ -21,9 +21,11 @@ parallelepiped {v : |<v,e_i>| <= W0}, whose corners E^-1 s for s in
 kernel (the Fincke-Pohst scheme, 1985); if that stays within budget the
 search is exhaustive and the result is certified.
 
-Lower-dimensional point sets (hulls, quotient widths) are handled in
-integer coordinates on a saturated basis of their difference lattice,
-solved with one integer inverse of a basis minor (``linalg.lattice_coordinates``).
+A planar hull is Andrew's monotone chain (1979); its counterclockwise cycle
+gives the vertices and, edge by edge, the facets. Lower-dimensional point
+sets (hulls, quotient widths) are handled in integer coordinates on a
+saturated basis of their difference lattice, solved with one integer inverse
+of a basis minor (``linalg.lattice_coordinates``).
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class Facet(NamedTuple):
 class LatticePolytope:
     """Convex hull of integer points; vertices are exactly the extreme points."""
 
-    __slots__ = ("dim", "vertices", "_facets", "_lattice_points")
+    __slots__ = ("dim", "vertices", "affine_dim", "_facets", "_lattice_points")
 
     def __init__(self, points: Iterable[Sequence[int]], dim: int | None = None):
         pts = [tuple(int(x) for x in p) for p in points]
@@ -168,7 +170,7 @@ class LatticePolytope:
             if len(p) != k:
                 raise InputError("inconsistent point dimensions")
         self.dim = k
-        self.vertices = _extreme_points(sorted(set(pts), key=point_key), k)
+        self.vertices, self.affine_dim = _extreme_points(sorted(set(pts), key=point_key), k)
         self._facets = None
         self._lattice_points = None
 
@@ -185,10 +187,6 @@ class LatticePolytope:
     # -- basic geometry -----------------------------------------------------
 
     @property
-    def affine_dim(self) -> int:
-        return PointConfig(self.dim, self.vertices).difference_lattice_rank()
-
-    @property
     def is_full_dim(self) -> bool:
         return self.affine_dim == self.dim
 
@@ -196,7 +194,10 @@ class LatticePolytope:
         if self._facets is None:
             if not self.is_full_dim:
                 raise ToolkitError("facet description requires a full-dimensional polytope")
-            self._facets = _facets_of(self.vertices, self.dim)
+            if self.dim == 2:
+                self._facets = _polygon_facets(self.vertices)
+            else:
+                self._facets = _facets_of(self.vertices, self.dim)
         return self._facets
 
     def contains(self, p: Sequence[int]) -> bool:
@@ -243,9 +244,44 @@ def config_from_json(data) -> PointConfig:
 
 
 # ---------------------------------------------------------------------------
-# hull machinery (brute-force facet enumeration; fine for the small inputs
-# this toolkit meets, and exact)
+# hull machinery (the monotone chain in the plane, brute-force facet
+# enumeration above it; fine for the small inputs this toolkit meets, and exact)
 # ---------------------------------------------------------------------------
+
+def polygon_ccw_vertices(points: Iterable[Sequence[int]]) -> list[Point]:
+    """Hull vertices of distinct planar points in counterclockwise cyclic order.
+
+    Andrew's monotone chain (1979), starting from the lex-least point. Points
+    inside an edge are not vertices; collinear points give the two ends and a
+    single point gives itself.
+    """
+    pts = sorted(tuple(p) for p in points)
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):  # the lower chain; on the reversed points, the upper one
+        chain = []
+        for q in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], q) <= 0:
+                chain.pop()
+            chain.append(q)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+def _polygon_facets(vertices: Sequence[Point]) -> tuple[Facet, ...]:
+    """One facet per edge a -> b of the ccw cycle: the inner normal is b - a turned left."""
+    cycle = polygon_ccw_vertices(vertices)
+    facets = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        normal = primitive((a[1] - b[1], b[0] - a[0]))
+        facets.append(Facet(normal, normal[0] * a[0] + normal[1] * a[1]))
+    return tuple(sorted(facets))
+
 
 def _hyperplane_through(points: Sequence[Point], k: int):
     """Primitive normal and offset of the hyperplane through k points, or None."""
@@ -253,10 +289,7 @@ def _hyperplane_through(points: Sequence[Point], k: int):
     if k == 1:
         return (1,), base[0]
     diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    if k == 2:
-        d = diffs[0]
-        normal = primitive((-d[1], d[0]))
-    elif k == 3:
+    if k == 3:
         d1, d2 = diffs
         n = (d1[1] * d2[2] - d1[2] * d2[1],
              d1[2] * d2[0] - d1[0] * d2[2],
@@ -287,16 +320,19 @@ def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
     return tuple(sorted(facets))
 
 
-def _extreme_points(points: Sequence[Point], k: int) -> tuple[Point, ...]:
-    """Vertices of conv(points), for distinct points, in graded-lex order."""
+def _extreme_points(points: Sequence[Point], k: int) -> tuple[tuple[Point, ...], int]:
+    """Vertices of conv(points), for distinct points, in graded-lex order, and its dimension."""
+    if k == 2:  # a cycle of r + 1 <= 3 vertices spans dimension r
+        cycle = polygon_ccw_vertices(points)
+        return tuple(sorted(cycle, key=point_key)), min(len(cycle) - 1, 2)
     cfg_rank = PointConfig(k, tuple(points)).difference_lattice_rank()
     if len(points) == cfg_rank + 1:
-        return tuple(sorted(points, key=point_key))  # a simplex: every point is a vertex
+        return tuple(sorted(points, key=point_key)), cfg_rank  # a simplex: every point is a vertex
     if cfg_rank < k:
         # lower-dimensional hull: map to coordinates on the affine span, recurse
         coords, _, _ = _affine_lattice_coordinates(points, cfg_rank)
-        keep = set(_extreme_points(sorted(set(coords), key=point_key), cfg_rank))
-        return tuple(p for p, c in zip(points, coords) if c in keep)
+        keep = set(_extreme_points(sorted(set(coords), key=point_key), cfg_rank)[0])
+        return tuple(p for p, c in zip(points, coords) if c in keep), cfg_rank
     facets = _facets_of(points, k)
     out = []
     for p in points:
@@ -304,7 +340,7 @@ def _extreme_points(points: Sequence[Point], k: int) -> tuple[Point, ...]:
                   if sum(a * b for a, b in zip(f.normal, p)) == f.offset]
         if active and linalg.rank(active) == k:
             out.append(p)
-    return tuple(sorted(out, key=point_key))
+    return tuple(sorted(out, key=point_key)), k
 
 
 def _affine_lattice_coordinates(points: Sequence[Point], r: int):

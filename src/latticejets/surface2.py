@@ -27,7 +27,8 @@ from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import leading_term_matrix
 from .polytope import (LatticePolytope, PointConfig, lattice_points,
-                       lattice_width, point_key, primitive, sign_normalized)
+                       lattice_width, point_key, polygon_ccw_vertices, primitive,
+                       sign_normalized)
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV, NOT_SPECIAL = "I", "II", "III", "IV", "NotSpecial"
 
@@ -127,20 +128,10 @@ def _lines_through(points):
     return lines
 
 
-class _Frame:
-    """Point set plus the composed affine unimodular map that produced it."""
-
-    def __init__(self, points):
-        self.points = [tuple(p) for p in points]
-        self.u = linalg.identity(2)
-        self.t = (0, 0)
-
-    def apply(self, u=None, t=(0, 0)):
-        u = linalg.integer_matrix(u) if u is not None else linalg.identity(2)
-        self.points = [tuple(x + y for x, y in zip(linalg.mat_vec(u, p), t))
-                       for p in self.points]
-        self.u = linalg.mat_mul(u, self.u)
-        self.t = tuple(x + y for x, y in zip(linalg.mat_vec(u, self.t), t))
+def _then(u, t, u2, t2=(0, 0)):
+    """The map x -> u2 (u x + t) + t2 as a pair (U, t)."""
+    t = linalg.mat_vec(u2, t)
+    return linalg.mat_mul(u2, u), (t[0] + t2[0], t[1] + t2[1])
 
 
 def classify(p: LatticePolytope) -> PolygonClass:
@@ -161,17 +152,20 @@ def classify(p: LatticePolytope) -> PolygonClass:
     best_key, best_pts = max(
         ((key, line_pts) for key, line_pts in lines.items() if len(line_pts) >= 3),
         key=lambda item: (len(item[1]), [-x for x in item[0][0]], -item[0][1]))
-    axis_pts = set(best_pts)
-    anchor = min(axis_pts, key=point_key)
-    others = sorted(axis_pts - {anchor}, key=point_key)
-    d = primitive((others[0][0] - anchor[0], others[0][1] - anchor[1]))
+    anchor = min(best_pts, key=point_key)
+    nearest = min(best_pts - {anchor}, key=point_key)
+    d = primitive((nearest[0] - anchor[0], nearest[1] - anchor[1]))
     bz_s, bz_t = linalg.bezout(d[0], d[1])
 
-    frame = _Frame(pts.points)
-    frame.apply(t=(-anchor[0], -anchor[1]))
-    frame.apply(u=((bz_s, bz_t), (-d[1], d[0])))
-
-    residual = [q for q in frame.points if q[1] != 0]
+    # x -> U (x - anchor) puts the line on the x-axis, within [0, hi]: the
+    # anchor is its least point and d points to the others. The points are
+    # mapped into this frame once; each later move composes onto (U, t), and
+    # the axis and residual points are followed by hand.
+    u = ((bz_s, bz_t), (-d[1], d[0]))
+    t = linalg.mat_vec(u, (-anchor[0], -anchor[1]))
+    frame = [(bz_s * x + bz_t * y + t[0], d[0] * y - d[1] * x + t[1]) for x, y in pts]
+    hi = max(q[0] for q in frame if q[1] == 0)
+    residual = [q for q in frame if q[1] != 0]
     levels = sorted({q[1] for q in residual})
     if not residual:
         raise InvariantError("collinear configuration reached the classifier")
@@ -179,68 +173,53 @@ def classify(p: LatticePolytope) -> PolygonClass:
     if len(levels) == 1:
         h = levels[0]
         if h < 0:
-            frame.apply(u=((1, 0), (0, -1)))
+            u, t = _then(u, t, ((1, 0), (0, -1)))
             h = -h
         if h != 1:
             raise InvariantError(f"parallel residual at level {h}, conic impossible")
-        residual = [q for q in frame.points if q[1] == 1]
-        if len(residual) == 1:
-            kind = TYPE_II
-            frame.apply(u=((1, -residual[0][0]), (0, 1)))
-            axis = [q[0] for q in frame.points if q[1] == 0]
-            frame.apply(t=(-min(axis), 0))
-            a = max(q[0] for q in frame.points if q[1] == 0)
-            b = None
+        top = [q[0] for q in residual]  # x is unchanged by the reflection
+        # the shear that starts the top line at x = 0 keeps the axis
+        u, t = _then(u, t, ((1, -min(top)), (0, 1)))
+        if len(top) == 1:
+            kind, a, b = TYPE_II, hi, None
         else:
-            kind = TYPE_I
-            axis = [q[0] for q in frame.points if q[1] == 0]
-            frame.apply(t=(-min(axis), 0))
-            top = [q[0] for q in frame.points if q[1] == 1]
-            frame.apply(u=((1, -min(top)), (0, 1)))
-            a = max(q[0] for q in frame.points if q[1] == 1)
-            b = max(q[0] for q in frame.points if q[1] == 0)
+            kind, a, b = TYPE_I, max(top) - min(top), hi
             if a > b:  # y -> 1 - y swaps the two parallel lines
-                frame.apply(u=((1, 0), (0, -1)), t=(0, 1))
+                u, t = _then(u, t, ((1, 0), (0, -1)), (0, 1))
                 a, b = b, a
     else:
         if levels != [-1, 1] or len(residual) != 2:
             raise InvariantError(f"crossing residual {residual} out of shape")
         up = next(q for q in residual if q[1] == 1)
         dn = next(q for q in residual if q[1] == -1)
-        frame.apply(u=((1, -up[0]), (0, 1)))
+        u, t = _then(u, t, ((1, -up[0]), (0, 1)))
         c = up[0] + dn[0]  # x of the lower point after the shear
-        if c % 2 == 0:
-            kind = TYPE_III
-            frame.apply(t=(-c // 2, 0))
-            frame.apply(u=((1, c // 2), (0, 1)))
-        else:
-            kind = TYPE_IV
-            shift = (-1 - c) // 2
-            frame.apply(t=(shift, 0))
-            frame.apply(u=((1, -shift), (0, 1)))
-        axis = [q[0] for q in frame.points if q[1] == 0]
-        a, b = max(axis), -min(axis)
+        kind = TYPE_III if c % 2 == 0 else TYPE_IV
+        # shift by -ceil(c / 2) and shear back: the lower point lands on
+        # (0, -1) for type III and on (-1, -1) for type IV, the upper on (0, 1)
+        shift = -c // 2
+        u, t = _then(u, t, ((1, -shift), (0, 1)), (shift, 0))
+        a, b = hi + shift, -shift
         if kind == TYPE_III and b > a:
-            frame.apply(u=((-1, 0), (0, 1)))
+            u, t = _then(u, t, ((-1, 0), (0, 1)))
             a, b = b, a
         if kind == TYPE_IV:
             ca, cb = canonical_params(TYPE_IV, a, b)
             if (ca, cb) != (a, b):
-                frame.apply(u=((-1, 0), (0, -1)), t=(-1, 0))
+                u, t = _then(u, t, ((-1, 0), (0, -1)), (-1, 0))
                 a, b = ca, cb
 
     # the map is affine unimodular, so it sends vertices to vertices: the
     # transform check needs no hull recomputation
-    expected = normal_form(kind, a, b if b is not None else None)
+    expected = normal_form(kind, a, b)
     got_vertices = tuple(sorted(
-        (tuple(x + y for x, y in zip(linalg.mat_vec(frame.u, vtx), frame.t))
-         for vtx in p.vertices), key=point_key))
+        (tuple(x + y for x, y in zip(linalg.mat_vec(u, vtx), t)) for vtx in p.vertices),
+        key=point_key))
     if got_vertices != expected.vertices:
         raise InvariantError(
             f"normalization mismatch: type {kind} (a={a}, b={b}) expected "
             f"{expected.vertices}, got {got_vertices}")
-    return PolygonClass(kind, a, b, frame.u, frame.t,
-                        in_table_range=in_table_range(kind, a, b))
+    return PolygonClass(kind, a, b, u, t, in_table_range=in_table_range(kind, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +258,12 @@ def teo_dim2_suite(p: LatticePolytope) -> TeoDim2Record:
 
 
 # ---------------------------------------------------------------------------
-# Pick's identity (test utility)
+# Pick's identity (test utility), on the hull's counterclockwise cycle
 # ---------------------------------------------------------------------------
-
-def polygon_ccw_vertices(p: LatticePolytope) -> list[tuple[int, int]]:
-    """Hull vertices in counterclockwise cyclic order (monotone chain)."""
-    pts = sorted(p.vertices)
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for q in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper = []
-    for q in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    return lower[:-1] + upper[:-1]
-
 
 def pick_data(p: LatticePolytope) -> dict:
     """Twice the area, boundary and interior lattice point counts."""
-    cycle = polygon_ccw_vertices(p)
+    cycle = polygon_ccw_vertices(p.vertices)
     twice_area = 0
     boundary = 0
     for i, v in enumerate(cycle):

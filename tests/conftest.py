@@ -29,6 +29,23 @@ def type_ii_points():
     return lattice_points(LatticePolytope([(0, 0), (0, 1), (5, 0)]))
 
 
+def sweep_shapes():
+    """Normal-form parameters (kind, a, b) of the classification sweep: 189 shapes."""
+    shapes = []
+    for total in range(4, 13):
+        for a in range(1, total // 2 + 1):
+            shapes.append(("I", a, total - a))
+    for a in range(5, 13):
+        shapes.append(("II", a, None))
+    for total in range(4, 13):
+        for a in range(1, total + 1):
+            shapes.append(("III", a, total - a))
+    for total in range(3, 13):
+        for a in range(1, total + 1):
+            shapes.append(("IV", a, total - a))
+    return shapes
+
+
 def random_full_dim_polytope(rng: random.Random, k: int, coord_bound: int = 6,
                              max_extra: int = 4) -> LatticePolytope:
     """Random full-dimensional lattice polytope with bounded coordinates."""

@@ -22,7 +22,8 @@ from latticejets.surface2 import (canonical_params, classify, normal_form,
 from latticejets.wps import (WeightVector, load_table, reproduce_table,
                              rows_by_hash, screen)
 from tests.conftest import (random_config, random_full_dim_polytope,
-                            random_primitive_direction, random_unimodular)
+                            random_primitive_direction, random_unimodular,
+                            sweep_shapes)
 
 
 def _report(number: int, detail: str) -> None:
@@ -95,18 +96,7 @@ def test_criterion_3_quadrilateral_fixture():
 
 def test_criterion_4_classification_sweep():
     start = time.time()
-    shapes = []
-    for total in range(4, 13):
-        for a in range(1, total // 2 + 1):
-            shapes.append(("I", a, total - a))
-    for a in range(5, 13):
-        shapes.append(("II", a, None))
-    for total in range(4, 13):
-        for a in range(1, total + 1):
-            shapes.append(("III", a, total - a))
-    for total in range(3, 13):
-        for a in range(1, total + 1):
-            shapes.append(("IV", a, total - a))
+    shapes = sweep_shapes()
 
     rng = random.Random(20260810)
     classified = 0

@@ -69,6 +69,18 @@ def test_polytope_oracle_small(capsys):
     assert report["oracle"]["width_scan"]["agree"] is True
 
 
+def test_polytope_oracle_judges_the_budgeted_run(capsys):
+    code, out, _ = run(capsys, ["polytope", DELTA_PRIME, "--width-budget", "10",
+                                "--oracle"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["lattice_width"]["certified"] is False
+    scan = report["oracle"]["width_scan"]
+    assert scan["main_certified"] is False
+    assert scan["main_width"] == report["result"]["lattice_width"]["width"] == 572
+    assert scan["scan_width"] == 572 and scan["agree"] is True
+
+
 def test_classify_command(capsys):
     code, out, _ = run(capsys, ["classify", TYPE_II_POLYGON])
     assert code == 0

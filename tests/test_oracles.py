@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from latticejets import linalg, oracles
-from latticejets.polytope import LatticePolytope
+from latticejets.polytope import LatticePolytope, lattice_width
 from tests.conftest import random_full_dim_polytope
 
 
@@ -52,7 +52,7 @@ def test_brute_force_width_big_coordinates_python_path():
 
 def test_width_oracle_agrees_record():
     p = LatticePolytope([(0, 0), (0, 1), (2, 1), (3, 0)])
-    record = oracles.width_oracle_agrees(p)
+    record = oracles.width_oracle_agrees(p, lattice_width(p))
     assert record["agree"] and record["main_width"] == 1
 
 

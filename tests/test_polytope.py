@@ -88,6 +88,42 @@ def test_vertices_are_extreme_points_only():
     assert LatticePolytope([(0, 0, 1), (1, 1, 1), (2, 2, 1)]).vertices == ((0, 0, 1), (2, 2, 1))
 
 
+def test_planar_hull_matches_the_facet_search():
+    """The monotone chain agrees with the k-subset facet search and the active-rank test."""
+    rng = random.Random(41)
+    for trial in range(80):
+        shape = trial % 4
+        if shape == 0:  # scattered points, sometimes collinear by chance
+            pts = {(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(2, 12))}
+        elif shape == 1:  # every lattice point of a polygon, boundary points included
+            pts = set(lattice_points(random_full_dim_polytope(rng, 2, coord_bound=3)).points)
+        elif shape == 2:  # collinear
+            d = (rng.randint(-3, 3), rng.randint(1, 3))
+            x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+            steps = rng.sample(range(-4, 5), rng.randint(2, 5))
+            pts = {(x + s * d[0], y + s * d[1]) for s in steps}
+        else:
+            pts = {(rng.randint(-5, 5), rng.randint(-5, 5))}
+        pts = sorted(pts, key=point_key)
+        p = LatticePolytope(pts)
+        assert p.affine_dim == PointConfig(2, tuple(pts)).difference_lattice_rank()
+        if p.affine_dim < 2:
+            # the two ends of a segment, or the point itself
+            assert p.vertices == tuple(sorted({min(pts), max(pts)}, key=point_key))
+            with pytest.raises(ToolkitError):
+                p.facets()
+            continue
+        facets = polytope._facets_of(pts, 2)
+        assert p.facets() == facets
+        extreme = []
+        for q in pts:
+            active = [f.normal for f in facets
+                      if sum(a * b for a, b in zip(f.normal, q)) == f.offset]
+            if active and linalg.rank(active) == 2:
+                extreme.append(q)
+        assert p.vertices == tuple(extreme)
+
+
 def test_width_in_direction_examples():
     square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert width_in_direction(square, Direction((1, 0))) == 1

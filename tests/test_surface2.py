@@ -1,5 +1,7 @@
 """Surface classification, the equivalence suite, collinearity, Pick."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,7 +14,11 @@ from latticejets.surface2 import (canonical_params, classify,
                                   in_table_range, normal_form, pick_data,
                                   pick_identity_holds, teo_dim2_suite,
                                   three_collinear)
-from tests.conftest import random_full_dim_polytope, random_unimodular
+from tests.conftest import random_full_dim_polytope, random_unimodular, sweep_shapes
+
+# sha256 of classify's JSON over two seeded images of every sweep shape: it
+# pins the normalizing map (U, t), which the type and parameters do not fix
+CLASSIFY_JSON_DIGEST = "a09e797c18b635d3be300c0a16c65d43dc7d63a55c122e0b57be1d759bd08639"
 
 
 def test_classify_spec_examples():
@@ -48,6 +54,19 @@ def test_classify_transform_normalizes_input():
         res = classify(img)
         normalized = unimodular_image(img, res.transform_u, res.transform_t)
         assert normalized == normal_form(res.type, res.a, res.b)
+
+
+def test_classify_json_digest():
+    """Type, parameters and the exact map (U, t) stay byte-identical."""
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for kind, a, b in sweep_shapes():
+        for _ in range(2):
+            u = random_unimodular(rng, 2)
+            t = (rng.randint(-8, 8), rng.randint(-8, 8))
+            res = classify(unimodular_image(normal_form(kind, a, b), u, t))
+            digest.update(json.dumps(res.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == CLASSIFY_JSON_DIGEST
 
 
 def test_classify_invariance_under_random_transforms():
