@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
@@ -63,9 +63,9 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
     a_rows = []
     b = []
     for p in s.points:
-        a_rows.append(tuple(Fraction(_power(p, beta)) for beta in mons))
-        b.append(-Fraction(v.pair(p)) ** m)
-    sol = linalg.solve(tuple(a_rows), b)
+        a_rows.append(tuple(prod(x ** e for x, e in zip(p, beta)) for beta in mons))
+        b.append(-v.pair(p) ** m)
+    sol = linalg.solve(a_rows, b)
     if sol is None:
         return False, None
     witness = WitnessHypersurface(
@@ -74,14 +74,6 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
     if not witness.vanishes_on(s):
         raise InvariantError("witness hypersurface fails to vanish on S")
     return True, witness
-
-
-def _power(p, beta) -> int:
-    out = 1
-    for x, a in zip(p, beta):
-        if a:
-            out *= x ** a
-    return out
 
 
 def is_base_point_via_form(s: PointConfig, m: int, v: Direction,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import linalg
 from .errors import InputError, ToolkitError
@@ -86,8 +86,7 @@ def _jet_rows(s: PointConfig, m: int) -> list[tuple[int, ...]]:
 def build_jets(s: PointConfig, m: int) -> JetSystem:
     k = s.dim
     rows = _jet_rows(s, m)
-    # integer entries are exact rationals; downstream eliminations convert
-    # to Fraction exactly where they divide
+    # integer matrices: the eliminations that read them are fraction-free
     j = _monomial_rows(s, rows, falling_factorial_value)
     lt = _monomial_rows(s, rows, pow)
     ranks = tuple(linalg.rank(j[:comb(r + k, k)]) for r in range(m + 1))
@@ -102,15 +101,8 @@ def leading_term_matrix(s: PointConfig, m: int) -> linalg.IntMatrix:
 
 def _monomial_rows(s: PointConfig, alphas, value) -> linalg.IntMatrix:
     """One row per multi-index alpha: prod_j value(p_j, alpha_j) over the points p."""
-    return tuple(tuple(_prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
+    return tuple(tuple(prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
                  for alpha in alphas)
-
-
-def _prod(items) -> int:
-    out = 1
-    for x in items:
-        out *= x
-    return out
 
 
 def rank_j(s: PointConfig, r: int) -> int:
@@ -188,11 +180,12 @@ def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
 
     Each right-kernel element c of the order-(m-1) jet matrix J contributes
     the form sum_alpha w^alpha (m!/alpha!) (D_m c)_alpha; the multinomial
-    factor is kept exactly, matching the classical jet expansion. The kernel
-    is spanned by the free-variable vectors read off one RREF of J (1 at a
-    free column, minus that column of the reduced J at the pivots), and only
-    their images are reduced again: the final RREF is canonical for the span,
-    so the basis does not depend on which kernel basis is mapped.
+    factor is kept exactly, matching the classical jet expansion. J is an
+    integer matrix, and its kernel is read in integers off one fraction-free
+    elimination A = d * RREF(J): each free column fc gives the vector with d
+    at fc and -A[r][fc] at the r-th pivot. Only their images are reduced
+    again, and only that final RREF forms Fractions: it is canonical for the
+    span, so the basis does not depend on which kernel basis is mapped.
     """
     if m < 1:
         raise InputError("form order must be >= 1")
@@ -200,20 +193,20 @@ def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
         raise InputError("empty point configuration")
     k = s.dim
     mons = monomials_of_degree(k, m)
-    weights = [factorial(m) // _prod(factorial(a) for a in alpha) for alpha in mons]
+    weights = [factorial(m) // prod(factorial(a) for a in alpha) for alpha in mons]
     d_m = _monomial_rows(s, mons, falling_factorial_value)
-    red, pivots = linalg.rref(_monomial_rows(s, jet_row_indices(k, m - 1),
-                                             falling_factorial_value))
+    a, pivots, d = linalg.scaled_rref(_monomial_rows(s, jet_row_indices(k, m - 1),
+                                                    falling_factorial_value))
     rows = []
     for fc in range(len(s)):
         if fc in pivots:
             continue
-        steps = [(red[r][fc], pc) for r, pc in enumerate(pivots) if red[r][fc]]
-        row = tuple(w * (d_row[fc] - sum(f * d_row[pc] for f, pc in steps))
+        steps = [(a_row[fc], pc) for a_row, pc in zip(a, pivots) if a_row[fc]]
+        row = tuple(w * (d * d_row[fc] - sum(f * d_row[pc] for f, pc in steps))
                     for w, d_row in zip(weights, d_m))
         if any(row):
             rows.append(row)
     if rows:
-        red, _ = linalg.rref(tuple(rows))
+        red, _ = linalg.rref(rows)
         rows = [r for r in red if any(r)]
     return FundamentalForm(k=k, m=m, monomials=tuple(mons), basis=tuple(rows))

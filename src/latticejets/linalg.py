@@ -6,17 +6,20 @@ integer entries are Python ``int`` (arbitrary precision). Everything here is
 deterministic: identical inputs produce bit-identical outputs, which the
 golden tests rely on.
 
-Integer routines (no Fraction is formed): ``rank`` and ``bareiss_det`` are
-fraction-free Bareiss eliminations; ``rank`` uses integer rows as they are
-and clears denominators only of rows holding a Fraction, so integer callers
-pass their rows directly. ``independent_rows`` is an integer echelon that
-keeps the rows raising the rank. ``scaled_inverse`` is fraction-free
-Gauss-Jordan, and ``lattice_coordinates`` and ``inverse_unimodular`` build on
-it; Smith and Hermite normal forms, ``integral_kernel`` and the saturation
-tests are integer as well. Rational routines (over Fraction): ``rref``,
-``kernel_basis`` and ``solve``, whose canonical minimal-support solution some
-callers rely on. An independent plain-Gauss rank lives in ``oracles`` so the
-two routes never share code.
+One elimination serves the rank, determinant, inverse and RREF routines:
+``scaled_rref`` is fraction-free Gauss-Jordan (Bareiss 1968), giving
+A = d * RREF(m) over the integers with d its last pivot, and it takes rows
+mixing ``int`` and ``Fraction`` (a row holding a Fraction is cleared of
+denominators), so integer callers pass their rows directly. ``rank`` counts
+its pivots; ``bareiss_det`` is its swap sign times d; ``scaled_inverse`` and
+``inverse_unimodular`` read the adjugate off the right block of [m | I];
+``rref`` divides A by d, and ``kernel_basis`` and ``solve`` read their
+vectors off A, keeping the canonical minimal-support solution some callers
+rely on. ``independent_rows`` is a lazy integer echelon that keeps the rows
+raising the rank, and ``lattice_coordinates`` builds on it and on
+``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel`` and
+the saturation tests are integer as well. The reference eliminations in
+``oracles`` share no code with these.
 """
 
 from __future__ import annotations
@@ -91,12 +94,12 @@ def _nonempty(m) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rank (fraction-free Bareiss)
+# one fraction-free elimination: rank, determinant, inverse, RREF, kernels
 # ---------------------------------------------------------------------------
 
 def _cleared_int_rows(m) -> list[list[int]]:
     """Integer copies of the rows: a row holding a Fraction is scaled by the
-    lcm of its denominators (rank-preserving), an all-int row is copied."""
+    lcm of its denominators (rank- and RREF-preserving), an all-int row is copied."""
     ncols = len(m[0])
     rows = []
     for row in m:
@@ -111,65 +114,80 @@ def _cleared_int_rows(m) -> list[list[int]]:
     return rows
 
 
-def rank(m) -> int:
-    """Rank over Q, computed exactly by fraction-free elimination.
+def _gauss_jordan(a: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place (Bareiss 1968).
 
-    Rows may mix ``int`` and ``Fraction`` entries. Integer rows are used as
-    they are; only rows holding a Fraction are cleared of denominators, so
-    callers pass integer data directly, without ``rational_matrix``.
+    Each pivot p clears its column in every other row as (p * row - f * pivot
+    row) / prev, prev being the pivot before it; the divisions are exact, so
+    the rows stay integer and end as d * RREF with d the last pivot, which is
+    also every pivot entry. Returns (pivot columns, d, sign), where sign is
+    the parity of the row swaps. Stops once every row holds a pivot.
     """
-    _nonempty(m)
-    a = _cleared_int_rows(m)
-    nrows, ncols = len(a), len(a[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][col]:
-                piv = i
-                break
+    nrows = len(a)
+    pivots = []
+    prev, sign = 1, 1
+    for col in range(len(a[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                a[i][j] = (a[r][col] * a[i][j] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
-        r += 1
-        if r == nrows:
+            sign = -sign
+        prow = a[r]
+        p = prow[col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+                elif p != prev:
+                    a[i] = [p * x // prev for x in row]
+        prev = p
+        pivots.append(col)
+        if r + 1 == nrows:
             break
-    return r
+    return tuple(pivots), prev, sign
 
 
-def bareiss_det(m) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
+def scaled_rref(m) -> tuple[IntMatrix, tuple[int, ...], int]:
+    """(A, pivots, d) with A = d * RREF(m) over the integers.
+
+    Rows may mix ``int`` and ``Fraction`` entries: integer rows are used as
+    they are, and only rows holding a Fraction are cleared of denominators,
+    which keeps the RREF. d is the last pivot: +-det m for a nonsingular
+    square m, 1 for a zero m. Every pivot entry of A equals d, and the rows
+    past the rank are zero.
+    """
+    _nonempty(m)
+    a = _cleared_int_rows(m)
+    pivots, d, _ = _gauss_jordan(a)
+    return tuple(map(tuple, a)), pivots, d
+
+
+def rank(m) -> int:
+    """Rank over Q: the pivot count of the fraction-free elimination.
+
+    Rows may mix ``int`` and ``Fraction`` entries, so callers pass integer
+    data directly, without ``rational_matrix``.
+    """
+    _nonempty(m)
+    return len(_gauss_jordan(_cleared_int_rows(m))[0])
+
+
+def _square(m, what: str) -> int:
     _nonempty(m)
     n = len(m)
     if len(m[0]) != n:
-        raise ToolkitError("determinant of non-square matrix")
-    a = [list(row) for row in m]
-    prev = 1
-    sign = 1
-    for col in range(n - 1):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[col][col] * a[i][j] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    return sign * a[n - 1][n - 1]
+        raise ToolkitError(f"{what} of non-square matrix")
+    return n
+
+
+def bareiss_det(m) -> int:
+    """Determinant of a square integer matrix: the swap sign times the last pivot."""
+    n = _square(m, "determinant")
+    pivots, d, sign = _gauss_jordan([list(row) for row in m])
+    return sign * d if len(pivots) == n else 0
 
 
 def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
@@ -193,32 +211,30 @@ def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
     return keep
 
 
-def scaled_inverse(m) -> tuple[IntMatrix, int]:
-    """(L, d) with L m = d I and d = +-det m, for a nonsingular square integer m.
+def _adjugate(m, what: str) -> tuple[IntMatrix | None, int]:
+    """(adj m, det m) from one elimination of [m | I], or (None, 0) for a singular m.
 
-    Fraction-free Gauss-Jordan on [m | I]: every step divides by the previous
-    pivot, and the Bareiss divisions are exact, so no Fraction is formed and
-    the last pivot is the determinant of the row-swapped matrix.
+    The right block ends as d m^-1 with d the last pivot, +-det m; the swap
+    sign turns it into det(m) m^-1, the adjugate.
     """
-    _nonempty(m)
-    n = len(m)
-    if len(m[0]) != n:
-        raise ToolkitError("inverse of non-square matrix")
+    n = _square(m, what)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise ToolkitError("singular matrix has no inverse")
-        a[col], a[piv] = a[piv], a[col]
-        prow = a[col]
-        p = prow[col]
-        for i in range(n):
-            if i != col:
-                f = a[i][col]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
-        prev = p
-    return tuple(tuple(row[n:]) for row in a), prev
+    pivots, d, sign = _gauss_jordan(a)
+    if pivots[-1] >= n:  # a pivot in the identity block: m is singular
+        return None, 0
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * d
+
+
+def scaled_inverse(m) -> tuple[IntMatrix, int]:
+    """(L, d) with L m = d I and d = det m, for a nonsingular square integer m.
+
+    L is the adjugate, read off the fraction-free elimination of [m | I];
+    no Fraction is formed.
+    """
+    adj, det = _adjugate(m, "inverse")
+    if not det:
+        raise ToolkitError("singular matrix has no inverse")
+    return adj, det
 
 
 def lattice_coordinates(basis, vectors):
@@ -253,33 +269,10 @@ def lattice_coordinates(basis, vectors):
 # RREF, kernels, solving
 # ---------------------------------------------------------------------------
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def rref(m) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form over Q and the pivot column indices."""
-    _nonempty(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in a), tuple(pivots)
+    a, pivots, d = scaled_rref(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in a), pivots
 
 
 @dataclass(frozen=True)
@@ -300,52 +293,49 @@ class KernelBasis:
         return len(self.vectors)
 
 
-def _right_kernel_vectors(m: Matrix) -> list[Vector]:
-    red, pivots = rref(m)
-    ncols = shape(m)[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    vecs = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        vecs.append(tuple(v))
-    return vecs
+def kernel_basis(m, side: str = "right") -> KernelBasis:
+    """Canonical (RREF) basis of the right or left kernel of ``m``.
 
-
-def kernel_basis(m: Matrix, side: str = "right") -> KernelBasis:
-    """Canonical (RREF) basis of the right or left kernel of ``m``."""
+    The integer kernel vectors of A = d * RREF(m) put d at a free column and
+    minus that column of A at the pivots; their RREF is the basis.
+    """
     _nonempty(m)
     if side not in ("left", "right"):
         raise ToolkitError(f"unknown kernel side {side!r}")
     work = m if side == "right" else transpose(m)
-    vecs = _right_kernel_vectors(work)
-    ambient = shape(work)[1]
+    a, pivots, d = scaled_rref(work)
+    ambient = len(a[0])
+    vecs = []
+    for fc in range(ambient):
+        if fc not in pivots:
+            v = [0] * ambient
+            v[fc] = d
+            for row, pc in zip(a, pivots):
+                v[pc] = -row[fc]
+            vecs.append(v)
     if vecs:
-        canon, _ = rref(tuple(vecs))
+        canon, _ = rref(vecs)
         vecs = [row for row in canon if any(row)]
     return KernelBasis(side=side, dim_ambient=ambient, vectors=tuple(vecs))
 
 
-def solve(a: Matrix, b: Sequence[Fraction]):
+def solve(a, b: Sequence):
     """One solution of ``a x = b`` over Q, or None if inconsistent.
 
-    The canonical particular solution sets every free variable to zero, so
-    among all solutions it has minimal support with respect to the caller's
-    column order.
+    ``a`` and ``b`` may hold ints and Fractions. The canonical particular
+    solution sets every free variable to zero, so among all solutions it has
+    minimal support with respect to the caller's column order.
     """
     _nonempty(a)
     nrows, ncols = shape(a)
     if len(b) != nrows:
         raise ToolkitError("dimension mismatch in solve")
-    aug = tuple(tuple(list(row) + [Fraction(v)]) for row, v in zip(a, b))
-    red, pivots = rref(aug)
+    red, pivots, d = scaled_rref([(*row, v) for row, v in zip(a, b)])
     if ncols in pivots:  # pivot in the augmented column
         return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[ncols], d)
     return tuple(x)
 
 
@@ -531,12 +521,11 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
 
 
 def inverse_unimodular(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    det = bareiss_det(u)
+    """Exact inverse of a unimodular integer matrix: its adjugate over det u = +-1."""
+    adj, det = _adjugate(u, "determinant")
     if det not in (1, -1):
         raise ToolkitError(f"matrix is not unimodular (det={det})")
-    inv, d = scaled_inverse(u)
-    return tuple(tuple(x // d for x in row) for row in inv)
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def bezout(a: int, b: int) -> tuple[int, int]:

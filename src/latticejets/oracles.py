@@ -1,8 +1,8 @@
 """Independent brute-force oracles.
 
-These deliberately avoid the main code paths: rank by plain fraction
-Gaussian elimination (the main rank is fraction-free Bareiss), kernels by a
-reversed-column elimination compared as subspaces, widths by a full scan
+These deliberately avoid the main code paths: ranks and right kernels by a
+textbook Gauss-Jordan on Fractions (the main routes share one fraction-free
+integer elimination), kernels compared as subspaces, widths by a full scan
 over a box of primitive directions, binary-form gcds through sympy. The
 CLI's --oracle flag runs them next to the main algorithms and diffs the
 results; the test suite freezes their values.
@@ -19,46 +19,58 @@ from .errors import ToolkitError
 from .polytope import Direction, LatticePolytope, WidthResult, direction_key
 
 
-def rank_reference(m) -> int:
-    """Rank over Q by textbook Gaussian elimination on Fractions."""
+def rref_reference(m):
+    """RREF over Q and its pivot columns, by textbook Gauss-Jordan on Fractions."""
     a = [[Fraction(x) for x in row] for row in m]
     if not a or not a[0]:
         raise ToolkitError("degenerate input: empty matrix")
     nrows, ncols = len(a), len(a[0])
-    r = 0
+    pivots = []
     for col in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            if a[i][col]:
-                f = a[i][col] / a[r][col]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col]:
+                f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(col)
+    return tuple(tuple(row) for row in a), tuple(pivots)
+
+
+def rank_reference(m) -> int:
+    """Rank over Q: the pivot count of the reference RREF."""
+    return len(rref_reference(m)[1])
 
 
 def right_kernel_reference(m):
-    """Right-kernel basis computed with reversed column order.
+    """Right-kernel basis from the reference RREF: one vector per free column.
 
-    Not canonical; compare with the main kernel through span equality
-    (stack both and check the rank does not grow).
+    Not canonical; compare with the main kernel through ``same_span``.
     """
-    rev = tuple(tuple(reversed(row)) for row in m)
-    basis = linalg.kernel_basis(linalg.rational_matrix(rev), "right")
-    return tuple(tuple(reversed(v)) for v in basis.vectors)
+    red, pivots = rref_reference(m)
+    ncols = len(red[0])
+    out = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            out.append(tuple(v))
+    return tuple(out)
 
 
 def same_span(vectors_a, vectors_b) -> bool:
+    """True iff two linearly independent lists span one subspace (reference rank)."""
     if not vectors_a and not vectors_b:
         return True
     if bool(vectors_a) != bool(vectors_b) or len(vectors_a) != len(vectors_b):
         return False
-    stacked = linalg.rational_matrix(list(vectors_a) + list(vectors_b))
-    return linalg.rank(stacked) == len(vectors_a)
+    return rank_reference(list(vectors_a) + list(vectors_b)) == len(vectors_a)
 
 
 def primitive_directions(k: int, bound: int):
@@ -67,10 +79,7 @@ def primitive_directions(k: int, bound: int):
     for v in product(range(-bound, bound + 1), repeat=k):
         if not any(v):
             continue
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*v) != 1:
             continue
         lead = next(x for x in v if x)
         if lead < 0:
@@ -140,6 +149,6 @@ def width_oracle_agrees(p: LatticePolytope, main: WidthResult, bound: int = 10) 
 
 
 def rank_oracle_agrees(matrix) -> dict:
-    main = linalg.rank(linalg.rational_matrix(matrix))
+    main = linalg.rank(matrix)
     ref = rank_reference(matrix)
     return {"main_rank": main, "reference_rank": ref, "agree": main == ref}

@@ -10,8 +10,7 @@ content 1, leading coefficient positive).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ToolkitError
@@ -175,9 +174,8 @@ class MultiPoly:
         """Scale to integer coefficients with content 1 and positive leading one."""
         if not self.terms:
             return self
-        den = reduce(lambda acc, c: acc * c.denominator // gcd(acc, c.denominator),
-                     self.terms.values(), 1)
-        num = reduce(gcd, (abs(int(c * den)) for c in self.terms.values()))
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        num = gcd(*(int(c * den) for c in self.terms.values()))
         mult = Fraction(den, num)
         lead = self.sorted_terms()[0][1]
         if lead < 0:

@@ -381,7 +381,7 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
     large to enumerate at all (Riemann-Roch simplices of weight vectors).
     """
     if p._lattice_points is not None:
-        return PointConfig(p.dim, p._lattice_points)
+        return p._lattice_points
     if not p.is_full_dim:
         raise ToolkitError("lattice-point enumeration requires a full-dimensional polytope")
     facets = p.facets()
@@ -390,8 +390,8 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
     counter = [0, budget]
     _enumerate_fibers(list(p.vertices), ineqs, (), pts, counter)
     pts.sort(key=point_key)
-    p._lattice_points = tuple(pts)
-    return PointConfig(p.dim, p._lattice_points)
+    p._lattice_points = PointConfig(p.dim, tuple(pts))
+    return p._lattice_points
 
 
 def _fiber_interval(ineqs):
@@ -587,7 +587,7 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     if len(e_basis) < k:
         raise ToolkitError("vertex cone is not full-dimensional")
     w0 = best_w
-    adj, det = linalg.scaled_inverse(e_basis)  # adj E = det I with det = +-det E, so E^{-1} = adj / det
+    adj, det = linalg.scaled_inverse(e_basis)  # adj E = det I, so E^{-1} = adj / det
     corners = [tuple(Fraction(sum(a * b for a, b in zip(row, s)), det) for row in adj)
                for s in product((-w0, w0), repeat=k)]
     ineqs = [(e, -w0) for e in e_basis] + [(tuple(-x for x in e), -w0) for e in e_basis]

@@ -156,8 +156,8 @@ def _affine_basis(points) -> tuple:
     independent of the differences kept so far. The result equals the pivot
     columns of ``linalg.rref`` on the transposed differences; the integer
     echelon of ``linalg.independent_rows`` is used instead because it reduces
-    each new difference against at most k kept rows, where the RREF updates
-    Fractions in every column.
+    each new difference against at most k kept rows and stops at full rank,
+    where the RREF updates every row for every pivot.
     """
     if not points:
         return ()
@@ -170,15 +170,16 @@ def _line_misses_span(p_min, p_max, basis) -> bool:
     """True iff the segment's line does not meet the affine span of the basis points.
 
     p_min + alpha*seg = q0 + sum beta_i (q_i - q0) is solvable in (alpha, beta)
-    iff b = q0 - p_min adds nothing to the rank of the columns seg, q_i - q0;
-    ranks of the transposed system are taken, with the columns as integer rows.
+    iff b = q0 - p_min adds nothing to the rank of the columns seg, q_i - q0.
+    One integer echelon over the columns, as rows, then b: the line misses
+    the span iff b is kept as raising the rank.
     """
     if not basis:
         return True
     seg = tuple(a - b for a, b in zip(p_max, p_min))
     cols = [seg] + [tuple(b - a for a, b in zip(q, basis[0])) for q in basis[1:]]
     b = tuple(q - pm for q, pm in zip(basis[0], p_min))
-    return linalg.rank(cols + [b]) > linalg.rank(cols)
+    return len(cols) in linalg.independent_rows(cols + [b])
 
 
 def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:
@@ -189,14 +190,9 @@ def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:
     # f affine with f|Lambda = 0, f(p_min) = 0, f(p_max) = lw - 1; the basis
     # rows span the same row space as all of Lambda's, so the RREF and the
     # canonical solution are the same
-    rows = []
-    rhs = []
-    for q in list(basis) + [p_min]:
-        rows.append(tuple(Fraction(x) for x in q) + (Fraction(1),))
-        rhs.append(Fraction(0))
-    rows.append(tuple(Fraction(x) for x in p_max) + (Fraction(1),))
-    rhs.append(Fraction(lw - 1))
-    sol = linalg.solve(tuple(rows), rhs)
+    rows = [tuple(q) + (1,) for q in list(basis) + [p_min, p_max]]
+    rhs = [0] * (len(basis) + 1) + [lw - 1]
+    sol = linalg.solve(rows, rhs)
     if sol is None:
         raise InvariantError("witness linear forms are infeasible despite the conditions")
     f = MultiPoly.affine(sol[:k], sol[k])

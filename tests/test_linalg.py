@@ -282,6 +282,61 @@ def _random_int_matrix(rng, rows, cols, bound=6):
             for _ in range(rows)]
 
 
+def _cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _degenerate(rng, m):
+    """Copy of m, at random made rank-deficient or given a zero row or column."""
+    m = [list(row) for row in m]
+    nrows, ncols = len(m), len(m[0])
+    if nrows > 2 and rng.random() < 0.3:  # a row that is a combination of two others
+        i, j, k = rng.sample(range(nrows), 3)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    if rng.random() < 0.2:
+        m[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.2:
+        j = rng.randrange(ncols)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_scaled_rref_matches_the_reference():
+    rng = random.Random(24)
+    seen = {"deficient": 0, "fraction": 0, "zero row": 0, "zero column": 0}
+    for _ in range(600):
+        m = _degenerate(rng, _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 8)))
+        if rng.random() < 0.3:  # rows of Fractions, some with denominators
+            m = [[Fraction(x, q) for x in row]
+                 for row, q in zip(m, (rng.randint(1, 4) for _ in m))]
+            seen["fraction"] += 1
+        red, ref_pivots = oracles.rref_reference(m)
+        a, pivots, d = linalg.scaled_rref(m)
+        assert linalg.rref(m) == (red, ref_pivots), m
+        assert pivots == ref_pivots
+        assert all(type(x) is int for row in a for x in row)
+        assert a == tuple(tuple(d * x for x in row) for row in red), m
+        assert all(a[r][c] == d for r, c in enumerate(pivots)), m
+        assert linalg.rank(m) == len(pivots)
+        seen["deficient"] += len(pivots) < min(len(m), len(m[0]))
+        seen["zero row"] += any(not any(row) for row in m)
+        seen["zero column"] += any(not any(col) for col in zip(*m))
+    assert min(seen.values()) >= 50, seen
+    signs = set()
+    for n in range(1, 5):
+        for _ in range(150):
+            m = _degenerate(rng, _random_int_matrix(rng, n, n))
+            det = linalg.bareiss_det(m)
+            assert det == _cofactor_det(m), m
+            signs.add((det > 0) - (det < 0))
+    assert signs == {-1, 0, 1}
+
+
 def test_scaled_inverse_identity():
     rng = random.Random(21)
     fixed = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # pivots only after swaps

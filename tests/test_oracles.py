@@ -61,8 +61,17 @@ def test_rank_oracle_agrees_record():
     assert record["agree"] and record["main_rank"] == 2
 
 
-def test_right_kernel_reference_span():
+def test_right_kernel_reference_span(monkeypatch):
     m = linalg.rational_matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
     main = linalg.kernel_basis(m, "right").vectors
+
+    def main_route(*args, **kwargs):
+        raise AssertionError("the oracle reached linalg's elimination")
+
+    # the references share no code with the main route
+    for name in ("_gauss_jordan", "scaled_rref", "rref", "rank", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, main_route)
     ref = oracles.right_kernel_reference(m)
     assert oracles.same_span(main, ref)
+    assert not oracles.same_span(main, ref[:1] + ((1, 0, 0, 0),))
+    assert oracles.rank_reference(m) == 2
