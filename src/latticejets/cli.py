@@ -58,11 +58,11 @@ def _parse_direction(raw: str, dim: int) -> Direction:
 
 def _parse_weights(raw: str):
     data = raw.strip()
-    if data.startswith("[") or not data[0].isdigit():
+    if not data[:1].isdigit():
         loaded = _load_json_argument(raw)
         if not isinstance(loaded, list):
             raise InputError("weights must be a JSON array of four integers")
-        return wps.WeightVector(tuple(int(x) for x in loaded))
+        return wps.WeightVector(tuple(loaded))
     try:
         return wps.WeightVector(tuple(int(x) for x in data.split(",")))
     except ValueError as exc:

@@ -2,24 +2,23 @@
 
 Everything is exact: vertices are integer tuples, facet inequalities are
 primitive integer normals with integer offsets, memberships are integer
-comparisons. Lattice points come from one fiber kernel: coordinates are
-fixed one at a time, each over the integer range of the exact rational
-section vertices, and the last one over the range its inequalities leave.
-``lattice_points`` runs it on the facet system; ``slice_points`` runs it on
-the facet system plus a level equation, so a slice is enumerated inside the
-slice only, never through the full polytope, because Riemann-Roch polytopes
-of weighted projective spaces are far too large to enumerate;
-``lattice_width`` runs it on a dual parallelepiped. All three are bounded by
-a budget on the fibers and points visited.
+comparisons. Lattice points come from one fiber kernel that reads only
+integer inequalities: Fourier-Motzkin elimination (Motzkin 1936, pruned by
+Chernikov's rule 1965) projects the system onto x_1..x_j for every j, and
+coordinates are fixed one at a time, each over the integer range that its
+projection leaves. ``lattice_points`` runs it on the facet system;
+``slice_points`` runs it on the facet system plus a level equation, so a
+slice is enumerated inside the slice only, never through the full polytope,
+because Riemann-Roch polytopes of weighted projective spaces are far too
+large to enumerate; ``lattice_width`` runs it on a dual parallelepiped. All
+three are bounded by a budget on the fibers and points visited.
 
 Lattice-width certification is a flatness argument (Lenstra 1983): any
 direction v whose width is at most the best seed W0 pairs with every edge
-vector e at a vertex to |<v,e>| <= W0. For k independent edges E this is the
-parallelepiped {v : |<v,e_i>| <= W0}, whose corners E^-1 s for s in
-{-W0,W0}^k come from the integer matrix +-det(E) E^-1 of
-``linalg.scaled_inverse``. Its integer points are enumerated by the fiber
-kernel (the Fincke-Pohst scheme, 1985); if that stays within budget the
-search is exhaustive and the result is certified.
+vector e at a vertex to |<v,e>| <= W0. For k independent edges this is the
+parallelepiped of the 2k slabs {v : |<v,e_i>| <= W0}. Its integer points are
+enumerated by the fiber kernel (the Fincke-Pohst scheme, 1985); if that
+stays within budget the search is exhaustive and the result is certified.
 
 A planar hull is Andrew's monotone chain (1979); its counterclockwise cycle
 gives the vertices and, edge by edge, the facets. Lower-dimensional point
@@ -32,9 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
-from math import gcd, ceil, floor
+from itertools import combinations
+from math import gcd
+from operator import index, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -57,7 +56,11 @@ def direction_key(v: Sequence[int]):
 
 
 def _as_point(p, k=None) -> Point:
-    pt = tuple(int(x) for x in p)
+    """``p`` as a tuple of ints; a float, string or None is an InputError, not truncated."""
+    try:
+        pt = tuple(map(index, p))
+    except TypeError:
+        raise InputError(f"{p!r} is not a vector of integers") from None
     if k is not None and len(pt) != k:
         raise InputError(f"point {pt} has dimension {len(pt)}, expected {k}")
     return pt
@@ -85,7 +88,7 @@ class Direction:
     coords: Point
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coords)
+        c = _as_point(self.coords)
         object.__setattr__(self, "coords", c)
         if not any(c):
             raise InputError("direction must be nonzero")
@@ -162,7 +165,7 @@ class LatticePolytope:
     __slots__ = ("dim", "vertices", "affine_dim", "_facets", "_lattice_points")
 
     def __init__(self, points: Iterable[Sequence[int]], dim: int | None = None):
-        pts = [tuple(int(x) for x in p) for p in points]
+        pts = [_as_point(p) for p in points]
         if not pts:
             raise InputError("polytope needs at least one point")
         k = dim if dim is not None else len(pts[0])
@@ -222,11 +225,11 @@ class LatticePolytope:
 
     @classmethod
     def from_json(cls, data) -> "LatticePolytope":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
-            return cls(data["vertices"], dim=int(data["dim"]))
-        except (KeyError, TypeError) as exc:
+            if isinstance(data, str):
+                data = json.loads(data)
+            return cls(data["vertices"], dim=index(data["dim"]))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad polytope JSON: {exc}") from exc
 
 
@@ -235,10 +238,10 @@ def config_to_json(cfg: PointConfig) -> dict:
 
 
 def config_from_json(data) -> PointConfig:
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
-        return PointConfig(int(data["dim"]), tuple(tuple(int(x) for x in p) for p in data["points"]))
+        if isinstance(data, str):
+            data = json.loads(data)
+        return PointConfig(index(data["dim"]), tuple(data["points"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad point-config JSON: {exc}") from exc
 
@@ -374,9 +377,9 @@ def _affine_lattice_coordinates(points: Sequence[Point], r: int):
 def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> PointConfig:
     """All points of P cap Z^k in graded-lex order.
 
-    Fiber enumeration: coordinates are fixed one at a time, with the range
-    of each fiber taken from the exact rational section vertices, so the
-    cost follows the point count (plus one section per fiber), not the
+    Fiber enumeration on the facet system: coordinates are fixed one at a
+    time, each over the integer range its Fourier-Motzkin projection leaves,
+    so the cost follows the point count (plus one range per fiber), not the
     bounding-box volume. The budget guards against polytopes that are too
     large to enumerate at all (Riemann-Roch simplices of weight vectors).
     """
@@ -384,79 +387,96 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
         return p._lattice_points
     if not p.is_full_dim:
         raise ToolkitError("lattice-point enumeration requires a full-dimensional polytope")
-    facets = p.facets()
-    ineqs = [(f.normal, f.offset) for f in facets]
+    ineqs = [(f.normal, f.offset) for f in p.facets()]
     pts: list[Point] = []
-    counter = [0, budget]
-    _enumerate_fibers(list(p.vertices), ineqs, (), pts, counter)
+    _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, budget])
     pts.sort(key=point_key)
     p._lattice_points = PointConfig(p.dim, tuple(pts))
     return p._lattice_points
 
 
-def _fiber_interval(ineqs):
-    """Exact integer range of a one-variable inequality system, or None.
+def _projections(ineqs, k):
+    """Integer systems S_1..S_k, S_j on x_1..x_j the real projection of {x : ineqs}.
 
-    A bounded full-dimensional polytope always restricts to two-sided
-    systems, so missing bounds mean an empty fiber appeared upstream.
+    Rows (a, b) mean <a, x> >= b. S_j comes from S_{j+1} by Fourier-Motzkin
+    elimination of x_{j+1} (Motzkin 1936), and each row carries a bitmask of
+    the input rows it was combined from. Chernikov's rule (1965) drops a row
+    combined from more than t + 1 input rows after t eliminations. Of the rows
+    with one primitive normal only the tightest are kept, compared as b/gcd(a)
+    by cross-multiplication and never rounded: a looser row and everything
+    combined from it are never tight. Tied rows stay once per bitmask, so the
+    rule stays sound and every S_j is exact.
     """
+    rows = [(tuple(a), b, 1 << i) for i, (a, b) in enumerate(ineqs)]
+    systems = [[(a, b) for a, b, _ in rows]]
+    for j in range(k - 1, 0, -1):  # the (k - j)-th elimination, of x_{j+1}
+        combined = [(a[:j], b, m) for a, b, m in rows if not a[j]]
+        for a1, b1, m1 in (row for row in rows if row[0][j] > 0):
+            for a2, b2, m2 in (row for row in rows if row[0][j] < 0):
+                m = m1 | m2
+                if m.bit_count() <= k - j + 1:
+                    c1, c2 = -a2[j], a1[j]
+                    combined.append((tuple(c1 * x + c2 * y for x, y in zip(a1[:j], a2[:j])),
+                                     c1 * b1 + c2 * b2, m))
+        if j > 1:  # S_1 is never eliminated, so it is not merged
+            tightest = {}
+            for a, b, m in combined:
+                g = gcd(*a) or 1
+                key = tuple(x // g for x in a)
+                b0, g0, masks = tightest.get(key, (b, g, set()))
+                if b * g0 > b0 * g:
+                    tightest[key] = (b, g, {m})
+                elif b * g0 == b0 * g:
+                    tightest[key] = (b0, g0, masks | {m})
+            combined = [(tuple(g * x for x in key), b, m)
+                        for key, (b, g, masks) in tightest.items() for m in masks]
+        rows = combined
+        systems.append([(a, b) for a, b, _ in rows])
+    systems.reverse()
+    return systems
+
+
+def _fiber_interval(rows, prefix) -> range:
+    """Integer range of x_j on {x : rows} with x_1..x_{j-1} = prefix, empty if none.
+
+    Rows (a, b) mean <a, x> >= b on x_1..x_j. A bounded nonempty system
+    restricts to two-sided bounds, so a missing bound means an empty fiber
+    appeared upstream.
+    """
+    j = len(prefix)
     lo, hi = None, None
-    for (coeffs, b) in ineqs:
-        n = coeffs[0]
+    for a, b in rows:
+        n, b = a[j], b - sum(map(mul, a, prefix))
         if n > 0:
             bound = -(-b // n)  # ceil(b / n)
-            lo = bound if lo is None else max(lo, bound)
+            if lo is None or bound > lo:
+                lo = bound
         elif n < 0:
             bound = b // n  # floor(b / n) for negative n
-            hi = bound if hi is None else min(hi, bound)
+            if hi is None or bound < hi:
+                hi = bound
         elif b > 0:
-            return None
+            return range(0)
     if lo is None or hi is None:
         raise ToolkitError("unbounded fiber in lattice-point enumeration")
-    return (lo, hi) if lo <= hi else None
+    return range(lo, hi + 1)
 
 
-def _enumerate_fibers(verts, ineqs, prefix, out, counter):
-    """Emit all integer points of {x : ineqs}, fiber ranges from ``verts``.
+def _enumerate_fibers(systems, prefix, out, counter):
+    """Emit the integer points of {x : systems[-1]} that extend ``prefix``.
 
-    The last variable needs no section vertices: its restricted inequality
-    system is one-dimensional and exact on its own.
+    The next coordinate ranges over its ``_projections`` system. Budget: an
+    intermediate fiber counts once, on entry; a last-coordinate fiber counts
+    once with its points, and only when it is nonempty.
     """
-    if not verts:
-        return
-    _charge(counter, 1)
-    if len(verts[0]) == 1:
-        interval = _fiber_interval(ineqs)
-        if interval is None:
-            return
-        lo, hi = interval
-        _charge(counter, hi - lo + 1)
-        out.extend(prefix + (c,) for c in range(lo, hi + 1))
-        return
-    firsts = [v[0] for v in verts]
-    for c in range(ceil(min(firsts)), floor(max(firsts)) + 1):
-        new_ineqs = []
-        feasible = True
-        for (coeffs, b) in ineqs:
-            rest = coeffs[1:]
-            nb = b - coeffs[0] * c
-            if any(rest):
-                new_ineqs.append((rest, nb))
-            elif nb > 0:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        if len(verts[0]) == 2:
-            interval = _fiber_interval(new_ineqs)
-            if interval is None:
-                continue
-            y_lo, y_hi = interval
-            _charge(counter, y_hi - y_lo + 2)
-            out.extend(prefix + (c, y) for y in range(y_lo, y_hi + 1))
-            continue
-        section = [x[1:] for x in _section(verts, firsts, c)]
-        _enumerate_fibers(section, new_ineqs, prefix + (c,), out, counter)
+    values = _fiber_interval(systems[len(prefix)], prefix)
+    if len(prefix) + 1 < len(systems):
+        _charge(counter, 1)
+        for c in values:
+            _enumerate_fibers(systems, prefix + (c,), out, counter)
+    elif values:
+        _charge(counter, len(values) + 1)
+        out.extend(prefix + (c,) for c in values)
 
 
 def _charge(counter, n):
@@ -466,20 +486,6 @@ def _charge(counter, n):
         raise BudgetExceededError(
             f"lattice-point enumeration exceeded the budget {counter[1]}",
             diagnostics={"budget": counter[1]})
-
-
-def _section(verts, values, level):
-    """Vertices of conv(verts) on {value = level}, with values[i] the value of verts[i].
-
-    They are the vertices on the level and the crossings of the segments
-    between vertices on either side of it.
-    """
-    out = [x for x, f in zip(verts, values) if f == level]
-    for (a, fa), (b, fb) in combinations(zip(verts, values), 2):
-        if (fa < level < fb) or (fb < level < fa):
-            t = Fraction(level - fa, fb - fa)
-            out.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
-    return out
 
 
 def width_in_direction(p: LatticePolytope, v: Direction) -> int:
@@ -492,11 +498,11 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     """Lattice points of P on the hyperplane <x,v> = level, in graded-lex order.
 
     The slice is the polytope's facet system plus the level equation, written
-    as the two inequalities <v,x> >= level and <-v,x> >= -level, and it is
-    enumerated by the same fiber kernel as ``lattice_points``, with fiber
-    ranges taken from the exact section vertices (edge-hyperplane crossings).
-    Only the slice is visited, never the full polytope; when v = (1, 0, ..., 0)
-    the slice is a single x1-fiber and the cost follows its point count.
+    as the two rows <v,x> >= level and <-v,x> >= -level, and it is enumerated
+    by the same fiber kernel as ``lattice_points``, with fiber ranges read off
+    the projections of that system. Only the slice is visited, never the full
+    polytope; when v = (1, 0, ..., 0) the slice is a single x1-fiber and the
+    cost follows its point count.
     """
     values = [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
@@ -504,8 +510,7 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     ineqs = [(f.normal, f.offset) for f in p.facets()]
     ineqs += [(v.coords, level), (tuple(-x for x in v.coords), -level)]
     pts: list[Point] = []
-    _enumerate_fibers(_section(p.vertices, values, level), ineqs, (), pts,
-                      [0, LATTICE_POINT_BUDGET])
+    _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, LATTICE_POINT_BUDGET])
     pts.sort(key=point_key)
     return PointConfig(p.dim, tuple(pts))
 
@@ -555,8 +560,9 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     Directions have their first nonzero coordinate positive, and ties go to
     the least ``direction_key``: a certified result is the least minimizing
     direction. ``budget`` bounds the fibers plus candidate points that the
-    dual-parallelepiped enumeration visits; past it, the best seed (facet
-    normals and coordinate directions) is returned with ``certified=False``.
+    fiber kernel visits on the 2k slab rows |<v, e_i>| <= W0 of the dual
+    parallelepiped; past it, the best seed (facet normals and coordinate
+    directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
     and the reported direction is a lift to the ambient dual lattice.
@@ -568,16 +574,9 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
         return _quotient_width(p, budget)
 
     k = p.dim
-    seeds = {sign_normalized(f.normal) for f in p.facets()}
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        seeds.add(tuple(e))
-    best_w, best_v = None, None
-    for v in sorted(seeds, key=direction_key):
-        w = width_in_direction(p, Direction(v))
-        if best_w is None or (w, direction_key(v)) < (best_w, direction_key(best_v)):
-            best_w, best_v = w, v
+    seeds = {sign_normalized(f.normal) for f in p.facets()} | set(linalg.identity(k))
+    best_w, _, best_v = min((width_in_direction(p, Direction(v)), direction_key(v), v)
+                            for v in seeds)
     if best_w == 1:
         return WidthResult(1, Direction(best_v), True)
 
@@ -586,14 +585,10 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     e_basis = [edges[i] for i in linalg.independent_rows(edges)]
     if len(e_basis) < k:
         raise ToolkitError("vertex cone is not full-dimensional")
-    w0 = best_w
-    adj, det = linalg.scaled_inverse(e_basis)  # adj E = det I, so E^{-1} = adj / det
-    corners = [tuple(Fraction(sum(a * b for a, b in zip(row, s)), det) for row in adj)
-               for s in product((-w0, w0), repeat=k)]
-    ineqs = [(e, -w0) for e in e_basis] + [(tuple(-x for x in e), -w0) for e in e_basis]
+    ineqs = [(e, -best_w) for e in e_basis] + [(tuple(-x for x in e), -best_w) for e in e_basis]
     points: list[Point] = []
     try:
-        _enumerate_fibers(corners, ineqs, (), points, [0, budget])
+        _enumerate_fibers(_projections(ineqs, k), (), points, [0, budget])
     except BudgetExceededError:
         return WidthResult(best_w, Direction(best_v), False)
     # a non-primitive point is no narrower than its primitive multiple, also a point

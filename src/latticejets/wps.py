@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, LatticePolytope, point_key, primitive, sign_normalized,
-                       width_in_direction)
+from .polytope import (Direction, LatticePolytope, _as_point, point_key, primitive,
+                       sign_normalized, width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
 DEGREE_BUDGET = 4000
@@ -44,7 +44,7 @@ class WeightVector:
     weights: tuple[int, int, int, int]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
+        w = _as_point(self.weights)
         object.__setattr__(self, "weights", w)
         if len(w) != 4 or any(x <= 0 for x in w):
             raise InputError("need four positive weights")

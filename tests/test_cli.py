@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from latticejets import cli
 from latticejets.cli import main
 from latticejets.errors import InvariantError
@@ -138,6 +140,24 @@ def test_missing_file_exit_2(capsys):
 def test_bad_weights_exit_2(capsys):
     code, _, err = run(capsys, ["screen", "2,4,6,8"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], [2.7, 0], [0, 1.9]]}'],
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], ["3", 0], [0, 1]]}'],
+    ["polytope", '{"dim": 2, "vertices": [["a", 0], [3, 0], [0, 1]]}'],
+    ["polytope", '{"dim": "x", "vertices": [[0, 0], [3, 0], [0, 1]]}'],
+    ["points", '{"dim": 2, "points": [[0.5, 0], [1, 0]]}'],
+    ["points", '{"dim": 2, "points": [[1e400, 0], [1, 0]]}'],
+    ["screen", "[7.5, 11, 13, 15]"],
+    ["screen", "[7, 11, 13, null]"],
+    ["screen", " "],
+])
+def test_non_integer_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
 
 
 def test_budget_exit_3(capsys):

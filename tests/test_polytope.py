@@ -321,6 +321,83 @@ def test_slice_points_budget_guard(monkeypatch):
         slice_points(DELTA_PRIME, Direction((1, 0, 0)), 286)
 
 
+def test_budget_boundaries_are_pinned(monkeypatch):
+    # each budget is the least that completes; a change in how fibers are
+    # counted moves it
+    assert lattice_width(DELTA_PRIME, budget=15).certified is False
+    assert lattice_width(DELTA_PRIME, budget=16) == (572, Direction((1, 0, 0)), True)
+    quad = [(0, 0), (7, 2), (3, 9), (-4, 5)]
+    assert len(lattice_points(LatticePolytope(quad), budget=70)) == 57
+    with pytest.raises(BudgetExceededError):
+        lattice_points(LatticePolytope(quad), budget=69)
+    p = LatticePolytope([(0, 0, 0), (4, 1, 0), (1, 5, 2), (-2, 3, 6), (3, -2, 4)]).dilate(3)
+    monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", 59)
+    assert len(slice_points(p, Direction((2, 3, 5)), 40)) == 22
+    monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", 58)
+    with pytest.raises(BudgetExceededError):
+        slice_points(p, Direction((2, 3, 5)), 40)
+
+
+def test_projections_are_the_real_projections():
+    # S_j of the facet system against the hull of the projected vertices, on
+    # the half-integer grid of the bounding box: a dropped facet shows as a
+    # point that S_j admits and the hull does not
+    rng = random.Random(9)
+    for k in (2, 3, 4):
+        for _ in range(8):
+            p = random_full_dim_polytope(rng, k, coord_bound=3)
+            systems = polytope._projections([(f.normal, f.offset) for f in p.facets()], k)
+            assert systems[-1] == [(f.normal, f.offset) for f in p.facets()]
+            for j, rows in enumerate(systems[:-1], 1):
+                doubled = LatticePolytope([tuple(2 * x for x in v[:j]) for v in p.vertices])
+                box = [range(2 * lo - 1, 2 * hi + 2) for lo, hi in p.bounding_box()[:j]]
+                for z in product(*box):
+                    inside = all(sum(x * y for x, y in zip(a, z)) >= 2 * b for a, b in rows)
+                    assert inside == doubled.contains(z)
+
+
+def test_slice_projections_are_exact():
+    # the first elimination of a slice system against the slice itself: as
+    # v_k > 0, a point y of the projection lifts to the one point with
+    # x_k = (level - <v', y>) / v_k; on the half-integer grid y = z / 2 that
+    # point is X / (2 v_k) with X = (v_k z, 2 level - <v', z>)
+    rng = random.Random(12)
+    for k, coords, count in ((3, (2, -1, 3), 6), (4, (1, 2, -1, 2), 2)):
+        v, vk = Direction(coords), coords[-1]
+        for _ in range(count):
+            p = random_full_dim_polytope(rng, k, coord_bound=3)
+            facets = [(f.normal, f.offset) for f in p.facets()]
+            values = [v.pair(q) for q in p.vertices]
+            box = [range(2 * lo - 1, 2 * hi + 2) for lo, hi in p.bounding_box()[:k - 1]]
+            for level in range(min(values), max(values) + 1):
+                level_rows = [(coords, level), (tuple(-x for x in coords), -level)]
+                rows = polytope._projections(facets + level_rows, k)[k - 2]
+                for z in product(*box):
+                    lift = tuple(vk * x for x in z) + (2 * level - v.pair(z),)
+                    in_slice = all(sum(x * y for x, y in zip(a, lift)) >= 2 * vk * b
+                                   for a, b in facets)
+                    inside = all(sum(x * y for x, y in zip(a, z)) >= 2 * b for a, b in rows)
+                    assert inside == in_slice
+
+
+def test_four_dimensional_enumeration_and_width():
+    rng = random.Random(4)
+    for _ in range(6):
+        p = random_full_dim_polytope(rng, 4, coord_bound=3)
+        by_level = _box_scan_slices(p, Direction((1, 0, 0, 0)))
+        assert list(lattice_points(p).points) == sorted(
+            (q for pts in by_level.values() for q in pts), key=point_key)
+        for coords in [(1, 0, 0, 0), (2, -1, 3, 1)]:
+            v = Direction(coords)
+            expected = _box_scan_slices(p, v)
+            values = [v.pair(q) for q in p.vertices]
+            for level in range(min(values) - 1, max(values) + 2):
+                assert list(slice_points(p, v, level).points) == expected.get(level, [])
+        res = lattice_width(p)
+        assert res.certified
+        assert (res.width, res.direction) == oracles.brute_force_width(p, bound=6)
+
+
 def test_json_round_trip():
     p = LatticePolytope([(0, 0), (1, 3), (3, 1), (4, 4)])
     again = LatticePolytope.from_json(json.dumps(p.to_json()))
