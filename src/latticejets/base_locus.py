@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
-from .jets import FundamentalForm, fundamental_form
+from .jets import FundamentalForm, fundamental_form, leading_term_matrix
 from .poly import MultiPoly, from_coefficients, monomials_up_to_degree
 from .polytope import Direction, LatticePolytope, PointConfig, lattice_points, lattice_width
 
@@ -59,18 +59,14 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
     if v.dim != s.dim:
         raise InputError("direction dimension mismatch")
     k = s.dim
-    mons = monomials_up_to_degree(k, m - 1)
-    a_rows = []
-    b = []
-    for p in s.points:
-        a_rows.append(tuple(prod(x ** e for x, e in zip(p, beta)) for beta in mons))
-        b.append(-v.pair(p) ** m)
-    sol = linalg.solve(a_rows, b)
+    # one row per point: its monomials of degree < m, in jet order
+    a_rows = linalg.transpose(leading_term_matrix(s, m - 1))
+    sol = linalg.solve(a_rows, [-v.pair(p) ** m for p in s.points])
     if sol is None:
         return False, None
     witness = WitnessHypersurface(
         k=k, m=m, leading_direction=v,
-        lower_terms=from_coefficients(k, mons, sol))
+        lower_terms=from_coefficients(k, monomials_up_to_degree(k, m - 1), sol))
     if not witness.vanishes_on(s):
         raise InvariantError("witness hypersurface fails to vanish on S")
     return True, witness

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, jets, linalg, oracles, polytope, wps
@@ -245,7 +244,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    results = wps.reproduce_table(path=args.fixture, jobs=args.jobs)
+    results = wps.reproduce_table(path=args.fixture)
     rows = []
     for r in results:
         rows.append({
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="reproduce the 93-row table")
     p_table.add_argument("--fixture", help="alternative CSV path")
-    p_table.add_argument("--jobs", type=int, default=_default_jobs())
     common(p_table)
 
     p_scan = sub.add_parser("scan", help="screen a whole weight range (exploratory)")
@@ -324,16 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--degree-budget", type=int, default=wps.DEGREE_BUDGET)
     common(p_scan)
     return parser
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("LATTICEJETS_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def main(argv=None) -> int:

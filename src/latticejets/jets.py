@@ -21,6 +21,7 @@ on the exceptional direction space.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -86,10 +87,11 @@ def _jet_rows(s: PointConfig, m: int) -> list[tuple[int, ...]]:
 def build_jets(s: PointConfig, m: int) -> JetSystem:
     k = s.dim
     rows = _jet_rows(s, m)
-    # integer matrices: the eliminations that read them are fraction-free
     j = _monomial_rows(s, rows, falling_factorial_value)
     lt = _monomial_rows(s, rows, pow)
-    ranks = tuple(linalg.rank(j[:comb(r + k, k)]) for r in range(m + 1))
+    # the rank of each top block is the number of rank-raising rows inside it
+    raising = linalg.independent_rows(j)
+    ranks = tuple(bisect_left(raising, comb(r + k, k)) for r in range(m + 1))
     return JetSystem(config=s, order=m, row_index=tuple(rows),
                      j_matrix=j, lt_matrix=lt, j_ranks=ranks)
 

@@ -15,10 +15,11 @@ its pivots; ``bareiss_det`` is its swap sign times d; ``scaled_inverse`` and
 ``inverse_unimodular`` read the adjugate off the right block of [m | I];
 ``rref`` divides A by d, and ``kernel_basis`` and ``solve`` read their
 vectors off A, keeping the canonical minimal-support solution some callers
-rely on. ``independent_rows`` is a lazy integer echelon that keeps the rows
-raising the rank, and ``lattice_coordinates`` builds on it and on
-``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel`` and
-the saturation tests are integer as well. The reference eliminations in
+rely on. ``pivot_columns`` are the columns that raise the rank, and the rows
+that do are the pivot columns of the transpose (``independent_rows``);
+``lattice_coordinates`` inverts the minor on the pivot columns of its basis
+with ``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel``
+and the saturation tests are integer as well. The reference eliminations in
 ``oracles`` share no code with these.
 """
 
@@ -105,12 +106,13 @@ def _cleared_int_rows(m) -> list[list[int]]:
     for row in m:
         if len(row) != ncols:
             raise ToolkitError("ragged matrix")
-        dens = [x.denominator for x in row if isinstance(x, Fraction)]
-        if dens:
-            mult = lcm(*dens)
-            rows.append([int(x * mult) for x in row])
-        else:
+        # the type set is built at C speed; isinstance(x, Fraction) goes through
+        # ABCMeta for every entry
+        if set(map(type, row)) <= {int}:
             rows.append(list(row))
+        else:
+            mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+            rows.append([int(x * mult) for x in row])
     return rows
 
 
@@ -128,8 +130,10 @@ def _gauss_jordan(a: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
     prev, sign = 1, 1
     for col in range(len(a[0])):
         r = len(pivots)
-        piv = next((i for i in range(r, nrows) if a[i][col]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if a[piv][col]:
+                break
+        else:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
@@ -165,14 +169,28 @@ def scaled_rref(m) -> tuple[IntMatrix, tuple[int, ...], int]:
     return tuple(map(tuple, a)), pivots, d
 
 
+def pivot_columns(m) -> tuple[int, ...]:
+    """The pivot columns of the fraction-free elimination: the columns of m,
+    in order, that raise the rank of the columns before them."""
+    _nonempty(m)
+    return _gauss_jordan(_cleared_int_rows(m))[0]
+
+
 def rank(m) -> int:
     """Rank over Q: the pivot count of the fraction-free elimination.
 
     Rows may mix ``int`` and ``Fraction`` entries, so callers pass integer
     data directly, without ``rational_matrix``.
     """
-    _nonempty(m)
-    return len(_gauss_jordan(_cleared_int_rows(m))[0])
+    return len(pivot_columns(m))
+
+
+def independent_rows(rows) -> tuple[int, ...]:
+    """Indices of the rows, in order, that raise the rank of those before.
+
+    They are the pivot columns of the transpose.
+    """
+    return pivot_columns(transpose(rows))
 
 
 def _square(m, what: str) -> int:
@@ -188,27 +206,6 @@ def bareiss_det(m) -> int:
     n = _square(m, "determinant")
     pivots, d, sign = _gauss_jordan([list(row) for row in m])
     return sign * d if len(pivots) == n else 0
-
-
-def independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Indices of the integer rows, in order, that raise the rank of those before.
-
-    An integer echelon: each row is reduced against the kept rows only, one
-    cross-multiplication per kept pivot. The scan stops once the kept rows
-    reach full column rank, so a lazy ``rows`` is consumed no further.
-    """
-    keep = []
-    echelon = []  # (pivot column, row); each row is zero at every earlier pivot
-    for i, row in enumerate(rows):
-        for col, piv in echelon:
-            if row[col]:
-                row = [piv[col] * x - row[col] * y for x, y in zip(row, piv)]
-        if any(row):
-            echelon.append((next(j for j, x in enumerate(row) if x), row))
-            keep.append(i)
-            if len(keep) == len(row):
-                break
-    return keep
 
 
 def _adjugate(m, what: str) -> tuple[IntMatrix | None, int]:
@@ -241,14 +238,13 @@ def lattice_coordinates(basis, vectors):
     """Integer coordinates c with c B = x for each x, or None where there are none.
 
     ``basis`` is an r x k integer matrix of full row rank, so a solution is
-    unique when it exists. r independent columns of B are chosen by
-    ``independent_rows`` and the r x r minor is inverted once with
-    ``scaled_inverse``; each candidate L x[cols] / d must divide exactly and
-    satisfy c B = x in all k coordinates. A vector outside the rational span
-    or off the lattice gets None.
+    unique when it exists. The pivot columns of B give r independent
+    columns, and that r x r minor is inverted once with ``scaled_inverse``;
+    each candidate L x[cols] / d must divide exactly and satisfy c B = x in
+    all k coordinates. A vector outside the rational span or off the lattice
+    gets None.
     """
-    _nonempty(basis)
-    cols = independent_rows(transpose(basis))
+    cols = pivot_columns(basis)
     if len(cols) != len(basis):
         raise ToolkitError("lattice basis does not have full row rank")
     inv, d = scaled_inverse([tuple(row[c] for row in basis) for c in cols])

@@ -55,12 +55,22 @@ def direction_key(v: Sequence[int]):
     return (sum(abs(x) for x in v), tuple(v))
 
 
+def _as_int(x) -> int:
+    """``x`` as an int; a bool, float, string or None is a TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return index(x)
+
+
 def _as_point(p, k=None) -> Point:
-    """``p`` as a tuple of ints; a float, string or None is an InputError, not truncated."""
+    """``p`` as a tuple of ints; a bool, float, string or None is an InputError, not truncated."""
     try:
-        pt = tuple(map(index, p))
+        seq = tuple(p)
+        pt = tuple(map(index, seq))
     except TypeError:
         raise InputError(f"{p!r} is not a vector of integers") from None
+    if bool in map(type, seq):  # index() would read True as 1
+        raise InputError(f"{p!r} is not a vector of integers")
     if k is not None and len(pt) != k:
         raise InputError(f"point {pt} has dimension {len(pt)}, expected {k}")
     return pt
@@ -135,11 +145,7 @@ class PointConfig:
         return PointConfig(self.dim, pts)
 
     def difference_lattice_rank(self) -> int:
-        if len(self.points) < 2:
-            return 0
-        base = self.points[0]
-        diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
-        return linalg.rank(diffs)
+        return _difference_rank(self.points)
 
     @property
     def differences_generate(self) -> bool:
@@ -228,7 +234,7 @@ class LatticePolytope:
         try:
             if isinstance(data, str):
                 data = json.loads(data)
-            return cls(data["vertices"], dim=index(data["dim"]))
+            return cls(data["vertices"], dim=_as_int(data["dim"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad polytope JSON: {exc}") from exc
 
@@ -241,7 +247,7 @@ def config_from_json(data) -> PointConfig:
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        return PointConfig(index(data["dim"]), tuple(data["points"]))
+        return PointConfig(_as_int(data["dim"]), tuple(data["points"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad point-config JSON: {exc}") from exc
 
@@ -323,12 +329,20 @@ def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
     return tuple(sorted(facets))
 
 
+def _difference_rank(points: Sequence[Point]) -> int:
+    """Rank of the differences p - p_0: the dimension of the affine span."""
+    if len(points) < 2:
+        return 0
+    base = points[0]
+    return linalg.rank([tuple(a - b for a, b in zip(p, base)) for p in points[1:]])
+
+
 def _extreme_points(points: Sequence[Point], k: int) -> tuple[tuple[Point, ...], int]:
     """Vertices of conv(points), for distinct points, in graded-lex order, and its dimension."""
     if k == 2:  # a cycle of r + 1 <= 3 vertices spans dimension r
         cycle = polygon_ccw_vertices(points)
         return tuple(sorted(cycle, key=point_key)), min(len(cycle) - 1, 2)
-    cfg_rank = PointConfig(k, tuple(points)).difference_lattice_rank()
+    cfg_rank = _difference_rank(points)
     if len(points) == cfg_rank + 1:
         return tuple(sorted(points, key=point_key)), cfg_rank  # a simplex: every point is a vertex
     if cfg_rank < k:

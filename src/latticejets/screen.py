@@ -153,17 +153,15 @@ def _affine_basis(points) -> tuple:
     """The points, in order, that raise the affine rank: an affine basis of their span.
 
     The first point is kept, then every point whose difference from it is
-    independent of the differences kept so far. The result equals the pivot
-    columns of ``linalg.rref`` on the transposed differences; the integer
-    echelon of ``linalg.independent_rows`` is used instead because it reduces
-    each new difference against at most k kept rows and stops at full rank,
-    where the RREF updates every row for every pivot.
+    independent of the differences kept so far: the pivot columns of the
+    k x (n - 1) matrix of differences, built column-major, since a slice can
+    hold thousands of points.
     """
-    if not points:
-        return ()
+    if len(points) < 2:  # no differences to eliminate
+        return tuple(points)
     base = points[0]
-    keep = linalg.independent_rows([a - b for a, b in zip(q, base)] for q in points[1:])
-    return (base,) + tuple(points[i + 1] for i in keep)
+    diffs = [[x - b for x in coord[1:]] for coord, b in zip(zip(*points), base)]
+    return (base,) + tuple(points[i + 1] for i in linalg.pivot_columns(diffs))
 
 
 def _line_misses_span(p_min, p_max, basis) -> bool:
@@ -171,8 +169,7 @@ def _line_misses_span(p_min, p_max, basis) -> bool:
 
     p_min + alpha*seg = q0 + sum beta_i (q_i - q0) is solvable in (alpha, beta)
     iff b = q0 - p_min adds nothing to the rank of the columns seg, q_i - q0.
-    One integer echelon over the columns, as rows, then b: the line misses
-    the span iff b is kept as raising the rank.
+    So the line misses the span iff b is a pivot column of [seg, q_i - q0 | b].
     """
     if not basis:
         return True

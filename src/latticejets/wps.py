@@ -447,20 +447,14 @@ def load_table(path: Optional[str] = None) -> list[TableRow]:
     return rows
 
 
-def _screen_row(row: TableRow) -> TableRowResult:
-    report = screen(WeightVector(row.weights))
-    return TableRowResult(row=row, computed_m=report.m,
-                          verdict=report.verdict, report=report)
-
-
-def reproduce_table(path: Optional[str] = None, jobs: int = 1) -> list[TableRowResult]:
-    """Screen every table row; results in row order regardless of job count."""
-    rows = load_table(path)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_screen_row, rows))
-    return [_screen_row(row) for row in rows]
+def reproduce_table(path: Optional[str] = None) -> list[TableRowResult]:
+    """Screen every table row, in row order."""
+    results = []
+    for row in load_table(path):
+        report = screen(WeightVector(row.weights))
+        results.append(TableRowResult(row=row, computed_m=report.m,
+                                      verdict=report.verdict, report=report))
+    return results
 
 
 def rows_by_hash(rows: Sequence[TableRow], count: int) -> list[TableRow]:

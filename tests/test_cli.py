@@ -152,6 +152,9 @@ def test_bad_weights_exit_2(capsys):
     ["screen", "[7.5, 11, 13, 15]"],
     ["screen", "[7, 11, 13, null]"],
     ["screen", " "],
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}'],
+    ["screen", "[7, 11, 13, true]"],
+    ["points", '{"dim": true, "points": [[0], [1], [2]]}', "--m", "1"],
 ])
 def test_non_integer_input_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)

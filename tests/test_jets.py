@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from latticejets import linalg
+from latticejets import linalg, oracles
 from latticejets.errors import InputError
 from latticejets.jets import (build_jets, expected_h0, fundamental_form, h0,
                               is_special, leading_term_matrix, min_vanishing_degree)
@@ -225,3 +225,14 @@ def test_leading_term_matrix_is_the_build_jets_block():
         s = random_config(rng, k, rng.randint(1, 8))
         m = rng.randint(0, 3)
         assert leading_term_matrix(s, m) == build_jets(s, m).lt_matrix
+
+
+def test_jet_ranks_are_the_prefix_ranks():
+    rng = random.Random(33)
+    for _ in range(60):
+        k = rng.choice((2, 3))
+        s = random_config(rng, k, rng.randint(1, 14), coord_bound=3)
+        m = rng.randint(0, 4)
+        system = build_jets(s, m)
+        assert system.j_ranks == tuple(oracles.rank_reference(system.j_block(r))
+                                     for r in range(m + 1)), (s, m)

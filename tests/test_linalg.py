@@ -323,6 +323,8 @@ def test_scaled_rref_matches_the_reference():
         assert a == tuple(tuple(d * x for x in row) for row in red), m
         assert all(a[r][c] == d for r, c in enumerate(pivots)), m
         assert linalg.rank(m) == len(pivots)
+        assert linalg.pivot_columns(m) == ref_pivots
+        assert linalg.independent_rows(m) == oracles.rref_reference(linalg.transpose(m))[1], m
         seen["deficient"] += len(pivots) < min(len(m), len(m[0]))
         seen["zero row"] += any(not any(row) for row in m)
         seen["zero column"] += any(not any(col) for col in zip(*m))

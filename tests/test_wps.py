@@ -259,15 +259,6 @@ def test_saturate_generators_bounded_retries():
         saturate_generators(W, u1, u2, doubled, max_extra=0)
 
 
-def test_reproduce_table_parallel_matches_sequential():
-    from latticejets.wps import reproduce_table
-
-    seq = reproduce_table()
-    par = reproduce_table(jobs=2)
-    assert [(r.row, r.computed_m, r.verdict) for r in seq] == \
-        [(r.row, r.computed_m, r.verdict) for r in par]
-
-
 def test_scan_weights_small_range():
     from latticejets.wps import scan_weights
 
