@@ -10,7 +10,9 @@ the multi-index alpha holds the falling-factorial values
 
 so both matrices are exact integer matrices and differ by a unitriangular
 row operation; rank identities between them are a standing test invariant,
-not an assumption.
+not an assumption. Each row is one entrywise product of a lower-degree row
+with a coordinate column (``_monomial_rows``), so an entry costs one
+multiplication.
 
 Linear-system bookkeeping on top of the ranks: dimensions of the systems of
 hyperplane sections with a point of high multiplicity, their expected
@@ -25,18 +27,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 
 from . import linalg
 from .errors import InputError, ToolkitError
 from .poly import MultiPoly, from_coefficients, monomials_of_degree, monomials_up_to_degree
 from .polytope import PointConfig
-
-
-def falling_factorial_value(x: int, a: int) -> int:
-    out = 1
-    for i in range(a):
-        out *= x - i
-    return out
 
 
 def jet_row_indices(k: int, m: int) -> list[tuple[int, ...]]:
@@ -49,8 +45,10 @@ class JetSystem:
     """Derivative and leading-term matrices of one configuration, with ranks.
 
     ``j_matrix`` and ``lt_matrix`` have C(m+k, k) rows (multi-indices of
-    degree <= m) and one column per configuration point; ``j_ranks[r]`` is
-    the exactly computed rank of the order-r top block of ``j_matrix``.
+    degree <= m, as in ``row_index``) and one column per configuration
+    point: the falling factorials P_alpha(p) and the powers p^alpha, both
+    built by ``_monomial_rows``. ``j_ranks[r]`` is the exactly computed rank
+    of the order-r top block of ``j_matrix``.
     """
 
     config: PointConfig
@@ -87,8 +85,8 @@ def _jet_rows(s: PointConfig, m: int) -> list[tuple[int, ...]]:
 def build_jets(s: PointConfig, m: int) -> JetSystem:
     k = s.dim
     rows = _jet_rows(s, m)
-    j = _monomial_rows(s, rows, falling_factorial_value)
-    lt = _monomial_rows(s, rows, pow)
+    j = _monomial_rows(s, rows, falling=True)
+    lt = _monomial_rows(s, rows, falling=False)
     # the rank of each top block is the number of rank-raising rows inside it
     raising = linalg.independent_rows(j)
     ranks = tuple(bisect_left(raising, comb(r + k, k)) for r in range(m + 1))
@@ -98,18 +96,39 @@ def build_jets(s: PointConfig, m: int) -> JetSystem:
 
 def leading_term_matrix(s: PointConfig, m: int) -> linalg.IntMatrix:
     """The leading-term matrix of ``build_jets(s, m)``, without the jet ranks."""
-    return _monomial_rows(s, jet_row_indices(s.dim, m), pow)
+    return _monomial_rows(s, jet_row_indices(s.dim, m), falling=False)
 
 
-def _monomial_rows(s: PointConfig, alphas, value) -> linalg.IntMatrix:
-    """One row per multi-index alpha: prod_j value(p_j, alpha_j) over the points p."""
-    return tuple(tuple(prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
-                 for alpha in alphas)
+def _monomial_rows(s: PointConfig, alphas, falling: bool) -> linalg.IntMatrix:
+    """One row per multi-index alpha, with one entry per point p: the falling
+    factorial P_alpha(p) if ``falling``, else the power p^alpha.
+
+    With j the last nonzero index of alpha, row(alpha) is the entrywise
+    product of row(alpha - e_j) with the column of j-th coordinates, shifted
+    by alpha_j - 1 for falling factorials. Rows are memoised from the
+    all-ones row of alpha = 0, so a parent missing from ``alphas`` (as in a
+    list of one degree only) is built on demand.
+    """
+    cols = list(zip(*s.points)) or [()] * s.dim
+    rows = {(0,) * s.dim: (1,) * len(s)}
+
+    def row(alpha):
+        out = rows.get(alpha)
+        if out is None:
+            j = max(i for i, a in enumerate(alpha) if a)
+            col = cols[j]
+            if falling and alpha[j] > 1:
+                col = [x - alpha[j] + 1 for x in col]
+            parent = row(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:])
+            out = rows[alpha] = tuple(map(mul, parent, col))
+        return out
+
+    return tuple(row(alpha) for alpha in alphas)
 
 
 def rank_j(s: PointConfig, r: int) -> int:
     """Rank of the order-r jet matrix, from its rows alone (no leading terms)."""
-    return linalg.rank(_monomial_rows(s, _jet_rows(s, r), falling_factorial_value))
+    return linalg.rank(_monomial_rows(s, _jet_rows(s, r), falling=True))
 
 
 def h0(s: PointConfig, m: int) -> int:
@@ -196,9 +215,9 @@ def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     k = s.dim
     mons = monomials_of_degree(k, m)
     weights = [factorial(m) // prod(factorial(a) for a in alpha) for alpha in mons]
-    d_m = _monomial_rows(s, mons, falling_factorial_value)
+    d_m = _monomial_rows(s, mons, falling=True)
     a, pivots, d = linalg.scaled_rref(_monomial_rows(s, jet_row_indices(k, m - 1),
-                                                    falling_factorial_value))
+                                                    falling=True))
     rows = []
     for fc in range(len(s)):
         if fc in pivots:

@@ -53,6 +53,8 @@ def integer_matrix(rows: Iterable[Sequence]) -> IntMatrix:
     """Freeze ``rows`` into an immutable matrix of ints."""
 
     def as_int(x):
+        if type(x) is int:  # the common case, before the ABCMeta check below
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ToolkitError(f"non-integer entry {x}")

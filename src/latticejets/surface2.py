@@ -6,14 +6,19 @@ of four normal forms: two parallel-line strips (a quadrilateral and a
 triangle) and two crossing-line shapes distinguished by whether the crossing
 point is a lattice point. The classifier is constructive and mirrors the
 normalization by upper-triangular moves that fix the x-axis: it finds the
-line carrying the most configuration points (a degree-2 curve through three
-collinear points must contain their line), moves it onto the x-axis and
+line carrying the most configuration points, moves it onto the x-axis and
 reads the type off the residual points.
 
-The conic itself is never solved for: line detection from collinear point
-subsets is the primary decomposition route (the 3x3 symmetric matrix route
-would need rational square roots and adds nothing here); the rank of the
-degree-2 leading-term rows only decides whether a conic exists at all.
+The conic itself is never solved for (the 3x3 symmetric matrix route would
+need rational square roots and adds nothing here): the rank of the degree-2
+leading-term rows only decides whether a conic exists at all. A conic
+through three collinear points contains their line (Bezout), so once a line
+carries three points the conic is a pair of lines L1 and L2, and no other
+line carries more than two points. Two of the first three points share L1 or
+L2, and the points off that line lie on the other one, so ``_line_pair``
+keys a few candidate lines, collecting each line's points in one pass,
+where the general ``_lines_through`` (kept for ``three_collinear``)
+keys the line through every pair of points.
 """
 
 from __future__ import annotations
@@ -114,6 +119,14 @@ def three_collinear(s: PointConfig):
     return False, None
 
 
+def _line_key(p, q):
+    """The line through p != q as (normal, offset): normal . x == offset on it,
+    with the normal primitive and its first nonzero coordinate positive."""
+    d = primitive((q[0] - p[0], q[1] - p[1]))
+    normal = sign_normalized((-d[1], d[0]))
+    return normal, normal[0] * p[0] + normal[1] * p[1]
+
+
 def _lines_through(points):
     """Group points by the lines through pairs of them."""
     lines: dict[tuple, set] = {}
@@ -121,11 +134,40 @@ def _lines_through(points):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             p, q = pts[i], pts[j]
-            d = primitive((q[0] - p[0], q[1] - p[1]))
-            normal = sign_normalized((-d[1], d[0]))
-            key = (normal, normal[0] * p[0] + normal[1] * p[1])
-            lines.setdefault(key, set()).update((p, q))
+            lines.setdefault(_line_key(p, q), set()).update((p, q))
     return lines
+
+
+def _line_pair(points):
+    """The lines carrying three or more of ``points``, keyed as in
+    ``_lines_through``, when the points lie on a conic.
+
+    The candidates are the lines through pairs of the first three points
+    and, for each, the line through the first two points off it. The first
+    candidate with three points is one line of the pair, and the line
+    through the first two points off it is the other.
+    """
+    def split(p, q):
+        key = _line_key(p, q)
+        (nx, ny), c = key
+        on, off = [], []
+        for r in points:
+            (on if nx * r[0] + ny * r[1] == c else off).append(r)
+        return key, on, off
+
+    p0, p1, p2 = points[:3]
+    for p, q in ((p0, p1), (p0, p2), (p1, p2)):
+        key, on, off = split(p, q)
+        if len(on) < 3 and len(off) >= 2:
+            key, on, off = split(*off[:2])
+        if len(on) >= 3:
+            lines = {key: on}
+            if len(off) >= 2:
+                key, on, _ = split(*off[:2])
+                if len(on) >= 3:
+                    lines[key] = on
+            return lines
+    return {}
 
 
 def _then(u, t, u2, t2=(0, 0)):
@@ -148,12 +190,13 @@ def classify(p: LatticePolytope) -> PolygonClass:
     if linalg.rank(leading_term_matrix(pts, 2)) == 6:
         return PolygonClass(NOT_SPECIAL, None, None, linalg.identity(2), (0, 0))
 
-    lines = _lines_through(pts.points)
-    best_key, best_pts = max(
-        ((key, line_pts) for key, line_pts in lines.items() if len(line_pts) >= 3),
-        key=lambda item: (len(item[1]), [-x for x in item[0][0]], -item[0][1]))
-    anchor = min(best_pts, key=point_key)
-    nearest = min(best_pts - {anchor}, key=point_key)
+    lines = _line_pair(pts.points)
+    if not lines:
+        raise InvariantError("a conic passes through the points, but no line "
+                             "carries three of them: no line pair found")
+    best_pts = max(lines.items(), key=lambda item: (
+        len(item[1]), [-x for x in item[0][0]], -item[0][1]))[1]
+    anchor, nearest = sorted(best_pts, key=point_key)[:2]
     d = primitive((nearest[0] - anchor[0], nearest[1] - anchor[1]))
     bz_s, bz_t = linalg.bezout(d[0], d[1])
 

@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from latticejets import linalg, oracles
 from latticejets.errors import InputError
-from latticejets.jets import (build_jets, expected_h0, fundamental_form, h0,
-                              is_special, leading_term_matrix, min_vanishing_degree)
-from latticejets.poly import monomials_of_degree
+from latticejets.jets import (_monomial_rows, build_jets, expected_h0, fundamental_form,
+                              h0, is_special, leading_term_matrix, min_vanishing_degree,
+                              rank_j)
+from latticejets.poly import monomials_of_degree, monomials_up_to_degree
 from latticejets.polytope import LatticePolytope, PointConfig, lattice_points, lattice_width
 from tests.conftest import random_config, random_unimodular
 
@@ -236,3 +237,43 @@ def test_jet_ranks_are_the_prefix_ranks():
         system = build_jets(s, m)
         assert system.j_ranks == tuple(oracles.rank_reference(system.j_block(r))
                                      for r in range(m + 1)), (s, m)
+
+
+def _falling(x, a):
+    out = 1
+    for i in range(a):
+        out *= x - i
+    return out
+
+
+def _reference_rows(s, alphas, falling):
+    """Each entry on its own: prod_j falling(x_j, a_j), or prod_j x_j ** a_j."""
+    value = _falling if falling else pow
+    return tuple(tuple(prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
+                 for alpha in alphas)
+
+
+def test_monomial_rows_match_the_entrywise_reference():
+    rng = random.Random(34)
+    negative = 0
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        bound = rng.choice((1, 3, 6))
+        s = random_config(rng, k, rng.randint(1, min(10, (2 * bound + 1) ** k)), coord_bound=bound)
+        m = rng.randint(0, 4)
+        alphas = monomials_up_to_degree(k, m)
+        j_ref = _reference_rows(s, alphas, True)
+        lt_ref = _reference_rows(s, alphas, False)
+        system = build_jets(s, m)
+        assert system.row_index == tuple(alphas)
+        assert system.j_matrix == j_ref, (s, m)
+        assert system.lt_matrix == lt_ref, (s, m)
+        assert leading_term_matrix(s, m) == lt_ref
+        assert rank_j(s, m) == oracles.rank_reference(j_ref)
+        # a list of one degree only, as the D_m rows of fundamental_form: the
+        # lower-degree parents of each row are not in the list
+        degree = monomials_of_degree(k, m)
+        assert _monomial_rows(s, degree, falling=True) == _reference_rows(s, degree, True)
+        assert _monomial_rows(s, degree, falling=False) == _reference_rows(s, degree, False)
+        negative += any(x < 0 for p in s.points for x in p)
+    assert negative >= 60

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from latticejets.errors import ToolkitError
+from latticejets import linalg, surface2
+from latticejets.errors import InvariantError, ToolkitError
 from latticejets.jets import is_special
 from latticejets.polytope import (LatticePolytope, PointConfig, lattice_points,
                                   lattice_width, unimodular_image)
-from latticejets.surface2 import (canonical_params, classify,
+from latticejets.surface2 import (_line_pair, _lines_through, canonical_params, classify,
                                   in_table_range, normal_form, pick_data,
                                   pick_identity_holds, teo_dim2_suite,
                                   three_collinear)
@@ -82,6 +83,54 @@ def test_classify_invariance_under_random_transforms():
             res = classify(unimodular_image(base, u, t))
             assert res.type == kind
             assert (res.a, res.b) == want
+
+
+def _assert_line_pair_matches_all_pairs(points):
+    """The same keyed lines with three or more points, with the same point
+    sets, as the all-pairs search: so classify's tie key (most points, then
+    the least normal, then the least offset) picks the same line."""
+    every = {key: frozenset(pts) for key, pts in _lines_through(points).items()
+             if len(pts) >= 3}
+    pair = {key: frozenset(pts) for key, pts in _line_pair(points).items()}
+    assert pair == every, points
+
+
+def test_line_pair_matches_all_pairs_on_sweep_images():
+    rng = random.Random(36)
+    for kind, a, b in sweep_shapes():
+        u = random_unimodular(rng, 2)
+        t = (rng.randint(-8, 8), rng.randint(-8, 8))
+        pts = lattice_points(unimodular_image(normal_form(kind, a, b), u, t)).points
+        _assert_line_pair_matches_all_pairs(pts)
+        # any three points may come first
+        _assert_line_pair_matches_all_pairs(rng.sample(pts, len(pts)))
+
+
+def test_line_pair_with_equal_point_counts():
+    # two lines with as many points each, so the tie key alone picks the line
+    rng = random.Random(37)
+    configs = [lattice_points(normal_form("I", a, a)).points for a in range(2, 7)]
+    configs += [lattice_points(normal_form("III", a, a)).points for a in range(1, 5)]
+    for n in range(3, 7):
+        configs.append(tuple((i, 0) for i in range(n)) + tuple((i, 2) for i in range(n)))
+        configs.append(tuple((i, 0) for i in range(-1, n - 1))
+                       + tuple((0, j) for j in range(-2, n - 2) if j))
+    for pts in configs:
+        for _ in range(6):
+            u = random_unimodular(rng, 2)
+            image = [tuple(x + y for x, y in zip(linalg.mat_vec(u, p), (3, -2))) for p in pts]
+            _assert_line_pair_matches_all_pairs(rng.sample(image, len(image)))
+
+
+def test_line_pair_off_a_line_pair_is_empty():
+    parabola = tuple((x, x * x) for x in range(-3, 4))
+    assert _line_pair(parabola) == {}
+
+
+def test_classify_without_a_line_pair_is_a_bug(monkeypatch):
+    monkeypatch.setattr(surface2, "_line_pair", lambda points: {})
+    with pytest.raises(InvariantError, match="no line pair"):
+        classify(normal_form("I", 2, 3))
 
 
 def test_type_iv_reflection_identification():
