@@ -14,6 +14,17 @@ not an assumption. Each row is one entrywise product of a lower-degree row
 with a coordinate column (``_monomial_rows``), so an entry costs one
 multiplication.
 
+Every rank and form question reads one elimination per configuration:
+``_echelon`` runs the fraction-free row echelon form (``linalg.row_echelon``,
+the forward half of the one Bareiss elimination) of the point-major jet
+matrix J_m^T, whose rows are the points and whose columns are the
+multi-indices of degree <= m in jet order, and memoises it on the
+``PointConfig``. The memo keeps the highest order asked for; a lower order
+r reads the first C(r+k, k) columns, since an echelon form cut to its first
+columns is the echelon form of the cut matrix. The rank of J_r is the
+number of pivots in those columns, and the degree-m form system is read off
+the rows whose pivot lies in the degree-m block (see ``fundamental_form``).
+
 Linear-system bookkeeping on top of the ranks: dimensions of the systems of
 hyperplane sections with a point of high multiplicity, their expected
 values, speciality, the minimal degree of an affine hypersurface through the
@@ -26,8 +37,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .errors import InputError, ToolkitError
@@ -35,9 +48,13 @@ from .poly import MultiPoly, from_coefficients, monomials_of_degree, monomials_u
 from .polytope import PointConfig
 
 
-def jet_row_indices(k: int, m: int) -> list[tuple[int, ...]]:
-    """Multi-indices |alpha| = 0..m: degree ascending, grlex within a degree."""
-    return monomials_up_to_degree(k, m)
+@cache
+def jet_row_indices(k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Multi-indices |alpha| = 0..m: degree ascending, grlex within a degree.
+
+    Built once per (k, m), so the result is a tuple.
+    """
+    return tuple(monomials_up_to_degree(k, m))
 
 
 @dataclass(frozen=True)
@@ -74,7 +91,7 @@ class JetSystem:
         return self.j_matrix[lo:hi]
 
 
-def _jet_rows(s: PointConfig, m: int) -> list[tuple[int, ...]]:
+def _jet_rows(s: PointConfig, m: int) -> tuple[tuple[int, ...], ...]:
     if m < 0:
         raise InputError("jet order must be >= 0")
     if len(s) == 0:
@@ -87,10 +104,10 @@ def build_jets(s: PointConfig, m: int) -> JetSystem:
     rows = _jet_rows(s, m)
     j = _monomial_rows(s, rows, falling=True)
     lt = _monomial_rows(s, rows, falling=False)
-    # the rank of each top block is the number of rank-raising rows inside it
-    raising = linalg.independent_rows(j)
-    ranks = tuple(bisect_left(raising, comb(r + k, k)) for r in range(m + 1))
-    return JetSystem(config=s, order=m, row_index=tuple(rows),
+    # the rank of each top block is the number of pivot columns inside it
+    pivots = _echelon(s, m).pivots
+    ranks = tuple(bisect_left(pivots, comb(r + k, k)) for r in range(m + 1))
+    return JetSystem(config=s, order=m, row_index=rows,
                      j_matrix=j, lt_matrix=lt, j_ranks=ranks)
 
 
@@ -103,32 +120,75 @@ def _monomial_rows(s: PointConfig, alphas, falling: bool) -> linalg.IntMatrix:
     """One row per multi-index alpha, with one entry per point p: the falling
     factorial P_alpha(p) if ``falling``, else the power p^alpha.
 
-    With j the last nonzero index of alpha, row(alpha) is the entrywise
-    product of row(alpha - e_j) with the column of j-th coordinates, shifted
-    by alpha_j - 1 for falling factorials. Rows are memoised from the
-    all-ones row of alpha = 0, so a parent missing from ``alphas`` (as in a
-    list of one degree only) is built on demand.
+    Each row is the entrywise product of a parent row with a coordinate
+    column, in the order ``_row_steps`` fixes once per list of multi-indices.
     """
+    steps, picks = _row_steps(tuple(alphas), falling)
     cols = list(zip(*s.points)) or [()] * s.dim
-    rows = {(0,) * s.dim: (1,) * len(s)}
+    rows = [(1,) * len(s)]
+    for parent, j, shift in steps:
+        col = [x - shift for x in cols[j]] if shift else cols[j]
+        rows.append(tuple(map(mul, rows[parent], col)))
+    return tuple(rows[i] for i in picks)
 
-    def row(alpha):
-        out = rows.get(alpha)
-        if out is None:
-            j = max(i for i, a in enumerate(alpha) if a)
-            col = cols[j]
-            if falling and alpha[j] > 1:
-                col = [x - alpha[j] + 1 for x in col]
-            parent = row(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:])
-            out = rows[alpha] = tuple(map(mul, parent, col))
-        return out
 
-    return tuple(row(alpha) for alpha in alphas)
+@cache
+def _row_steps(alphas: tuple, falling: bool):
+    """(steps, picks): how ``_monomial_rows`` builds the rows of ``alphas``.
+
+    Row 0 is the all-ones row of alpha = 0. With j the last nonzero index of
+    alpha, row(alpha) is row(alpha - e_j) times the column of j-th
+    coordinates, shifted by alpha_j - 1 for falling factorials: step i, a
+    triple (parent, j, shift), builds row i + 1. A parent missing from
+    ``alphas`` (as in a list of one degree only) gets its own step, and
+    ``picks`` are the rows of ``alphas`` in order.
+    """
+    index = {}
+    steps = []
+
+    def build(alpha):
+        i = index.get(alpha)
+        if i is None:
+            if not any(alpha):
+                return 0
+            j = max(t for t, a in enumerate(alpha) if a)
+            parent = build(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:])
+            steps.append((parent, j, alpha[j] - 1 if falling else 0))
+            i = index[alpha] = len(steps)
+        return i
+
+    picks = tuple(build(alpha) for alpha in alphas)
+    return tuple(steps), picks
+
+
+class _Echelon(NamedTuple):
+    """``linalg.row_echelon`` of the point-major jet matrix of some order."""
+
+    order: int
+    rows: linalg.IntMatrix
+    pivots: tuple[int, ...]
+
+
+def _echelon(s: PointConfig, m: int) -> _Echelon:
+    """The fraction-free row echelon form of the point-major jet matrix of order >= m.
+
+    Rows are points, columns the multi-indices of degree <= m in jet order:
+    the transpose of the falling-factorial rows. The result is memoised on
+    ``s``, one entry of the highest order asked for; a lower order is read
+    off its first C(m+k, k) columns by the caller.
+    """
+    memo = s._jet_echelon
+    if memo is not None and memo.order >= m >= 0:
+        return memo
+    j = _monomial_rows(s, _jet_rows(s, m), falling=True)
+    memo = _Echelon(m, *linalg.row_echelon(linalg.transpose(j)))
+    object.__setattr__(s, "_jet_echelon", memo)
+    return memo
 
 
 def rank_j(s: PointConfig, r: int) -> int:
-    """Rank of the order-r jet matrix, from its rows alone (no leading terms)."""
-    return linalg.rank(_monomial_rows(s, _jet_rows(s, r), falling=True))
+    """Rank of the order-r jet matrix: the pivots before column C(r+k, k)."""
+    return bisect_left(_echelon(s, r).pivots, comb(r + s.dim, s.dim))
 
 
 def h0(s: PointConfig, m: int) -> int:
@@ -154,15 +214,17 @@ def is_special(s: PointConfig, m: int) -> bool:
 def min_vanishing_degree(s: PointConfig) -> int:
     """Least degree of a nonzero polynomial vanishing on every point of S.
 
-    Detected through rank deficiency of the leading-term matrix; terminates
-    because the matrix eventually has more rows than columns (d <= |S|).
+    Detected through rank deficiency of the order-d jet matrix, whose rank
+    equals that of the leading-term matrix (they differ by a unitriangular
+    row operation); terminates because the matrix eventually has more rows
+    than columns (d <= |S|).
     """
     if len(s) < 2:
         raise InputError("need at least two points")
     k = s.dim
     d = 1
     while True:
-        if linalg.rank(leading_term_matrix(s, d)) < comb(d + k, k):
+        if rank_j(s, d) < comb(d + k, k):
             return d
         if d > len(s):
             raise ToolkitError("vanishing-degree search failed to terminate")
@@ -199,35 +261,26 @@ class FundamentalForm:
 def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     """Span of the degree-m forms cut out by sections of multiplicity m.
 
-    Each right-kernel element c of the order-(m-1) jet matrix J contributes
-    the form sum_alpha w^alpha (m!/alpha!) (D_m c)_alpha; the multinomial
-    factor is kept exactly, matching the classical jet expansion. J is an
-    integer matrix, and its kernel is read in integers off one fraction-free
-    elimination A = d * RREF(J): each free column fc gives the vector with d
-    at fc and -A[r][fc] at the r-th pivot. Only their images are reduced
-    again, and only that final RREF forms Fractions: it is canonical for the
-    span, so the basis does not depend on which kernel basis is mapped.
+    Each right-kernel element c of the order-(m-1) jet matrix J_{m-1}
+    contributes the form sum_alpha w^alpha (m!/alpha!) (D_m c)_alpha, D_m
+    being the degree-m rows of J_m; the multinomial factor is kept exactly,
+    matching the classical jet expansion. The images D_m c are read off the
+    memoised echelon of J_m^T: its row space is {J_m c}, and the vectors of
+    it that vanish on the columns of degree < m, {(0, D_m c) : J_{m-1} c = 0},
+    are spanned by the echelon rows whose pivot lies in the degree-m block.
+    Those rows, cut to that block and scaled by m!/alpha!, are reduced once
+    more, and only that final RREF forms Fractions: it is canonical for the
+    span, so the basis does not depend on which spanning rows are reduced.
     """
     if m < 1:
         raise InputError("form order must be >= 1")
-    if len(s) == 0:
-        raise InputError("empty point configuration")
     k = s.dim
     mons = monomials_of_degree(k, m)
     weights = [factorial(m) // prod(factorial(a) for a in alpha) for alpha in mons]
-    d_m = _monomial_rows(s, mons, falling=True)
-    a, pivots, d = linalg.scaled_rref(_monomial_rows(s, jet_row_indices(k, m - 1),
-                                                    falling=True))
-    rows = []
-    for fc in range(len(s)):
-        if fc in pivots:
-            continue
-        steps = [(a_row[fc], pc) for a_row, pc in zip(a, pivots) if a_row[fc]]
-        row = tuple(w * (d * d_row[fc] - sum(f * d_row[pc] for f, pc in steps))
-                    for w, d_row in zip(weights, d_m))
-        if any(row):
-            rows.append(row)
-    if rows:
-        red, _ = linalg.rref(rows)
-        rows = [r for r in red if any(r)]
-    return FundamentalForm(k=k, m=m, monomials=tuple(mons), basis=tuple(rows))
+    lo = comb(m - 1 + k, k)
+    hi = lo + len(mons)
+    echelon = _echelon(s, m)
+    rows = [tuple(map(mul, weights, row[lo:hi]))
+            for row, pc in zip(echelon.rows, echelon.pivots) if lo <= pc < hi]
+    basis = linalg.rref(rows)[0] if rows else ()
+    return FundamentalForm(k=k, m=m, monomials=tuple(mons), basis=basis)

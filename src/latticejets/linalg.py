@@ -10,8 +10,9 @@ One elimination serves the rank, determinant, inverse and RREF routines:
 ``scaled_rref`` is fraction-free Gauss-Jordan (Bareiss 1968), giving
 A = d * RREF(m) over the integers with d its last pivot, and it takes rows
 mixing ``int`` and ``Fraction`` (a row holding a Fraction is cleared of
-denominators), so integer callers pass their rows directly. ``rank`` counts
-its pivots; ``bareiss_det`` is its swap sign times d; ``scaled_inverse`` and
+denominators), so integer callers pass their rows directly. Its forward half
+alone, with no back-substitution, gives ``row_echelon``, and ``rank`` counts
+its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 ``inverse_unimodular`` read the adjugate off the right block of [m | I];
 ``rref`` divides A by d, and ``kernel_basis`` and ``solve`` read their
 vectors off A, keeping the canonical minimal-support solution some callers
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -104,12 +106,14 @@ def _cleared_int_rows(m) -> list[list[int]]:
     """Integer copies of the rows: a row holding a Fraction is scaled by the
     lcm of its denominators (rank- and RREF-preserving), an all-int row is copied."""
     ncols = len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise ToolkitError("ragged matrix")
+    # the type sets are built at C speed, first of the whole matrix, then row
+    # by row; isinstance(x, Fraction) goes through ABCMeta for every entry
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        return [list(row) for row in m]
     rows = []
     for row in m:
-        if len(row) != ncols:
-            raise ToolkitError("ragged matrix")
-        # the type set is built at C speed; isinstance(x, Fraction) goes through
-        # ABCMeta for every entry
         if set(map(type, row)) <= {int}:
             rows.append(list(row))
         else:
@@ -118,14 +122,17 @@ def _cleared_int_rows(m) -> list[list[int]]:
     return rows
 
 
-def _gauss_jordan(a: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
+def _gauss_jordan(a: list[list[int]], back: bool = True) -> tuple[tuple[int, ...], int, int]:
     """Fraction-free Gauss-Jordan on integer rows, in place (Bareiss 1968).
 
-    Each pivot p clears its column in every other row as (p * row - f * pivot
-    row) / prev, prev being the pivot before it; the divisions are exact, so
-    the rows stay integer and end as d * RREF with d the last pivot, which is
-    also every pivot entry. Returns (pivot columns, d, sign), where sign is
-    the parity of the row swaps. Stops once every row holds a pivot.
+    Each pivot p clears its column in the rows below it, and with ``back``
+    in the rows above it too, as (p * row - f * pivot row) / prev, prev
+    being the pivot before it; the divisions are exact, so the rows stay
+    integer. With ``back`` they end as d * RREF with d the last pivot, which
+    is also every pivot entry; without, as a row echelon form of the same
+    row space, each row zero before its pivot and below every pivot. Returns
+    (pivot columns, d, sign), where sign is the parity of the row swaps.
+    Stops once every row holds a pivot.
     """
     nrows = len(a)
     pivots = []
@@ -142,8 +149,9 @@ def _gauss_jordan(a: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
             sign = -sign
         prow = a[r]
         p = prow[col]
-        for i, row in enumerate(a):
+        for i in range(0 if back else r + 1, nrows):
             if i != r:
+                row = a[i]
                 f = row[col]
                 if f:
                     a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
@@ -171,11 +179,28 @@ def scaled_rref(m) -> tuple[IntMatrix, tuple[int, ...], int]:
     return tuple(map(tuple, a)), pivots, d
 
 
+def row_echelon(m) -> tuple[IntMatrix, tuple[int, ...]]:
+    """(E, pivots): the forward half of the fraction-free elimination.
+
+    E is a row echelon form of m over the integers: row r is zero before
+    column pivots[r], the rows below it are zero in that column, the rows
+    past the rank are zero, and the rows span the row space of m. Rows may
+    mix ``int`` and ``Fraction`` entries, as in ``scaled_rref``. Cut to its
+    first c columns, E is the row echelon form of m cut the same way: each
+    step reads only the columns it updates and the pivot columns before them.
+    """
+    _nonempty(m)
+    a = _cleared_int_rows(m)
+    pivots, _, _ = _gauss_jordan(a, back=False)
+    return tuple(map(tuple, a)), pivots
+
+
 def pivot_columns(m) -> tuple[int, ...]:
     """The pivot columns of the fraction-free elimination: the columns of m,
-    in order, that raise the rank of the columns before them."""
+    in order, that raise the rank of the columns before them. The forward
+    half alone finds them."""
     _nonempty(m)
-    return _gauss_jordan(_cleared_int_rows(m))[0]
+    return _gauss_jordan(_cleared_int_rows(m), back=False)[0]
 
 
 def rank(m) -> int:

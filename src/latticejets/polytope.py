@@ -30,7 +30,7 @@ of a basis minor (``linalg.lattice_coordinates``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import index, mul
@@ -118,16 +118,30 @@ class Direction:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Ordered lattice point configuration S = {p_0, ..., p_n}."""
+    """Ordered lattice point configuration S = {p_0, ..., p_n}.
+
+    ``_jet_echelon`` is the jet elimination that ``jets`` memoises on the
+    configuration; it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     dim: int
     points: tuple[Point, ...]
+    _jet_echelon: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(_as_point(p, self.dim) for p in self.points)
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             raise InputError("duplicate points in configuration")
+
+    @classmethod
+    def _trusted(cls, dim: int, points: tuple[Point, ...]) -> "PointConfig":
+        """A configuration of distinct int tuples of length ``dim``, unchecked:
+        for points the fiber kernel has just enumerated."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "dim", dim)
+        object.__setattr__(cfg, "points", points)
+        return cfg
 
     def __len__(self):
         return len(self.points)
@@ -405,7 +419,7 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
     pts: list[Point] = []
     _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, budget])
     pts.sort(key=point_key)
-    p._lattice_points = PointConfig(p.dim, tuple(pts))
+    p._lattice_points = PointConfig._trusted(p.dim, tuple(pts))
     return p._lattice_points
 
 
@@ -520,13 +534,13 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     """
     values = [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
-        return PointConfig(p.dim, ())
+        return PointConfig._trusted(p.dim, ())
     ineqs = [(f.normal, f.offset) for f in p.facets()]
     ineqs += [(v.coords, level), (tuple(-x for x in v.coords), -level)]
     pts: list[Point] = []
     _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, LATTICE_POINT_BUDGET])
     pts.sort(key=point_key)
-    return PointConfig(p.dim, tuple(pts))
+    return PointConfig._trusted(p.dim, tuple(pts))
 
 
 def unimodular_image(p: LatticePolytope, u: linalg.IntMatrix,

@@ -10,8 +10,9 @@ line carrying the most configuration points, moves it onto the x-axis and
 reads the type off the residual points.
 
 The conic itself is never solved for (the 3x3 symmetric matrix route would
-need rational square roots and adds nothing here): the rank of the degree-2
-leading-term rows only decides whether a conic exists at all. A conic
+need rational square roots and adds nothing here): the rank of the order-2
+jet matrix, ``jets.rank_j`` on the configuration's memoised jet echelon,
+only decides whether a conic exists at all. A conic
 through three collinear points contains their line (Bezout), so once a line
 carries three points the conic is a pair of lines L1 and L2, and no other
 line carries more than two points. Two of the first three points share L1 or
@@ -30,7 +31,7 @@ from typing import Optional
 from . import linalg
 from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
-from .jets import leading_term_matrix
+from .jets import rank_j
 from .polytope import (LatticePolytope, PointConfig, lattice_points,
                        lattice_width, point_key, polygon_ccw_vertices, primitive,
                        sign_normalized)
@@ -66,17 +67,30 @@ class PolygonClass:
         }
 
 
+def _normal_form_vertices(kind: str, a: int, b: Optional[int] = None) -> tuple:
+    """Vertices of the normal form in graded-lex order, without a hull.
+
+    Exact for a >= 1 (and b >= 1 for type I), the parameters ``classify``
+    reports. At b = 0 the point (-b, 0) = (0, 0) is no vertex: it lies on
+    the edge from (0, 1) to (0, -1) for type III and inside the triangle
+    for type IV.
+    """
+    if kind == TYPE_I:
+        pts = [(0, 0), (0, 1), (a, 1), (b, 0)]
+    elif kind == TYPE_II:
+        pts = [(0, 0), (0, 1), (a, 0)]
+    elif kind == TYPE_III:
+        pts = [(a, 0), (0, 1), (0, -1)] + ([(-b, 0)] if b else [])
+    elif kind == TYPE_IV:
+        pts = [(a, 0), (0, 1), (-1, -1)] + ([(-b, 0)] if b else [])
+    else:
+        raise InputError(f"unknown polygon type {kind!r}")
+    return tuple(sorted(pts, key=point_key))
+
+
 def normal_form(kind: str, a: int, b: Optional[int] = None) -> LatticePolytope:
     """Normal-form polygon of the given type and parameters."""
-    if kind == TYPE_I:
-        return LatticePolytope([(0, 0), (0, 1), (a, 1), (b, 0)])
-    if kind == TYPE_II:
-        return LatticePolytope([(0, 0), (0, 1), (a, 0)])
-    if kind == TYPE_III:
-        return LatticePolytope([(a, 0), (0, 1), (-b, 0), (0, -1)])
-    if kind == TYPE_IV:
-        return LatticePolytope([(a, 0), (0, 1), (-b, 0), (-1, -1)])
-    raise InputError(f"unknown polygon type {kind!r}")
+    return LatticePolytope(_normal_form_vertices(kind, a, b))
 
 
 def canonical_params(kind: str, a: int, b: Optional[int]) -> tuple[int, Optional[int]]:
@@ -185,9 +199,10 @@ def classify(p: LatticePolytope) -> PolygonClass:
     pts = lattice_points(p)
     if len(pts) < 6:
         raise ToolkitError(f"hypothesis fails: {len(pts)} lattice points < 6")
-    # a conic through the points exists iff the six rows x^a y^b (a + b <= 2)
-    # are rank-deficient (full-dimensionality already rules out degree 1)
-    if linalg.rank(leading_term_matrix(pts, 2)) == 6:
+    # a conic through the points exists iff the order-2 jet matrix, of rank
+    # equal to that of the six rows x^a y^b (a + b <= 2), is rank-deficient
+    # (full-dimensionality already rules out degree 1)
+    if rank_j(pts, 2) == 6:
         return PolygonClass(NOT_SPECIAL, None, None, linalg.identity(2), (0, 0))
 
     lines = _line_pair(pts.points)
@@ -253,15 +268,15 @@ def classify(p: LatticePolytope) -> PolygonClass:
                 a, b = ca, cb
 
     # the map is affine unimodular, so it sends vertices to vertices: the
-    # transform check needs no hull recomputation
-    expected = normal_form(kind, a, b)
+    # transform check needs no hull, on either side
+    expected = _normal_form_vertices(kind, a, b)
     got_vertices = tuple(sorted(
         (tuple(x + y for x, y in zip(linalg.mat_vec(u, vtx), t)) for vtx in p.vertices),
         key=point_key))
-    if got_vertices != expected.vertices:
+    if got_vertices != expected:
         raise InvariantError(
             f"normalization mismatch: type {kind} (a={a}, b={b}) expected "
-            f"{expected.vertices}, got {got_vertices}")
+            f"{expected}, got {got_vertices}")
     return PolygonClass(kind, a, b, u, t, in_table_range=in_table_range(kind, a, b))
 
 

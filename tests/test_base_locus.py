@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from latticejets import linalg, oracles
+from latticejets import jets, linalg, oracles
 from latticejets.base_locus import (base_locus_k2, is_base_point,
                                     is_base_point_via_form, width_base_point)
 from latticejets.errors import ToolkitError
@@ -21,6 +21,18 @@ def test_type_ii_parabola_witness(type_ii_points):
     assert flag
     assert witness.text() == "x2^2 - x2"
     assert witness.vanishes_on(type_ii_points)
+
+
+def test_feasibility_route_reads_no_jet_echelon(monkeypatch, type_ii_points):
+    # the two base-point routes stay independent: only the evaluation route
+    # (fundamental_form) reads the memoised jet echelon
+    def shared(s, m):
+        raise AssertionError("the feasibility route read the jet echelon")
+
+    monkeypatch.setattr(jets, "_echelon", shared)
+    assert is_base_point(type_ii_points, 2, Direction((0, 1)))[0] is True
+    assert is_base_point(type_ii_points, 2, Direction((1, 0)))[0] is False
+    assert type_ii_points._jet_echelon is None
 
 
 def test_type_ii_other_direction_fails(type_ii_points):

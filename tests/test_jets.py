@@ -6,13 +6,14 @@ from math import comb, factorial, prod
 
 import pytest
 
-from latticejets import linalg, oracles
+from latticejets import jets, linalg, oracles
 from latticejets.errors import InputError
 from latticejets.jets import (_monomial_rows, build_jets, expected_h0, fundamental_form,
                               h0, is_special, leading_term_matrix, min_vanishing_degree,
                               rank_j)
 from latticejets.poly import monomials_of_degree, monomials_up_to_degree
-from latticejets.polytope import LatticePolytope, PointConfig, lattice_points, lattice_width
+from latticejets.polytope import (LatticePolytope, PointConfig, config_to_json, lattice_points,
+                                  lattice_width)
 from tests.conftest import random_config, random_unimodular
 
 PAPER_QUARTICS = ((1, 4, 10, 4, 1),  # w1^4 + 4w1^3w2 + 10w1^2w2^2 + 4w1w2^3 + w2^4
@@ -277,3 +278,59 @@ def test_monomial_rows_match_the_entrywise_reference():
         assert _monomial_rows(s, degree, falling=False) == _reference_rows(s, degree, False)
         negative += any(x < 0 for p in s.points for x in p)
     assert negative >= 60
+
+
+# every question that reads the memoised jet echelon, asked at echelon order r
+MEMO_QUESTIONS = {
+    "rank_j": lambda s, r: rank_j(s, r),
+    "h0": lambda s, r: h0(s, r + 1),
+    "is_special": lambda s, r: is_special(s, r + 1),
+    "j_ranks": lambda s, r: build_jets(s, r).j_ranks,
+    "form": lambda s, r: fundamental_form(s, r).basis if r else None,
+    "min_vanishing_degree": lambda s, r: min_vanishing_degree(s),
+}
+
+
+def test_memoised_echelon_answers_do_not_depend_on_call_order():
+    rng = random.Random(35)
+    questions = [(name, r) for name in MEMO_QUESTIONS for r in range(4)]
+    for _ in range(40):
+        k = rng.choice((2, 3))
+        pts = random_config(rng, k, rng.randint(2, 12), coord_bound=3).points
+        # each answer on a fresh configuration, with an empty memo
+        fresh = {(name, r): MEMO_QUESTIONS[name](PointConfig(k, pts), r)
+                 for name, r in questions}
+        shared = PointConfig(k, pts)
+        empty = (shared, hash(shared), repr(shared), config_to_json(shared))
+        for name, r in rng.sample(questions, len(questions)):
+            assert MEMO_QUESTIONS[name](shared, r) == fresh[name, r], (pts, name, r)
+        assert shared._jet_echelon.order >= 3
+        # a second pass reads the filled memo only
+        for name, r in rng.sample(questions, len(questions)):
+            assert MEMO_QUESTIONS[name](shared, r) == fresh[name, r], (pts, name, r)
+        assert (shared, hash(shared), repr(shared), config_to_json(shared)) == empty
+        assert shared == PointConfig(k, pts)
+
+
+def test_echelon_prefix_gives_the_lower_order_ranks():
+    rng = random.Random(36)
+    for _ in range(30):
+        k = rng.choice((2, 3))
+        s = random_config(rng, k, rng.randint(1, 12), coord_bound=3)
+        top = rng.randint(1, 3)
+        assert jets._echelon(s, top).order == top
+        for r in range(top + 1):
+            assert jets._echelon(s, r).order == top  # a hit: the memo is kept
+            assert rank_j(s, r) == oracles.rank_reference(build_jets(s, r).j_matrix)
+        assert jets._echelon(s, top + 1).order == top + 1
+
+
+def test_echelon_rejects_bad_orders_with_a_filled_memo():
+    s = PointConfig(2, ((0, 0), (1, 0), (0, 1)))
+    rank_j(s, 2)
+    with pytest.raises(InputError):
+        rank_j(s, -1)
+    with pytest.raises(InputError):
+        fundamental_form(s, 0)
+    with pytest.raises(InputError):
+        rank_j(PointConfig(2, ()), 1)

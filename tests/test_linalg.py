@@ -339,6 +339,30 @@ def test_scaled_rref_matches_the_reference():
     assert signs == {-1, 0, 1}
 
 
+def test_row_echelon_spans_the_rows_and_cuts_to_prefixes():
+    rng = random.Random(25)
+    deficient = 0
+    for _ in range(400):
+        m = _degenerate(rng, _random_int_matrix(rng, rng.randint(1, 9), rng.randint(1, 7)))
+        red, ref_pivots = oracles.rref_reference(m)
+        e, pivots = linalg.row_echelon(m)
+        assert pivots == ref_pivots, m
+        assert all(type(x) is int for row in e for x in row)
+        # echelon shape: zero before each pivot, zero below it, zero past the rank
+        for r, c in enumerate(pivots):
+            assert e[r][c] and not any(e[r][:c]), m
+            assert not any(row[c] for row in e[r + 1:]), m
+        assert not any(any(row) for row in e[len(pivots):]), m
+        # the same row space: its canonical RREF is the reference's
+        assert oracles.rref_reference(e) == (red, ref_pivots), m
+        c = rng.randint(1, len(m[0]))
+        cut_e, cut_pivots = linalg.row_echelon([row[:c] for row in m])
+        assert cut_e == tuple(row[:c] for row in e), (m, c)
+        assert cut_pivots == tuple(p for p in pivots if p < c)
+        deficient += len(pivots) < min(len(m), len(m[0]))
+    assert deficient >= 50
+
+
 def test_scaled_inverse_identity():
     rng = random.Random(21)
     fixed = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # pivots only after swaps

@@ -31,6 +31,36 @@ def test_point_config_rejects_duplicates():
         PointConfig(2, ((0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("points", [
+    ((0, 0), (True, 1)),   # a bool is no integer, though index() reads it as 1
+    ((0, 0), (0.0, 1)),
+    ((0, 0), (1.5, 1)),
+    ((0, 0), (0, 0)),
+    ((0, 0), (1,)),
+])
+def test_public_point_config_keeps_every_check(points):
+    with pytest.raises(InputError):
+        PointConfig(2, points)
+    with pytest.raises(InputError):
+        config_from_json({"dim": 2, "points": [list(q) for q in points]})
+
+
+def test_enumerated_configs_equal_the_checked_construction():
+    # lattice_points and slice_points skip the per-point checks; their
+    # configurations must still be what the public constructor builds
+    rng = random.Random(44)
+    for _ in range(12):
+        p = random_full_dim_polytope(rng, rng.choice((2, 3)), coord_bound=4)
+        v = Direction((1,) + (2,) * (p.dim - 1))
+        level = v.pair(p.vertices[0])
+        for cfg in (lattice_points(p), slice_points(p, v, level), slice_points(p, v, -99)):
+            checked = PointConfig(p.dim, cfg.points)
+            assert cfg == checked and hash(cfg) == hash(checked)
+            assert repr(cfg) == repr(checked)
+            assert config_to_json(cfg) == config_to_json(checked)
+            assert all(type(x) is int for q in cfg for x in q)
+
+
 def test_differences_generate_flag():
     assert PointConfig(2, ((0, 0), (1, 0), (0, 1))).differences_generate is True
     # differences span an index-2 sublattice

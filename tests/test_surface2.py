@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from latticejets import linalg, surface2
+from latticejets import jets, linalg, oracles, surface2
 from latticejets.errors import InvariantError, ToolkitError
-from latticejets.jets import is_special
+from latticejets.jets import is_special, leading_term_matrix, rank_j
 from latticejets.polytope import (LatticePolytope, PointConfig, lattice_points,
                                   lattice_width, unimodular_image)
-from latticejets.surface2 import (_line_pair, _lines_through, canonical_params, classify,
+from latticejets.surface2 import (_line_pair, _lines_through, _normal_form_vertices,
+                                  canonical_params, classify,
                                   in_table_range, normal_form, pick_data,
                                   pick_identity_holds, teo_dim2_suite,
                                   three_collinear)
@@ -234,3 +235,57 @@ def test_polygon_class_json():
     assert blob["type"] == "II"
     assert blob["transform"]["U"] is not None
     assert isinstance(blob["transform"]["t"], list)
+
+
+# the six-point shapes outside the published ranges, beside the sweep
+BOUNDARY_SHAPES = [("I", 1, 3), ("I", 2, 2), ("II", 4, None), ("III", 3, 0),
+                   ("III", 2, 1), ("IV", 3, 0), ("IV", 2, 1), ("IV", 1, 2)]
+
+
+def test_closed_form_vertices_match_the_hull():
+    for kind, a, b in sweep_shapes() + BOUNDARY_SHAPES:
+        assert _normal_form_vertices(kind, a, b) == normal_form(kind, a, b).vertices, (kind, a, b)
+        ca, cb = canonical_params(kind, a, b)
+        assert _normal_form_vertices(kind, ca, cb) == normal_form(kind, ca, cb).vertices
+
+
+def test_conic_rank_matches_the_leading_term_oracle():
+    rng = random.Random(39)
+    for kind, a, b in sweep_shapes():
+        u = random_unimodular(rng, 2)
+        t = (rng.randint(-8, 8), rng.randint(-8, 8))
+        pts = lattice_points(unimodular_image(normal_form(kind, a, b), u, t))
+        assert rank_j(pts, 2) == oracles.rank_reference(leading_term_matrix(pts, 2)) < 6
+    corner = lattice_points(LatticePolytope([(0, 0), (2, 0), (0, 2)]))
+    assert rank_j(corner, 2) == oracles.rank_reference(leading_term_matrix(corner, 2)) == 6
+
+
+def test_planar_path_eliminates_each_jet_matrix_once(monkeypatch):
+    """classify, teo_dim2_suite and is_special(., 3) share one jet echelon."""
+    misses, calls = [], []
+    echelon = jets._echelon
+
+    def counting(s, m):
+        before = s._jet_echelon
+        out = echelon(s, m)
+        calls.append(s)
+        if s._jet_echelon is not before:
+            misses.append(s)
+        return out
+
+    monkeypatch.setattr(jets, "_echelon", counting)
+    rng = random.Random(40)
+    polygons = [unimodular_image(normal_form(kind, a, b), random_unimodular(rng, 2),
+                                 (rng.randint(-8, 8), rng.randint(-8, 8)))
+                for kind, a, b in sweep_shapes()[::6] + BOUNDARY_SHAPES]
+    polygons.append(LatticePolytope([(0, 0), (2, 0), (0, 2)]))  # not special
+    for p in polygons:
+        record = classify(p)
+        teo_dim2_suite(p)
+        if record.type != "NotSpecial":
+            assert is_special(lattice_points(p), 3) is True
+    assert len(misses) == len(polygons)
+    assert {id(s) for s in misses} == {id(lattice_points(p)) for p in polygons}
+    # one read each by classify, teo_dim2_suite and is_special; the corner
+    # is not special, so is_special never reads it
+    assert len(calls) == 3 * len(polygons) - 1
