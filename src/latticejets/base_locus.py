@@ -3,10 +3,15 @@
 Two independent routes decide whether a direction v is a base point:
 
 * feasibility: does an affine hypersurface with leading form (v.x)^m pass
-  through every configuration point? (one linear equation per point in the
-  lower-order coefficients);
-* evaluation: does every canonical basis form vanish at w = v?
+  through every configuration point? One linear equation per point in the
+  lower-order coefficients, whose matrix is L_{m-1}^T (``jets``), solved
+  by ``linalg.solve`` on its own;
+* evaluation: does every canonical basis form vanish at w = v? The basis
+  comes from the memoised jet echelon (``jets.fundamental_form``).
 
+Both routes start from the same monomial rows, but the feasibility route
+never reads the memo: it runs its own elimination, so a fault in the echelon
+or in the form extraction shows as a disagreement instead of being shared.
 Their agreement on random inputs is the core acceptance property of this
 module. For surfaces the whole base locus of the binary form system is the
 zero set of the gcd of the basis forms; rational zeros are extracted
@@ -103,10 +108,6 @@ class BaseLocusK2:
     @property
     def is_empty(self) -> bool:
         return self.gcd_degree == 0
-
-    @property
-    def irrational_pair_count(self) -> int:
-        return sum(self.irrational_factor_degrees) // 2
 
     def to_json(self) -> dict:
         return {

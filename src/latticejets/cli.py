@@ -157,9 +157,10 @@ def _cmd_points(args) -> int:
         result["base_locus"] = base_locus_k2(cfg, m).to_json()
     oracle = None
     if args.oracle:
-        oracle = {"rank": oracles.rank_oracle_agrees(system.j_matrix)}
-        kernel = linalg.kernel_basis(system.j_matrix, "right")
-        reference = oracles.right_kernel_reference(system.j_matrix)
+        lt = jets.leading_term_matrix(cfg, m)
+        oracle = {"rank": oracles.rank_oracle_agrees(lt)}
+        kernel = linalg.kernel_basis(lt, "right")
+        reference = oracles.right_kernel_reference(lt)
         oracle["right_kernel_span"] = {"agree": oracles.same_span(kernel.vectors, reference)}
         if cfg.dim == 2 and form.dim > 0:
             gcd_deg = oracles.binary_form_gcd_degree(form.polynomials())

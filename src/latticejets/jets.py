@@ -1,29 +1,33 @@
 """Jet matrices of monomial embeddings at the unit point.
 
-``build_jets`` assembles the matrix whose rows are the partial derivatives
-(in graded-lex order, degree ascending) of the Laurent monomials u^{p_i}
-evaluated at u = 1, together with its leading-term counterpart whose entries
-are plain monomial evaluations p_i^alpha. Row r of the derivative matrix for
-the multi-index alpha holds the falling-factorial values
+The order-m jet matrix of a configuration S has one row per multi-index
+alpha of degree <= m (``jet_row_indices``: degree ascending, grlex within a
+degree) and one column per point p of S. Taking the partial derivatives of
+the Laurent monomials u^p at u = 1 gives the derivative matrix J_m, with the
+falling factorials
 
-    P_alpha(p) = prod_j p_j (p_j - 1) ... (p_j - alpha_j + 1),
+    P_alpha(p) = prod_j p_j (p_j - 1) ... (p_j - alpha_j + 1)
 
-so both matrices are exact integer matrices and differ by a unitriangular
-row operation; rank identities between them are a standing test invariant,
-not an assumption. Each row is one entrywise product of a lower-degree row
-with a coordinate column (``_monomial_rows``), so an entry costs one
-multiplication.
+as entries; the leading-term matrix L_m has the powers p^alpha. Expanding
+each factor by the Stirling numbers of the first kind, P_alpha(p) is p^alpha
+plus a fixed combination of powers p^beta with |beta| < |alpha|, so
+J_m = T L_m with T lower unitriangular in jet order. Therefore J_r and L_r
+have equal ranks and equal right kernels for every r <= m, and on that
+kernel the degree-m rows agree: D_m c = L_m c on the degree-m block when
+L_{m-1} c = 0, since the lower-degree terms vanish on c. Every question
+here is a question about these ranks, kernels and images, so only L_m is
+built (``leading_term_matrix``); the derivative matrix is a test reference.
 
 Every rank and form question reads one elimination per configuration:
 ``_echelon`` runs the fraction-free row echelon form (``linalg.row_echelon``,
-the forward half of the one Bareiss elimination) of the point-major jet
-matrix J_m^T, whose rows are the points and whose columns are the
-multi-indices of degree <= m in jet order, and memoises it on the
-``PointConfig``. The memo keeps the highest order asked for; a lower order
-r reads the first C(r+k, k) columns, since an echelon form cut to its first
-columns is the echelon form of the cut matrix. The rank of J_r is the
-number of pivots in those columns, and the degree-m form system is read off
-the rows whose pivot lies in the degree-m block (see ``fundamental_form``).
+the forward half of the one Bareiss elimination) of the point-major matrix
+L_m^T, whose rows are the points and whose columns are the multi-indices of
+degree <= m in jet order, and memoises it on the ``PointConfig``. The memo
+keeps the highest order asked for; a lower order r reads the first
+C(r+k, k) columns, since an echelon form cut to its first columns is the
+echelon form of the cut matrix. The rank of L_r is the number of pivots in
+those columns, and the degree-m form system is read off the rows whose
+pivot lies in the degree-m block (see ``fundamental_form``).
 
 Linear-system bookkeeping on top of the ranks: dimensions of the systems of
 hyperplane sections with a point of high multiplicity, their expected
@@ -59,36 +63,17 @@ def jet_row_indices(k: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class JetSystem:
-    """Derivative and leading-term matrices of one configuration, with ranks.
+    """Jet ranks of one configuration up to order m.
 
-    ``j_matrix`` and ``lt_matrix`` have C(m+k, k) rows (multi-indices of
-    degree <= m, as in ``row_index``) and one column per configuration
-    point: the falling factorials P_alpha(p) and the powers p^alpha, both
-    built by ``_monomial_rows``. ``j_ranks[r]`` is the exactly computed rank
-    of the order-r top block of ``j_matrix``.
+    ``row_index`` lists the multi-indices of degree <= m in jet order, and
+    ``j_ranks[r]`` is the exact rank of the order-r jet matrix, read off the
+    memoised echelon.
     """
 
     config: PointConfig
     order: int
     row_index: tuple[tuple[int, ...], ...]
-    j_matrix: linalg.Matrix
-    lt_matrix: linalg.Matrix
     j_ranks: tuple[int, ...]
-
-    def j_block(self, r: int) -> linalg.Matrix:
-        """Rows of the derivative matrix up to order r."""
-        rows = comb(r + self.config.dim, self.config.dim)
-        return self.j_matrix[:rows]
-
-    def lt_block(self, r: int) -> linalg.Matrix:
-        rows = comb(r + self.config.dim, self.config.dim)
-        return self.lt_matrix[:rows]
-
-    def degree_block(self, r: int) -> linalg.Matrix:
-        """Rows of the derivative matrix of order exactly r."""
-        lo = comb(r - 1 + self.config.dim, self.config.dim) if r else 0
-        hi = comb(r + self.config.dim, self.config.dim)
-        return self.j_matrix[lo:hi]
 
 
 def _jet_rows(s: PointConfig, m: int) -> tuple[tuple[int, ...], ...]:
@@ -102,63 +87,43 @@ def _jet_rows(s: PointConfig, m: int) -> tuple[tuple[int, ...], ...]:
 def build_jets(s: PointConfig, m: int) -> JetSystem:
     k = s.dim
     rows = _jet_rows(s, m)
-    j = _monomial_rows(s, rows, falling=True)
-    lt = _monomial_rows(s, rows, falling=False)
     # the rank of each top block is the number of pivot columns inside it
     pivots = _echelon(s, m).pivots
     ranks = tuple(bisect_left(pivots, comb(r + k, k)) for r in range(m + 1))
-    return JetSystem(config=s, order=m, row_index=rows,
-                     j_matrix=j, lt_matrix=lt, j_ranks=ranks)
+    return JetSystem(config=s, order=m, row_index=rows, j_ranks=ranks)
 
 
 def leading_term_matrix(s: PointConfig, m: int) -> linalg.IntMatrix:
-    """The leading-term matrix of ``build_jets(s, m)``, without the jet ranks."""
-    return _monomial_rows(s, jet_row_indices(s.dim, m), falling=False)
+    """L_m: one row p^alpha per multi-index of degree <= m, in jet order,
+    with one entry per point p."""
+    if m < 0:
+        raise InputError("jet order must be >= 0")
+    return _monomial_rows(s, m)
 
 
-def _monomial_rows(s: PointConfig, alphas, falling: bool) -> linalg.IntMatrix:
-    """One row per multi-index alpha, with one entry per point p: the falling
-    factorial P_alpha(p) if ``falling``, else the power p^alpha.
-
-    Each row is the entrywise product of a parent row with a coordinate
-    column, in the order ``_row_steps`` fixes once per list of multi-indices.
-    """
-    steps, picks = _row_steps(tuple(alphas), falling)
+def _monomial_rows(s: PointConfig, m: int) -> linalg.IntMatrix:
+    """The rows of L_m. Row 0 is all ones, and every later row is the
+    entrywise product of an earlier row with a coordinate column, in the
+    order ``_row_steps`` fixes, so an entry costs one multiplication."""
     cols = list(zip(*s.points)) or [()] * s.dim
     rows = [(1,) * len(s)]
-    for parent, j, shift in steps:
-        col = [x - shift for x in cols[j]] if shift else cols[j]
-        rows.append(tuple(map(mul, rows[parent], col)))
-    return tuple(rows[i] for i in picks)
+    for parent, j in _row_steps(s.dim, m):
+        rows.append(tuple(map(mul, rows[parent], cols[j])))
+    return tuple(rows)
 
 
 @cache
-def _row_steps(alphas: tuple, falling: bool):
-    """(steps, picks): how ``_monomial_rows`` builds the rows of ``alphas``.
-
-    Row 0 is the all-ones row of alpha = 0. With j the last nonzero index of
-    alpha, row(alpha) is row(alpha - e_j) times the column of j-th
-    coordinates, shifted by alpha_j - 1 for falling factorials: step i, a
-    triple (parent, j, shift), builds row i + 1. A parent missing from
-    ``alphas`` (as in a list of one degree only) gets its own step, and
-    ``picks`` are the rows of ``alphas`` in order.
-    """
-    index = {}
+def _row_steps(k: int, m: int) -> tuple[tuple[int, int], ...]:
+    """One step (parent, j) per multi-index alpha != 0 of degree <= m, in jet
+    order: with j the last nonzero index of alpha, row(alpha) is the row of
+    alpha - e_j, which jet order lists earlier, times the j-th coordinates."""
+    alphas = jet_row_indices(k, m)
+    index = {alpha: i for i, alpha in enumerate(alphas)}
     steps = []
-
-    def build(alpha):
-        i = index.get(alpha)
-        if i is None:
-            if not any(alpha):
-                return 0
-            j = max(t for t, a in enumerate(alpha) if a)
-            parent = build(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:])
-            steps.append((parent, j, alpha[j] - 1 if falling else 0))
-            i = index[alpha] = len(steps)
-        return i
-
-    picks = tuple(build(alpha) for alpha in alphas)
-    return tuple(steps), picks
+    for alpha in alphas[1:]:
+        j = max(t for t, a in enumerate(alpha) if a)
+        steps.append((index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]], j))
+    return tuple(steps)
 
 
 class _Echelon(NamedTuple):
@@ -170,24 +135,23 @@ class _Echelon(NamedTuple):
 
 
 def _echelon(s: PointConfig, m: int) -> _Echelon:
-    """The fraction-free row echelon form of the point-major jet matrix of order >= m.
+    """The fraction-free row echelon form of L_m^T, or of a higher order.
 
-    Rows are points, columns the multi-indices of degree <= m in jet order:
-    the transpose of the falling-factorial rows. The result is memoised on
-    ``s``, one entry of the highest order asked for; a lower order is read
-    off its first C(m+k, k) columns by the caller.
+    Rows are points, columns the multi-indices of degree <= m in jet order.
+    The result is memoised on ``s``, one entry of the highest order asked
+    for; a lower order is read off its first C(m+k, k) columns by the caller.
     """
     memo = s._jet_echelon
     if memo is not None and memo.order >= m >= 0:
         return memo
-    j = _monomial_rows(s, _jet_rows(s, m), falling=True)
-    memo = _Echelon(m, *linalg.row_echelon(linalg.transpose(j)))
+    _jet_rows(s, m)
+    memo = _Echelon(m, *linalg.row_echelon(linalg.transpose(leading_term_matrix(s, m))))
     object.__setattr__(s, "_jet_echelon", memo)
     return memo
 
 
 def rank_j(s: PointConfig, r: int) -> int:
-    """Rank of the order-r jet matrix: the pivots before column C(r+k, k)."""
+    """Rank of the order-r jet matrix L_r: the pivots before column C(r+k, k)."""
     return bisect_left(_echelon(s, r).pivots, comb(r + s.dim, s.dim))
 
 
@@ -214,10 +178,10 @@ def is_special(s: PointConfig, m: int) -> bool:
 def min_vanishing_degree(s: PointConfig) -> int:
     """Least degree of a nonzero polynomial vanishing on every point of S.
 
-    Detected through rank deficiency of the order-d jet matrix, whose rank
-    equals that of the leading-term matrix (they differ by a unitriangular
-    row operation); terminates because the matrix eventually has more rows
-    than columns (d <= |S|).
+    A polynomial of degree <= d with coefficient vector f vanishes on S iff
+    f L_d = 0, so the least such d is the first at which L_d has fewer
+    pivots than rows; terminates because L_d eventually has more rows than
+    columns (d <= |S|).
     """
     if len(s) < 2:
         raise InputError("need at least two points")
@@ -261,16 +225,17 @@ class FundamentalForm:
 def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     """Span of the degree-m forms cut out by sections of multiplicity m.
 
-    Each right-kernel element c of the order-(m-1) jet matrix J_{m-1}
-    contributes the form sum_alpha w^alpha (m!/alpha!) (D_m c)_alpha, D_m
-    being the degree-m rows of J_m; the multinomial factor is kept exactly,
-    matching the classical jet expansion. The images D_m c are read off the
-    memoised echelon of J_m^T: its row space is {J_m c}, and the vectors of
-    it that vanish on the columns of degree < m, {(0, D_m c) : J_{m-1} c = 0},
-    are spanned by the echelon rows whose pivot lies in the degree-m block.
-    Those rows, cut to that block and scaled by m!/alpha!, are reduced once
-    more, and only that final RREF forms Fractions: it is canonical for the
-    span, so the basis does not depend on which spanning rows are reduced.
+    Each right-kernel element c of L_{m-1} contributes the form
+    sum_alpha w^alpha (m!/alpha!) (L_m c)_alpha over |alpha| = m: the
+    classical jet expansion, whose derivative image D_m c equals this block
+    of L_m c (see the module docstring); the multinomial factor is kept
+    exactly. The images are read off the memoised echelon of L_m^T: its row
+    space is {L_m c}, and the vectors of it that vanish on the columns of
+    degree < m, {(0, L_m c) : L_{m-1} c = 0}, are spanned by the echelon
+    rows whose pivot lies in the degree-m block. Those rows, cut to that
+    block and scaled by m!/alpha!, are reduced once more, and only that
+    final RREF forms Fractions: it is canonical for the span, so the basis
+    does not depend on which spanning rows are reduced.
     """
     if m < 1:
         raise InputError("form order must be >= 1")

@@ -20,7 +20,7 @@ rely on. ``pivot_columns`` are the columns that raise the rank, and the rows
 that do are the pivot columns of the transpose (``independent_rows``);
 ``lattice_coordinates`` inverts the minor on the pivot columns of its basis
 with ``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel``
-and the saturation tests are integer as well. The reference eliminations in
+and the saturation test are integer as well. The reference eliminations in
 ``oracles`` share no code with these.
 """
 
@@ -39,18 +39,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
 
 
-def _freeze(rows: Iterable[Sequence], cast) -> tuple:
-    out = tuple(tuple(cast(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ToolkitError("ragged matrix")
-    return out
-
-
-def rational_matrix(rows: Iterable[Sequence]) -> Matrix:
-    """Freeze ``rows`` into an immutable matrix of Fractions."""
-    return _freeze(rows, Fraction)
-
-
 def integer_matrix(rows: Iterable[Sequence]) -> IntMatrix:
     """Freeze ``rows`` into an immutable matrix of ints."""
 
@@ -65,7 +53,10 @@ def integer_matrix(rows: Iterable[Sequence]) -> IntMatrix:
             return x
         raise ToolkitError(f"non-integer entry {x!r}")
 
-    return _freeze(rows, as_int)
+    out = tuple(tuple(as_int(x) for x in row) for row in rows)
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ToolkitError("ragged matrix")
+    return out
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -87,10 +78,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
 
 
 def _nonempty(m) -> None:
@@ -206,8 +193,8 @@ def pivot_columns(m) -> tuple[int, ...]:
 def rank(m) -> int:
     """Rank over Q: the pivot count of the fraction-free elimination.
 
-    Rows may mix ``int`` and ``Fraction`` entries, so callers pass integer
-    data directly, without ``rational_matrix``.
+    Rows may mix ``int`` and ``Fraction`` entries, so callers pass their
+    rows as they are, with no conversion.
     """
     return len(pivot_columns(m))
 
@@ -471,17 +458,6 @@ def lattice_is_saturated(m: IntMatrix) -> bool:
     the screening pipeline where generator lists may be redundant.
     """
     return all(d == 1 for d in elementary_divisors(m))
-
-
-def is_saturated(m: IntMatrix) -> bool:
-    """True iff the rows of ``m`` span a saturated lattice.
-
-    Requires full row rank; raises on dependent generators.
-    """
-    _nonempty(m)
-    if rank(m) != len(m):
-        raise ToolkitError("dependent generators")
-    return lattice_is_saturated(m)
 
 
 def integral_kernel(m: IntMatrix) -> IntMatrix:

@@ -129,6 +129,8 @@ class PointConfig:
     _jet_echelon: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise InputError(f"dimension must be an integer >= 1, got {self.dim!r}")
         pts = tuple(_as_point(p, self.dim) for p in self.points)
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
@@ -189,6 +191,8 @@ class LatticePolytope:
         if not pts:
             raise InputError("polytope needs at least one point")
         k = dim if dim is not None else len(pts[0])
+        if not isinstance(k, int) or k < 1:
+            raise InputError(f"dimension must be an integer >= 1, got {k!r}")
         for p in pts:
             if len(p) != k:
                 raise InputError("inconsistent point dimensions")

@@ -10,9 +10,10 @@ line carrying the most configuration points, moves it onto the x-axis and
 reads the type off the residual points.
 
 The conic itself is never solved for (the 3x3 symmetric matrix route would
-need rational square roots and adds nothing here): the rank of the order-2
-jet matrix, ``jets.rank_j`` on the configuration's memoised jet echelon,
-only decides whether a conic exists at all. A conic
+need rational square roots and adds nothing here). Whether a conic exists
+at all is the rank of the six rows x^a y^b (a + b <= 2) of the leading-term
+matrix L_2, ``jets.rank_j`` on the configuration's memoised jet echelon; the
+same elimination later answers ``base_locus_k2`` and ``is_special``. A conic
 through three collinear points contains their line (Bezout), so once a line
 carries three points the conic is a pair of lines L1 and L2, and no other
 line carries more than two points. Two of the first three points share L1 or
@@ -25,7 +26,6 @@ keys the line through every pair of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from . import linalg
@@ -33,7 +33,7 @@ from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import rank_j
 from .polytope import (LatticePolytope, PointConfig, lattice_points,
-                       lattice_width, point_key, polygon_ccw_vertices, primitive,
+                       lattice_width, point_key, primitive,
                        sign_normalized)
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV, NOT_SPECIAL = "I", "II", "III", "IV", "NotSpecial"
@@ -199,9 +199,8 @@ def classify(p: LatticePolytope) -> PolygonClass:
     pts = lattice_points(p)
     if len(pts) < 6:
         raise ToolkitError(f"hypothesis fails: {len(pts)} lattice points < 6")
-    # a conic through the points exists iff the order-2 jet matrix, of rank
-    # equal to that of the six rows x^a y^b (a + b <= 2), is rank-deficient
-    # (full-dimensionality already rules out degree 1)
+    # a conic through the points exists iff the six rows x^a y^b (a + b <= 2)
+    # of L_2 are dependent (full-dimensionality already rules out degree 1)
     if rank_j(pts, 2) == 6:
         return PolygonClass(NOT_SPECIAL, None, None, linalg.identity(2), (0, 0))
 
@@ -313,26 +312,3 @@ def teo_dim2_suite(p: LatticePolytope) -> TeoDim2Record:
     if not record.equivalent:
         raise InvariantError(f"width/base-point equivalence failed: {record}")
     return record
-
-
-# ---------------------------------------------------------------------------
-# Pick's identity (test utility), on the hull's counterclockwise cycle
-# ---------------------------------------------------------------------------
-
-def pick_data(p: LatticePolytope) -> dict:
-    """Twice the area, boundary and interior lattice point counts."""
-    cycle = polygon_ccw_vertices(p.vertices)
-    twice_area = 0
-    boundary = 0
-    for i, v in enumerate(cycle):
-        w = cycle[(i + 1) % len(cycle)]
-        twice_area += v[0] * w[1] - v[1] * w[0]
-        boundary += gcd(abs(w[0] - v[0]), abs(w[1] - v[1]))
-    total = len(lattice_points(p))
-    return {"twice_area": twice_area, "boundary": boundary,
-            "interior": total - boundary}
-
-
-def pick_identity_holds(p: LatticePolytope) -> bool:
-    data = pick_data(p)
-    return data["twice_area"] == 2 * data["interior"] + data["boundary"] - 2

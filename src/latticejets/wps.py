@@ -433,8 +433,11 @@ def load_table(path: Optional[str] = None) -> list[TableRow]:
         source = resources.files("latticejets.data").joinpath("nonmds_table.csv")
         text = source.read_text()
     else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InputError(f"cannot read table file {path!r}: {exc}") from exc
     rows = []
     for record in csv.DictReader(text.splitlines()):
         try:

@@ -5,6 +5,7 @@ reproducible bit for bit.
 """
 
 import random
+from math import prod
 
 import pytest
 
@@ -64,10 +65,28 @@ def random_full_dim_polytope(rng: random.Random, k: int, coord_bound: int = 6,
 def random_config(rng: random.Random, k: int, n_points: int,
                   coord_bound: int = 4) -> PointConfig:
     """Random configuration of distinct lattice points."""
+    if n_points > (2 * coord_bound + 1) ** k:
+        raise ValueError(f"the box holds fewer than {n_points} lattice points")
     pts = set()
     while len(pts) < n_points:
         pts.add(tuple(rng.randint(-coord_bound, coord_bound) for _ in range(k)))
     return PointConfig(k, tuple(sorted(pts)))
+
+
+def _falling(x, a):
+    out = 1
+    for i in range(a):
+        out *= x - i
+    return out
+
+
+def reference_rows(s: PointConfig, alphas, falling: bool):
+    """One row per multi-index alpha, each entry computed on its own: the
+    falling factorial prod_j x_j (x_j - 1) ... (x_j - alpha_j + 1) of the
+    derivative jet matrix, or the power prod_j x_j ** alpha_j."""
+    value = _falling if falling else pow
+    return tuple(tuple(prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
+                 for alpha in alphas)
 
 
 def random_primitive_direction(rng: random.Random, k: int, bound: int = 3):

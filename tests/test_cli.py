@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from latticejets import cli
+from latticejets import cli, jets
 from latticejets.cli import main
 from latticejets.errors import InvariantError
 
@@ -34,6 +34,16 @@ def test_points_command(capsys):
     assert result["base_point"]["agree"] is True
     assert result["base_point"]["witness"] == "x2^2 - x2"
     assert result["base_locus"]["empty"] is False
+
+
+def test_readme_points_run_builds_the_monomial_rows_twice(capsys, monkeypatch):
+    # once for the memoised jet echelon, once for the feasibility route
+    calls = []
+    build = jets._monomial_rows
+    monkeypatch.setattr(jets, "_monomial_rows", lambda s, m: calls.append(m) or build(s, m))
+    code, _, _ = run(capsys, ["points", TYPE_II_POINTS, "--m", "2", "--direction", "0,1"])
+    assert code == 0
+    assert calls == [2, 1]
 
 
 def test_points_oracle_mode(capsys):
@@ -155,6 +165,10 @@ def test_bad_weights_exit_2(capsys):
     ["polytope", '{"dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}'],
     ["screen", "[7, 11, 13, true]"],
     ["points", '{"dim": true, "points": [[0], [1], [2]]}', "--m", "1"],
+    ["table", "--fixture", "/nonexistent.csv"],
+    ["points", '{"dim": 0, "points": [[]]}'],
+    ["polytope", '{"dim": 0, "vertices": [[]]}', "--count-points"],
+    ["polytope", '{"dim": 0, "vertices": [[]]}'],
 ])
 def test_non_integer_input_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -2,19 +2,19 @@
 
 import random
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import pytest
 
 from latticejets import jets, linalg, oracles
 from latticejets.errors import InputError
 from latticejets.jets import (_monomial_rows, build_jets, expected_h0, fundamental_form,
-                              h0, is_special, leading_term_matrix, min_vanishing_degree,
-                              rank_j)
+                              h0, is_special, jet_row_indices, leading_term_matrix,
+                              min_vanishing_degree, rank_j)
 from latticejets.poly import monomials_of_degree, monomials_up_to_degree
 from latticejets.polytope import (LatticePolytope, PointConfig, config_to_json, lattice_points,
                                   lattice_width)
-from tests.conftest import random_config, random_unimodular
+from tests.conftest import random_config, random_unimodular, reference_rows
 
 PAPER_QUARTICS = ((1, 4, 10, 4, 1),  # w1^4 + 4w1^3w2 + 10w1^2w2^2 + 4w1w2^3 + w2^4
                   (0, 0, 1, 0, 0))   # w1^2 w2^2
@@ -23,17 +23,16 @@ PAPER_QUARTICS = ((1, 4, 10, 4, 1),  # w1^4 + 4w1^3w2 + 10w1^2w2^2 + 4w1w2^3 + w
 def test_build_jets_m1_simplex():
     s = PointConfig(2, ((0, 0), (1, 0), (0, 1)))
     system = build_jets(s, 1)
-    assert system.j_matrix == system.lt_matrix
-    assert system.j_matrix == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
+    assert leading_term_matrix(s, 1) == reference_rows(s, system.row_index, True)
+    assert leading_term_matrix(s, 1) == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
     assert system.j_ranks == (1, 3)
 
 
 def test_order_zero_row_is_all_ones():
     rng = random.Random(2)
     s = random_config(rng, 3, 6)
-    system = build_jets(s, 2)
-    assert system.j_matrix[0] == (1,) * len(s)
-    assert system.lt_matrix[0] == (1,) * len(s)
+    assert leading_term_matrix(s, 2)[0] == (1,) * len(s)
+    assert reference_rows(s, jet_row_indices(3, 2), True)[0] == (1,) * len(s)
 
 
 def test_build_jets_rejects_bad_order():
@@ -76,7 +75,7 @@ def test_min_vanishing_degree(rem_base_points, type_ii_points):
 def test_fundamental_form_rem_base_matches_paper(rem_base_points):
     form = fundamental_form(rem_base_points, 4)
     assert form.dim == 2
-    red, _ = linalg.rref(linalg.rational_matrix(PAPER_QUARTICS))
+    red, _ = linalg.rref(PAPER_QUARTICS)
     assert form.basis == tuple(red)
     assert form.text() == ["w1^4 + 4*w1^3*w2 + 4*w1*w2^3 + w2^4", "w1^2*w2^2"]
 
@@ -107,10 +106,10 @@ def test_rank_j_equals_rank_lt_and_kernels_match():
         k = rng.choice([2, 3])
         s = random_config(rng, k, rng.randint(3, 8))
         m = rng.choice([1, 2, 3])
-        system = build_jets(s, m)
-        assert linalg.rank(system.j_matrix) == linalg.rank(system.lt_matrix)
-        assert linalg.kernel_basis(system.j_matrix, "right") == \
-            linalg.kernel_basis(system.lt_matrix, "right")
+        j = reference_rows(s, jet_row_indices(k, m), True)
+        lt = leading_term_matrix(s, m)
+        assert linalg.rank(j) == linalg.rank(lt)
+        assert linalg.kernel_basis(j, "right") == linalg.kernel_basis(lt, "right")
 
 
 def test_h0_chain_monotone():
@@ -159,7 +158,7 @@ def test_unimodular_equivariance_of_forms():
         for poly in composed:
             rows.append([poly.terms.get(e, Fraction(0)) for e in form.monomials])
         if rows:
-            red, _ = linalg.rref(linalg.rational_matrix(rows))
+            red, _ = linalg.rref(rows)
             red = tuple(r for r in red if any(r))
             assert red == form_moved.basis
 
@@ -177,23 +176,25 @@ def test_min_vanishing_degree_bounded_by_width():
 
 
 def _form_via_canonical_kernel(s, m):
-    """Degree-m form basis by the canonical route: the RREF kernel basis of
-    the order-(m-1) jet block, mapped through the multinomial-weighted D_m."""
-    system = build_jets(s, m)
-    kernel = linalg.kernel_basis(system.j_block(m - 1), "right")
+    """Degree-m form basis by the classical route: the RREF kernel basis of
+    the falling-factorial jet matrix J_{m-1}, mapped through the
+    multinomial-weighted derivative rows D_m."""
+    kernel = linalg.kernel_basis(reference_rows(s, jet_row_indices(s.dim, m - 1), True),
+                                 "right")
+    degree = monomials_of_degree(s.dim, m)
     rows = []
     for c in kernel.vectors:
         row = []
-        for alpha, d_row in zip(monomials_of_degree(s.dim, m), system.degree_block(m)):
+        for alpha, d_row in zip(degree, reference_rows(s, degree, True)):
             weight = factorial(m)
             for a in alpha:
                 weight //= factorial(a)
-            row.append(weight * linalg.dot(d_row, c))
+            row.append(weight * sum(x * y for x, y in zip(d_row, c)))
         if any(row):
             rows.append(row)
     if not rows:
         return kernel.dim, ()
-    red, _ = linalg.rref(linalg.rational_matrix(rows))
+    red, _ = linalg.rref(rows)
     return kernel.dim, tuple(r for r in red if any(r))
 
 
@@ -226,7 +227,7 @@ def test_leading_term_matrix_is_the_build_jets_block():
         k = rng.randint(1, 3)
         s = random_config(rng, k, rng.randint(1, 8))
         m = rng.randint(0, 3)
-        assert leading_term_matrix(s, m) == build_jets(s, m).lt_matrix
+        assert leading_term_matrix(s, m) == reference_rows(s, build_jets(s, m).row_index, False)
 
 
 def test_jet_ranks_are_the_prefix_ranks():
@@ -235,23 +236,9 @@ def test_jet_ranks_are_the_prefix_ranks():
         k = rng.choice((2, 3))
         s = random_config(rng, k, rng.randint(1, 14), coord_bound=3)
         m = rng.randint(0, 4)
-        system = build_jets(s, m)
-        assert system.j_ranks == tuple(oracles.rank_reference(system.j_block(r))
-                                     for r in range(m + 1)), (s, m)
-
-
-def _falling(x, a):
-    out = 1
-    for i in range(a):
-        out *= x - i
-    return out
-
-
-def _reference_rows(s, alphas, falling):
-    """Each entry on its own: prod_j falling(x_j, a_j), or prod_j x_j ** a_j."""
-    value = _falling if falling else pow
-    return tuple(tuple(prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
-                 for alpha in alphas)
+        lt = leading_term_matrix(s, m)
+        assert build_jets(s, m).j_ranks == tuple(oracles.rank_reference(lt[:comb(r + k, k)])
+                                                 for r in range(m + 1)), (s, m)
 
 
 def test_monomial_rows_match_the_entrywise_reference():
@@ -263,19 +250,11 @@ def test_monomial_rows_match_the_entrywise_reference():
         s = random_config(rng, k, rng.randint(1, min(10, (2 * bound + 1) ** k)), coord_bound=bound)
         m = rng.randint(0, 4)
         alphas = monomials_up_to_degree(k, m)
-        j_ref = _reference_rows(s, alphas, True)
-        lt_ref = _reference_rows(s, alphas, False)
-        system = build_jets(s, m)
-        assert system.row_index == tuple(alphas)
-        assert system.j_matrix == j_ref, (s, m)
-        assert system.lt_matrix == lt_ref, (s, m)
-        assert leading_term_matrix(s, m) == lt_ref
+        j_ref = reference_rows(s, alphas, True)
+        lt_ref = reference_rows(s, alphas, False)
+        assert build_jets(s, m).row_index == tuple(alphas)
+        assert _monomial_rows(s, m) == leading_term_matrix(s, m) == lt_ref, (s, m)
         assert rank_j(s, m) == oracles.rank_reference(j_ref)
-        # a list of one degree only, as the D_m rows of fundamental_form: the
-        # lower-degree parents of each row are not in the list
-        degree = monomials_of_degree(k, m)
-        assert _monomial_rows(s, degree, falling=True) == _reference_rows(s, degree, True)
-        assert _monomial_rows(s, degree, falling=False) == _reference_rows(s, degree, False)
         negative += any(x < 0 for p in s.points for x in p)
     assert negative >= 60
 
@@ -321,7 +300,7 @@ def test_echelon_prefix_gives_the_lower_order_ranks():
         assert jets._echelon(s, top).order == top
         for r in range(top + 1):
             assert jets._echelon(s, r).order == top  # a hit: the memo is kept
-            assert rank_j(s, r) == oracles.rank_reference(build_jets(s, r).j_matrix)
+            assert rank_j(s, r) == oracles.rank_reference(leading_term_matrix(s, r))
         assert jets._echelon(s, top + 1).order == top + 1
 
 
@@ -334,3 +313,55 @@ def test_echelon_rejects_bad_orders_with_a_filled_memo():
         fundamental_form(s, 0)
     with pytest.raises(InputError):
         rank_j(PointConfig(2, ()), 1)
+
+
+def test_falling_factorial_matrix_has_the_leading_term_ranks_kernels_and_images():
+    # J_m = T L_m with T unitriangular: equal prefix ranks and right kernels,
+    # and on ker J_{m-1} the degree-m rows agree, D_m c = L_m c
+    rng = random.Random(37)
+    images = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        bound = rng.choice((1, 2, 3))
+        s = random_config(rng, k, rng.randint(1, min(10, (2 * bound + 1) ** k)), coord_bound=bound)
+        for m in range(5):
+            j = reference_rows(s, jet_row_indices(k, m), True)
+            lt = leading_term_matrix(s, m)
+            assert oracles.rank_reference(j) == oracles.rank_reference(lt), (s, m)
+            assert oracles.same_span(oracles.right_kernel_reference(j),
+                                     oracles.right_kernel_reference(lt)), (s, m)
+            if m == 0:
+                continue
+            lo = comb(m - 1 + k, k)
+            for c in oracles.right_kernel_reference(j[:lo]):
+                image = linalg.mat_vec(j[lo:], c)
+                assert image == linalg.mat_vec(lt[lo:], c), (s, m, c)
+                images += any(image)
+    assert images >= 100
+
+
+def _count_monomial_rows(monkeypatch):
+    calls = []
+
+    def counted(s, m):
+        calls.append(m)
+        return _monomial_rows(s, m)
+
+    monkeypatch.setattr(jets, "_monomial_rows", counted)
+    return calls
+
+
+def test_build_jets_builds_the_monomial_rows_once(monkeypatch):
+    calls = _count_monomial_rows(monkeypatch)
+    rng = random.Random(38)
+    for _ in range(10):
+        k = rng.randint(1, 3)
+        s = random_config(rng, k, rng.randint(2, 7), coord_bound=3)
+        m = rng.randint(0, 3)
+        del calls[:]
+        build_jets(s, m)
+        assert calls == [m]
+        for r in range(m + 1):
+            build_jets(s, r)
+            rank_j(s, r)
+        assert calls == [m]

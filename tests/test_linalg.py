@@ -8,17 +8,17 @@ import pytest
 
 from latticejets import linalg, oracles
 from latticejets.errors import ToolkitError
-from latticejets.jets import build_jets
+from latticejets.jets import leading_term_matrix
 
 U_MATRIX = ((1, -2, 0, 1), (0, 1, -2, 1))  # exponent differences of the worked example
 
 
 def test_rank_identity():
-    assert linalg.rank(linalg.rational_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert linalg.rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_proportional_rows():
-    assert linalg.rank(linalg.rational_matrix([[1, 2], [2, 4]])) == 1
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
 
 
 def test_rank_empty_matrix_raises():
@@ -34,7 +34,7 @@ def test_rank_rejects_ragged_rows():
 
 def test_rank_rem_base_jets(rem_base_points):
     # 11 points on a cubic: the order-3 jet matrix cannot have full row rank
-    j3 = build_jets(rem_base_points, 3).j_matrix
+    j3 = leading_term_matrix(rem_base_points, 3)
     assert len(j3) == 10
     assert linalg.rank(j3) == 9
     assert oracles.rank_reference(j3) == 9
@@ -65,7 +65,7 @@ def test_rank_accepts_int_rows():
             rows.append(list(rng.choice(rows)))
         frozen = [list(row) for row in rows]
         expected = oracles.rank_reference(rows)
-        assert linalg.rank(rows) == linalg.rank(linalg.rational_matrix(rows)) == expected
+        assert linalg.rank(rows) == linalg.rank([[Fraction(x) for x in row] for row in rows]) == expected
         assert rows == frozen  # the caller's rows are not modified
         # rows holding non-integer Fractions are still cleared of denominators;
         # dividing a whole row by one integer keeps the rank
@@ -75,25 +75,25 @@ def test_rank_accepts_int_rows():
 
 
 def test_right_kernel_of_identity_is_empty():
-    kb = linalg.kernel_basis(linalg.rational_matrix([[1, 0], [0, 1]]), "right")
+    kb = linalg.kernel_basis([[1, 0], [0, 1]], "right")
     assert kb.dim == 0
 
 
 def test_left_kernel_type_ii_conics(type_ii_points):
     # conics through the seven points form a pencil: y^2 - y and x*y
-    lt = build_jets(type_ii_points, 2).lt_matrix
+    lt = leading_term_matrix(type_ii_points, 2)
     kb = linalg.kernel_basis(lt, "left")
     assert kb.dim == 2
     # row order of the matrix: 1, x, y, x^2, x*y, y^2
     y2_minus_y = (0, 0, -1, 0, 0, 1)
     xy = (0, 0, 0, 0, 1, 0)
     for vec in (y2_minus_y, xy):
-        stacked = linalg.rational_matrix(list(kb.vectors) + [vec])
+        stacked = list(kb.vectors) + [vec]
         assert linalg.rank(stacked) == kb.dim
 
 
 def test_left_kernel_rem_base_cubic_unique(rem_base_points):
-    lt = build_jets(rem_base_points, 3).lt_matrix
+    lt = leading_term_matrix(rem_base_points, 3)
     assert linalg.kernel_basis(lt, "left").dim == 1
 
 
@@ -110,10 +110,10 @@ def test_kernel_dimension_identity_on_randoms():
 
 
 def test_kernel_is_canonical_rref():
-    m = linalg.rational_matrix([[1, 1, 1, 1]])
+    m = [[1, 1, 1, 1]]
     kb = linalg.kernel_basis(m, "right")
     # RREF basis: pivots 1, zeros above and below
-    red, pivots = linalg.rref(linalg.rational_matrix(kb.vectors))
+    red, pivots = linalg.rref(kb.vectors)
     assert tuple(red) == kb.vectors
     for r, c in enumerate(pivots):
         assert kb.vectors[r][c] == 1
@@ -124,9 +124,9 @@ def test_kernel_vectors_annihilate():
     for _ in range(20):
         m = tuple(tuple(Fraction(rng.randint(-4, 4)) for _ in range(4)) for _ in range(3))
         for v in linalg.kernel_basis(m, "right").vectors:
-            assert all(linalg.dot(row, v) == 0 for row in m)
+            assert not any(linalg.mat_vec(m, v))
         for v in linalg.kernel_basis(m, "left").vectors:
-            assert all(linalg.dot(v, col) == 0 for col in linalg.transpose(m))
+            assert not any(linalg.mat_vec(linalg.transpose(m), v))
 
 
 def test_smith_normal_form_diag_2_3():
@@ -175,14 +175,9 @@ def test_smith_normal_form_properties_on_randoms():
 
 
 def test_is_saturated():
-    assert linalg.is_saturated(linalg.integer_matrix([[1, 0], [0, 1]])) is True
-    assert linalg.is_saturated(linalg.integer_matrix([[2, 0], [0, 1]])) is False
-    assert linalg.is_saturated(linalg.integer_matrix(U_MATRIX)) is True
-
-
-def test_is_saturated_rejects_dependent_rows():
-    with pytest.raises(ToolkitError, match="dependent generators"):
-        linalg.is_saturated(linalg.integer_matrix([[1, 2], [2, 4]]))
+    assert linalg.lattice_is_saturated(linalg.integer_matrix([[1, 0], [0, 1]])) is True
+    assert linalg.lattice_is_saturated(linalg.integer_matrix([[2, 0], [0, 1]])) is False
+    assert linalg.lattice_is_saturated(linalg.integer_matrix(U_MATRIX)) is True
 
 
 def test_lattice_is_saturated_tolerates_dependent_rows():
@@ -201,7 +196,7 @@ def test_integral_kernel_of_identity_is_empty():
 def test_integral_kernel_worked_example_contains_w_and_v():
     kernel = linalg.integral_kernel(linalg.integer_matrix(U_MATRIX))
     assert len(kernel) == 2
-    bt = linalg.rational_matrix(linalg.transpose(kernel))
+    bt = linalg.transpose(kernel)
     for target in ((7, 11, 13, 15), (3, 5, 6, 7)):
         sol = linalg.solve(bt, [Fraction(x) for x in target])
         assert sol is not None
@@ -217,15 +212,16 @@ def test_integral_kernel_annihilates_and_is_saturated():
                                    for _ in range(rows)])
         kernel = linalg.integral_kernel(m)
         for vec in kernel:
-            assert all(linalg.dot(row, vec) == 0 for row in m)
+            assert not any(linalg.mat_vec(m, vec))
         if kernel:
-            assert linalg.is_saturated(kernel) is True
+            assert linalg.rank(kernel) == len(kernel)
+            assert linalg.lattice_is_saturated(kernel) is True
 
 
 def test_determinism_bit_identical():
     m = linalg.integer_matrix([[6, 4, -2], [2, -8, 3]])
     assert linalg.smith_normal_form(m) == linalg.smith_normal_form(m)
-    mm = linalg.rational_matrix([[1, 2, 3], [4, 5, 6]])
+    mm = [[1, 2, 3], [4, 5, 6]]
     assert linalg.kernel_basis(mm, "right") == linalg.kernel_basis(mm, "right")
 
 
@@ -251,10 +247,10 @@ def test_complete_to_unimodular():
 
 
 def test_solve_particular_and_inconsistent():
-    a = linalg.rational_matrix([[1, 1, 0], [0, 0, 1]])
+    a = [[1, 1, 0], [0, 0, 1]]
     sol = linalg.solve(a, [Fraction(3), Fraction(5)])
     assert sol == (Fraction(3), Fraction(0), Fraction(5))  # free variable zeroed
-    assert linalg.solve(linalg.rational_matrix([[1], [1]]),
+    assert linalg.solve([[1], [1]],
                         [Fraction(0), Fraction(1)]) is None
 
 
@@ -390,7 +386,7 @@ def test_scaled_inverse_identity():
 
 def _fraction_solve_coordinates(basis, x):
     """The reference route: a Fraction solve of B^T c = x, kept only if integral."""
-    sol = linalg.solve(linalg.rational_matrix(linalg.transpose(basis)), [Fraction(v) for v in x])
+    sol = linalg.solve(linalg.transpose(basis), [Fraction(v) for v in x])
     if sol is None or any(c.denominator != 1 for c in sol):
         return None
     return tuple(int(c) for c in sol)

@@ -62,7 +62,7 @@ def test_rank_oracle_agrees_record():
 
 
 def test_right_kernel_reference_span(monkeypatch):
-    m = linalg.rational_matrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+    m = [[1, 1, 1, 1], [0, 1, 2, 3]]
     main = linalg.kernel_basis(m, "right").vectors
 
     def main_route(*args, **kwargs):

@@ -45,6 +45,14 @@ def test_public_point_config_keeps_every_check(points):
         config_from_json({"dim": 2, "points": [list(q) for q in points]})
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1.0, "x"])
+def test_dimension_below_one_is_an_input_error(dim):
+    with pytest.raises(InputError, match="dimension"):
+        PointConfig(dim, ((),) if dim == 0 else ())
+    with pytest.raises(InputError, match="dimension"):
+        LatticePolytope([()] if dim == 0 else [(0,)], dim=dim)
+
+
 def test_enumerated_configs_equal_the_checked_construction():
     # lattice_points and slice_points skip the per-point checks; their
     # configurations must still be what the public constructor builds

@@ -95,9 +95,9 @@ def test_affine_basis_is_a_rank_raising_subsequence():
         assert [q for q in pts if q in basis] == list(basis)
         for i in range(1, len(basis) + 1):
             diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in basis[1:i]]
-            assert (linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0) == i - 1
+            assert (linalg.rank(diffs) if diffs else 0) == i - 1
         diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
-        assert len(basis) - 1 == (linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0)
+        assert len(basis) - 1 == (linalg.rank(diffs) if diffs else 0)
     assert _affine_basis(()) == ()
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -10,11 +11,10 @@ from latticejets import jets, linalg, oracles, surface2
 from latticejets.errors import InvariantError, ToolkitError
 from latticejets.jets import is_special, leading_term_matrix, rank_j
 from latticejets.polytope import (LatticePolytope, PointConfig, lattice_points,
-                                  lattice_width, unimodular_image)
+                                  lattice_width, polygon_ccw_vertices, unimodular_image)
 from latticejets.surface2 import (_line_pair, _lines_through, _normal_form_vertices,
                                   canonical_params, classify,
-                                  in_table_range, normal_form, pick_data,
-                                  pick_identity_holds, teo_dim2_suite,
+                                  in_table_range, normal_form, teo_dim2_suite,
                                   three_collinear)
 from tests.conftest import random_full_dim_polytope, random_unimodular, sweep_shapes
 
@@ -220,12 +220,23 @@ def test_width_base_point_succeeds_on_classified_polygons():
         assert witness.vanishes_on(lattice_points(p))
 
 
+def _pick_data(p):
+    """Twice the area, and the boundary and interior lattice point counts."""
+    cycle = polygon_ccw_vertices(p.vertices)
+    twice_area = boundary = 0
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        twice_area += v[0] * w[1] - v[1] * w[0]
+        boundary += gcd(w[0] - v[0], w[1] - v[1])
+    return {"twice_area": twice_area, "boundary": boundary,
+            "interior": len(lattice_points(p)) - boundary}
+
+
 def test_pick_identity():
     rng = random.Random(33)
     for _ in range(25):
-        p = random_full_dim_polytope(rng, 2, coord_bound=6)
-        assert pick_identity_holds(p)
-    data = pick_data(LatticePolytope([(0, 0), (2, 0), (0, 2)]))
+        data = _pick_data(random_full_dim_polytope(rng, 2, coord_bound=6))
+        assert data["twice_area"] == 2 * data["interior"] + data["boundary"] - 2
+    data = _pick_data(LatticePolytope([(0, 0), (2, 0), (0, 2)]))
     assert data == {"twice_area": 4, "boundary": 6, "interior": 0}
 
 

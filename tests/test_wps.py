@@ -245,7 +245,7 @@ def test_saturate_generators_extends_an_unsaturated_seed():
     assert len(extended) > 2
     # every added generator lies in the rational plane of u1 and u2
     for g in extended[2:]:
-        assert linalg.rank(linalg.rational_matrix([u1, u2, g.u])) == 2
+        assert linalg.rank([u1, u2, g.u]) == 2
 
 
 def test_saturate_generators_bounded_retries():
@@ -285,7 +285,7 @@ def _old_cond2_cond3(p, direction, p_min, p_max):
     if not pts:
         return True, True
     diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
-    span_rank = linalg.rank(linalg.rational_matrix(diffs)) if diffs else 0
+    span_rank = linalg.rank(diffs) if diffs else 0
     seg = tuple(a - b for a, b in zip(p_max, p_min))
     cols = [seg] + [tuple(-x for x in d) for d in diffs]
     a = tuple(tuple(Fraction(col[i]) for col in cols) for i in range(p.dim))
