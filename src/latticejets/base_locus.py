@@ -63,6 +63,8 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
         raise InputError("base-point test needs m >= 2")
     if v.dim != s.dim:
         raise InputError("direction dimension mismatch")
+    if len(s) == 0:
+        raise InputError("empty point configuration")
     k = s.dim
     # one row per point: its monomials of degree < m, in jet order
     a_rows = linalg.transpose(leading_term_matrix(s, m - 1))

@@ -9,6 +9,10 @@ Inputs are JSON files or inline JSON; every report echoes the input and the
 tool version, and identical invocations produce byte-identical output. Exit
 codes: 0 success, 1 negative mathematical verdict under --strict, 2 input
 error, 3 budget exhaustion, 4 a failed internal invariant (a bug).
+
+``import latticejets`` loads no layer, and each subcommand imports only the
+layers it runs: ``screen`` never loads the surface theory, ``classify`` never
+loads the weighted pipeline, and ``oracles`` loads only under ``--oracle``.
 """
 
 from __future__ import annotations
@@ -17,12 +21,10 @@ import argparse
 import json
 import sys
 
-from . import __version__, jets, linalg, oracles, polytope, wps
-from .base_locus import base_locus_k2, is_base_point, is_base_point_via_form
+from . import __version__, polytope
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from .polytope import (Direction, LatticePolytope, config_from_json,
                        lattice_points, lattice_width, width_in_direction)
-from .surface2 import classify, teo_dim2_suite
 
 EXIT_OK = 0
 EXIT_STRICT_FAIL = 1
@@ -56,6 +58,8 @@ def _parse_direction(raw: str, dim: int) -> Direction:
 
 
 def _parse_weights(raw: str):
+    from . import wps
+
     data = raw.strip()
     if not data[:1].isdigit():
         loaded = _load_json_argument(raw)
@@ -124,6 +128,9 @@ def _flat(value) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_points(args) -> int:
+    from . import jets
+    from .base_locus import base_locus_k2, is_base_point, is_base_point_via_form
+
     data = _load_json_argument(args.input)
     cfg = config_from_json(data)
     m = args.m
@@ -157,6 +164,8 @@ def _cmd_points(args) -> int:
         result["base_locus"] = base_locus_k2(cfg, m).to_json()
     oracle = None
     if args.oracle:
+        from . import linalg, oracles
+
         lt = jets.leading_term_matrix(cfg, m)
         oracle = {"rank": oracles.rank_oracle_agrees(lt)}
         kernel = linalg.kernel_basis(lt, "right")
@@ -197,12 +206,17 @@ def _cmd_polytope(args) -> int:
         result["lattice_point_count"] = len(pts)
     oracle = None
     if args.oracle:
+        from . import oracles
+
         oracle = {"width_scan": oracles.width_oracle_agrees(p, width, bound=args.oracle_bound)}
     _emit(_envelope("polytope", data, result, oracle), args.format)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    from . import jets
+    from .surface2 import classify, teo_dim2_suite
+
     data = _load_json_argument(args.input)
     p = LatticePolytope.from_json(data)
     record = classify(p)
@@ -216,8 +230,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    from . import wps
+
     weights = _parse_weights(args.weights)
-    report = wps.screen(weights, budget=args.degree_budget)
+    budget = wps.DEGREE_BUDGET if args.degree_budget is None else args.degree_budget
+    report = wps.screen(weights, budget=budget)
     _emit(_envelope("screen", list(weights.weights), report.to_json(), None), args.format)
     if args.strict and report.verdict != "nef_not_semiample":
         return EXIT_STRICT_FAIL
@@ -225,12 +242,15 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import wps
+
+    budget = wps.DEGREE_BUDGET if args.degree_budget is None else args.degree_budget
     hits = []
     scanned = 0
     errors = 0
     for item in wps.scan_weights(args.max_weight, min_weight=args.min_weight,
                                  well_formed_only=not args.include_ill_formed,
-                                 limit=args.limit, budget=args.degree_budget):
+                                 limit=args.limit, budget=budget):
         scanned += 1
         if isinstance(item, dict):
             errors += 1
@@ -245,6 +265,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import wps
+
     results = wps.reproduce_table(path=args.fixture)
     rows = []
     for r in results:
@@ -308,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_screen = sub.add_parser("screen", help="screen one weight vector")
     p_screen.add_argument("weights", help="e.g. '7,11,13,15' or '[7,11,13,15]'")
-    p_screen.add_argument("--degree-budget", type=int, default=wps.DEGREE_BUDGET)
+    # default None: the handler reads wps.DEGREE_BUDGET, so the parser loads no wps
+    p_screen.add_argument("--degree-budget", type=int, default=None)
     common(p_screen)
 
     p_table = sub.add_parser("table", help="reproduce the 93-row table")
@@ -320,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--min-weight", type=int, default=2)
     p_scan.add_argument("--include-ill-formed", action="store_true")
     p_scan.add_argument("--limit", type=int, help="stop after this many hits")
-    p_scan.add_argument("--degree-budget", type=int, default=wps.DEGREE_BUDGET)
+    p_scan.add_argument("--degree-budget", type=int, default=None)
     common(p_scan)
     return parser
 

@@ -20,10 +20,7 @@ realize the width, and the published m values are reproduced exactly from it.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 from dataclasses import dataclass
-from importlib import resources
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -429,6 +426,9 @@ class TableRowResult:
 
 def load_table(path: Optional[str] = None) -> list[TableRow]:
     """The bundled 93-row fixture (or an alternative CSV of the same shape)."""
+    import csv  # deferred, as hashlib in rows_by_hash: the screen path never needs them
+    from importlib import resources
+
     if path is None:
         source = resources.files("latticejets.data").joinpath("nonmds_table.csv")
         text = source.read_text()
@@ -462,6 +462,8 @@ def reproduce_table(path: Optional[str] = None) -> list[TableRowResult]:
 
 def rows_by_hash(rows: Sequence[TableRow], count: int) -> list[TableRow]:
     """Deterministic pseudo-random row sample: sort by sha256 of the weights."""
+    import hashlib
+
     def key(row: TableRow):
         text = ",".join(map(str, row.weights))
         return hashlib.sha256(text.encode()).hexdigest()

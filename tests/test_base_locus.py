@@ -8,7 +8,7 @@ import pytest
 from latticejets import jets, linalg, oracles
 from latticejets.base_locus import (base_locus_k2, is_base_point,
                                     is_base_point_via_form, width_base_point)
-from latticejets.errors import ToolkitError
+from latticejets.errors import InputError, ToolkitError
 from latticejets.jets import fundamental_form
 from latticejets.polytope import Direction, LatticePolytope, lattice_points
 from latticejets.surface2 import normal_form
@@ -151,6 +151,15 @@ def test_base_locus_empty_form_raises():
     s = PointConfig(2, ((0, 0), (1, 0)))
     with pytest.raises(ToolkitError, match="form empty"):
         base_locus_k2(s, 2)
+
+
+def test_both_routes_reject_the_empty_configuration():
+    from latticejets.polytope import PointConfig
+
+    empty, v = PointConfig(2, ()), Direction((0, 1))
+    for route in (is_base_point, is_base_point_via_form):
+        with pytest.raises(InputError, match="empty point configuration"):
+            route(empty, 2, v)
 
 
 def test_width_base_point_type_i():

@@ -184,6 +184,17 @@ def test_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_degree_budget_zero_is_honoured(capsys):
+    # a zero budget is a budget, not "use the default"
+    code, out, err = run(capsys, ["screen", "7,11,13,15", "--degree-budget", "0"])
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    code, out, _ = run(capsys, ["scan", "--max-weight", "8", "--degree-budget", "0"])
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["scanned"] > 0 and result["errors"] == result["scanned"]
+
+
 def test_invariant_error_exit_4(capsys, monkeypatch):
     def broken(args):
         raise InvariantError("normalization mismatch")

@@ -1,0 +1,77 @@
+"""The package surface and its import graph, each checked in a fresh interpreter.
+
+``import latticejets`` loads no layer, and each README invocation loads only
+the layers it runs. Only ``latticejets.*`` names are checked: which stdlib
+modules start-up loads differs by host.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs cli.main on its arguments, then prints the latticejets.* modules it loaded
+CLI_CHILD = textwrap.dedent("""
+    import contextlib, io, sys
+    from latticejets import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+    print(code, *sorted(n for n in sys.modules if n.startswith("latticejets.")))
+""")
+
+README_POINTS = '{"dim":2,"points":[[0,0],[1,0],[2,0],[3,0],[4,0],[5,0],[0,1]]}'
+README_POLYTOPE = '{"dim":3,"vertices":[[0,0,0],[572,286,143],[390,195,-585],[495,-330,-165]]}'
+
+
+def python(code: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_bare_import_loads_no_layer():
+    out = python('import sys, latticejets; '
+                 'print(*[n for n in sys.modules if n.startswith("latticejets.")])')
+    assert out.split() == []
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["polytope", README_POLYTOPE, "--direction", "1,0,0"],
+     {"wps", "screen", "poly", "jets", "base_locus", "surface2", "oracles"}),
+    (["classify", '{"dim":2,"vertices":[[0,0],[0,1],[5,0]]}'],
+     {"wps", "screen", "oracles"}),
+    (["points", README_POINTS, "--m", "2", "--direction", "0,1"],
+     {"wps", "screen", "surface2", "oracles"}),
+    (["screen", "7,11,13,15"],
+     {"jets", "base_locus", "surface2", "oracles"}),
+], ids=["polytope", "classify", "points", "screen"])
+def test_readme_invocation_loads_only_its_layers(argv, absent):
+    code, *loaded = python(CLI_CHILD, *argv).split()
+    assert code == "0"
+    assert "latticejets.cli" in loaded
+    assert {f"latticejets.{name}" for name in absent}.isdisjoint(loaded)
+
+
+def test_package_surface():
+    python(textwrap.dedent("""
+        import sys
+        import latticejets
+
+        assert latticejets.jets is sys.modules["latticejets.jets"]
+        assert not hasattr(latticejets, "nonexistent")  # AttributeError, nothing else
+
+        from latticejets import WeightVector, reproduce_table
+        from latticejets import polytope, wps
+
+        assert WeightVector is wps.WeightVector
+        assert reproduce_table is wps.reproduce_table
+        for name in ("Direction", "LatticePolytope", "PointConfig"):
+            assert getattr(latticejets, name) is getattr(polytope, name), name
+        assert latticejets.screen is sys.modules["latticejets.screen"]
+    """))
