@@ -6,29 +6,34 @@ Two independent routes decide whether a direction v is a base point:
   through every configuration point? One linear equation per point in the
   lower-order coefficients, whose matrix is L_{m-1}^T (``jets``), solved
   by ``linalg.solve`` on its own;
-* evaluation: does every canonical basis form vanish at w = v? The basis
-  comes from the memoised jet echelon (``jets.fundamental_form``).
+* evaluation: does every form vanish at w = v? It reads the integer form
+  rows of the memoised jet echelon (``jets._form_rows``): a span vanishes
+  at v iff each spanning form does.
 
 Both routes start from the same monomial rows, but the feasibility route
 never reads the memo: it runs its own elimination, so a fault in the echelon
 or in the form extraction shows as a disagreement instead of being shared.
 Their agreement on random inputs is the core acceptance property of this
 module. For surfaces the whole base locus of the binary form system is the
-zero set of the gcd of the basis forms; rational zeros are extracted
-exactly, irreducible factors of higher degree are reported by degree only
-(splitting them would need algebraic extensions the use cases never ask
-for, and genuinely irrational base directions in k >= 3 are out of scope).
+zero set of the gcd of its forms. That gcd, and all that is read off it,
+depends only on the span, so it is taken of the same integer rows, in Z[t]
+by the primitive pseudo-remainder sequence (Collins 1967; Brown 1971); the
+``--oracle`` check takes it of the reported RREF basis through sympy.
+Rational zeros are extracted exactly, irreducible factors of higher degree
+are reported by degree only (splitting them would need algebraic extensions
+the use cases never ask for, and genuinely irrational base directions in
+k >= 3 are out of scope).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, prod
+from operator import mul
 
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
-from .jets import FundamentalForm, fundamental_form, leading_term_matrix
+from .jets import _form_rows, leading_term_matrix
 from .poly import MultiPoly, from_coefficients, monomials_up_to_degree
 from .polytope import Direction, LatticePolytope, PointConfig, lattice_points, lattice_width
 
@@ -79,14 +84,15 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
     return True, witness
 
 
-def is_base_point_via_form(s: PointConfig, m: int, v: Direction,
-                           form: FundamentalForm | None = None) -> bool:
-    """Evaluation route: every canonical basis form vanishes at w = v."""
+def is_base_point_via_form(s: PointConfig, m: int, v: Direction) -> bool:
+    """Evaluation route: every integer form row vanishes at w = v."""
     if m < 2:
         raise InputError("base-point test needs m >= 2")
-    if form is None:
-        form = fundamental_form(s, m)
-    return all(val == 0 for val in form.evaluate_all(v.coords))
+    if v.dim != s.dim:
+        raise InputError("direction dimension mismatch")
+    mons, rows = _form_rows(s, m)
+    powers = [prod(x ** a for x, a in zip(v.coords, alpha)) for alpha in mons]
+    return all(sum(map(mul, row, powers)) == 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -121,130 +127,114 @@ class BaseLocusK2:
         }
 
 
-def _binary_form_to_univariate(monomials, coeffs, m):
-    """Coefficient list a[i] of t^i for F(t, 1), given grlex monomials."""
-    a = [Fraction(0)] * (m + 1)
-    for (e1, _e2), c in zip(monomials, coeffs):
-        a[e1] = c
-    while len(a) > 1 and a[-1] == 0:
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _poly_mod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dd and any(num):
-        shift = len(num) - 1 - dd
-        f = num[-1] / lead
-        for i, c in enumerate(den):
-            num[shift + i] -= f * c
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
+def _primitive(a):
+    """A nonzero Z[t] polynomial over its content, leading coefficient > 0."""
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [x // c for x in a]
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while any(c != 0 for c in b) and len(b) > 0:
-        if len(b) == 1 and b[0] != 0:
-            return [Fraction(1)]
-        a, b = b, _poly_mod(a, b)
-        if all(c == 0 for c in b):
-            break
-    lead = a[-1]
-    return [c / lead for c in a]
+def _pseudo_remainder(a, b):
+    """lc(b)^e * a mod b in Z[t] ([] for zero): each step scales by lc(b)
+    and cancels the leading term, so no division is needed."""
+    lead, db = b[-1], len(b) - 1
+    while len(a) > db:
+        f, shift = a[-1], len(a) - 1 - db
+        a = [lead * x for x in a[:-1]]
+        for i, c in enumerate(b[:-1]):
+            a[shift + i] -= f * c
+        a = _trimmed(a)
+    return a
 
 
-def _poly_divmod_exact(a, root_num, root_den):
-    """Synthetic division by (t - num/den); quotient, or None if not a root."""
-    r = Fraction(root_num, root_den)
-    q = [Fraction(0)] * (len(a) - 1)
-    carry = a[-1]
-    for i in range(len(a) - 2, -1, -1):
-        q[i] = carry
-        carry = a[i] + r * carry
-    if carry != 0:
+def _gcd(a, b):
+    """Primitive gcd in Z[t] of nonzero a, b: the primitive PRS, whose terms
+    are associates over Q of the Euclidean remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _divide_linear(a, p, q):
+    """a / (q*t - p) in Z[t], or None. As gcd(p, q) = 1, Gauss's lemma says
+    q*t - p divides a in Q[t] iff it does in Z[t], so an inexact step or a
+    nonzero remainder means p/q is no root."""
+    quotient = []
+    carry = 0
+    for c in reversed(a[1:]):
+        carry, rest = divmod(c + p * carry, q)
+        if rest:
+            return None
+        quotient.append(carry)
+    if a[0] + p * carry:
         return None
-    return q
+    return quotient[::-1]
 
 
 def base_locus_k2(s: PointConfig, m: int) -> BaseLocusK2:
-    """Common zeros in P^1 of the degree-m binary form basis (k = 2 only)."""
+    """Common zeros in P^1 of the degree-m binary form system (k = 2 only).
+
+    Any spanning set of forms F_i gives the same answer, so the integer rows
+    serve: their gcd G divides every combination of them, so it is the gcd
+    of the span, and everything reported is read off G. [1:0] has
+    multiplicity min_i (m - deg F_i(t, 1)), the power of w2 in G; the Z[t]
+    gcd of the F_i(t, 1) is G(t, 1), with the power of t ([0:1]), the
+    rational roots and the irreducible degrees.
+    """
     if s.dim != 2:
         raise InputError("base_locus_k2 needs a planar configuration")
     if m < 2:
         raise InputError("base locus needs m >= 2")
-    form = fundamental_form(s, m)
-    if form.dim == 0:
+    _, rows = _form_rows(s, m)
+    if not rows:
         raise ToolkitError("form empty: every direction is a base point")
-    univs = [_binary_form_to_univariate(form.monomials, row, m) for row in form.basis]
+    # grlex lists w1^m first, so the reversed row is F(t, 1) by ascending powers
+    univs = [_trimmed(row[::-1]) for row in rows]
     w2_power = min(m - (len(u) - 1) for u in univs)
-    g = univs[0]
+    g = _primitive(univs[0])
     for u in univs[1:]:
-        g = _poly_gcd(g, u)
         if len(g) == 1:
             break
-    # factor out t^s (the root [0:1])
-    t_power = 0
-    while len(g) > 1 and g[0] == 0:
-        g = g[1:]
-        t_power += 1
-    points = []
-    if w2_power:
-        points.append(((1, 0), w2_power))
-    if t_power:
-        points.append(((0, 1), t_power))
-    g, rational_roots = _rational_roots(g)
-    for (num, den), mult in rational_roots:
-        points.append(((num, den), mult))
-    irr = _factor_degrees(g)
-    points.sort(key=lambda item: item[0])
-    gcd_degree = w2_power + t_power + sum(mult for _, mult in rational_roots) + (len(g) - 1)
+        g = _gcd(g, u)
+    t_power = next(i for i, c in enumerate(g) if c)  # the root [0:1]
+    g, roots = _rational_roots(g[t_power:])
+    points = sorted(item for item in [((1, 0), w2_power), ((0, 1), t_power)] + roots
+                    if item[1])
+    gcd_degree = sum(mult for _, mult in points) + len(g) - 1
     return BaseLocusK2(m=m, gcd_degree=gcd_degree,
                        rational_points=tuple(points),
-                       irrational_factor_degrees=tuple(irr))
+                       irrational_factor_degrees=tuple(_factor_degrees(g)))
 
 
 def _rational_roots(g):
-    """Strip rational roots from a monic Q[t] polynomial with g(0) != 0."""
+    """Strip rational roots from a primitive Z[t] polynomial with g(0) != 0."""
     roots = []
-    if len(g) <= 1:
-        return g, []
-    # integer-normalize for the rational root theorem
-    den_lcm = lcm(*(c.denominator for c in g))
-    ig = [int(c * den_lcm) for c in g]
-    content = gcd(*ig)
-    ig = [c // content for c in ig]
-    lead, trail = ig[-1], ig[0]
-    candidates = set()
-    for p in _divisors(abs(trail)):
-        for q in _divisors(abs(lead)):
-            if gcd(p, q) == 1:
-                candidates.add((p, q))
-                candidates.add((-p, q))
-    work = [Fraction(c) for c in g]
+    candidates = {(sign * p, q) for p in _divisors(abs(g[0])) for q in _divisors(abs(g[-1]))
+                  for sign in (1, -1) if gcd(p, q) == 1}
     for num, den in sorted(candidates):
         mult = 0
-        while len(work) > 1:
-            quotient = _poly_divmod_exact(work, num, den)
+        while len(g) > 1:
+            quotient = _divide_linear(g, num, den)
             if quotient is None:
                 break
-            work = quotient
+            g = quotient
             mult += 1
         if mult:
             roots.append(((num, den), mult))
-    return work, roots
+    return g, roots
 
 
 def _divisors(n: int):
-    if n == 0:
-        return []
     out = []
     d = 1
     while d * d <= n:
@@ -257,17 +247,16 @@ def _divisors(n: int):
 
 
 def _factor_degrees(g) -> list[int]:
-    """Degrees of the irreducible factors of a root-free g (sympy factor_list)."""
+    """Degrees of the irreducible factors of a root-free Z[t] g (sympy factor_list)."""
     if len(g) <= 1:
         return []
     import sympy
 
     t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(g))
-    _, factors = sympy.factor_list(sympy.Poly(expr, t))
+    _, factors = sympy.factor_list(sympy.Poly(g[::-1], t))
     out = []
     for factor, mult in factors:
-        out.extend([sympy.Poly(factor, t).degree()] * mult)
+        out.extend([factor.degree()] * mult)
     return sorted(out)
 
 

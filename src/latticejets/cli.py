@@ -8,7 +8,8 @@ pipeline), ``table`` (the bundled 93-row regression).
 Inputs are JSON files or inline JSON; every report echoes the input and the
 tool version, and identical invocations produce byte-identical output. Exit
 codes: 0 success, 1 negative mathematical verdict under --strict, 2 input
-error, 3 budget exhaustion, 4 a failed internal invariant (a bug).
+error, 3 budget exhaustion, 4 a failed internal invariant (a bug). A
+subcommand takes only the flags it reads; any other is a usage error (2).
 
 ``import latticejets`` loads no layer, and each subcommand imports only the
 layers it runs: ``screen`` never loads the surface theory, ``classify`` never
@@ -152,7 +153,7 @@ def _cmd_points(args) -> int:
     if args.direction:
         v = _parse_direction(args.direction, cfg.dim)
         feasible, witness = is_base_point(cfg, m, v)
-        via_form = is_base_point_via_form(cfg, m, v, form=form)
+        via_form = is_base_point_via_form(cfg, m, v)
         result["base_point"] = {
             "direction": list(v.coords),
             "feasibility_route": feasible,
@@ -299,20 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 on negative mathematical verdicts")
-        p.add_argument("--oracle", action="store_true",
-                       help="run independent brute-force cross-checks")
-        p.add_argument("--oracle-bound", type=int, default=10,
-                       help="direction box bound for oracle scans")
-
     p_points = sub.add_parser("points", help="jets, speciality, forms, base points")
     p_points.add_argument("input", help="point-config JSON (path or inline)")
     p_points.add_argument("--m", type=int, default=2, help="jet/form order")
     p_points.add_argument("--direction", help="base direction, e.g. '0,1'")
-    common(p_points)
 
     p_poly = sub.add_parser("polytope", help="lattice widths and pseudonef bound")
     p_poly.add_argument("input", help="polytope JSON (path or inline)")
@@ -322,21 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fibers plus candidate points the width certification may visit")
     p_poly.add_argument("--enum-budget", type=int, default=polytope.LATTICE_POINT_BUDGET,
                         help="fibers plus points --count-points may visit")
-    common(p_poly)
 
     p_classify = sub.add_parser("classify", help="surface normal-form classification")
     p_classify.add_argument("input", help="polygon JSON (path or inline)")
-    common(p_classify)
 
     p_screen = sub.add_parser("screen", help="screen one weight vector")
     p_screen.add_argument("weights", help="e.g. '7,11,13,15' or '[7,11,13,15]'")
     # default None: the handler reads wps.DEGREE_BUDGET, so the parser loads no wps
     p_screen.add_argument("--degree-budget", type=int, default=None)
-    common(p_screen)
 
     p_table = sub.add_parser("table", help="reproduce the 93-row table")
     p_table.add_argument("--fixture", help="alternative CSV path")
-    common(p_table)
 
     p_scan = sub.add_parser("scan", help="screen a whole weight range (exploratory)")
     p_scan.add_argument("--max-weight", type=int, required=True)
@@ -344,7 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--include-ill-formed", action="store_true")
     p_scan.add_argument("--limit", type=int, help="stop after this many hits")
     p_scan.add_argument("--degree-budget", type=int, default=None)
-    common(p_scan)
+
+    # each flag goes only to the subcommands that read it
+    for p in (p_points, p_poly, p_classify, p_screen, p_table, p_scan):
+        p.add_argument("--format", choices=("json", "text"), default="json")
+    for p in (p_screen, p_table):
+        p.add_argument("--strict", action="store_true",
+                       help="exit 1 on negative mathematical verdicts")
+    for p in (p_points, p_poly):
+        p.add_argument("--oracle", action="store_true",
+                       help="run independent brute-force cross-checks")
+    p_poly.add_argument("--oracle-bound", type=int, default=10,
+                        help="direction box bound for oracle scans")
     return parser
 
 

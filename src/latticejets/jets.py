@@ -27,7 +27,9 @@ keeps the highest order asked for; a lower order r reads the first
 C(r+k, k) columns, since an echelon form cut to its first columns is the
 echelon form of the cut matrix. The rank of L_r is the number of pivots in
 those columns, and the degree-m form system is read off the rows whose
-pivot lies in the degree-m block (see ``fundamental_form``).
+pivot lies in the degree-m block (``_form_rows``). What only decides
+something reads those integer rows; only the reported canonical basis
+(``fundamental_form``) reduces them further, to an RREF over Q.
 
 Linear-system bookkeeping on top of the ranks: dimensions of the systems of
 hyperplane sections with a point of high multiplicity, their expected
@@ -215,15 +217,12 @@ class FundamentalForm:
     def polynomials(self) -> list[MultiPoly]:
         return [from_coefficients(self.k, self.monomials, row) for row in self.basis]
 
-    def evaluate_all(self, v) -> list[Fraction]:
-        return [p.evaluate(v) for p in self.polynomials()]
-
     def text(self) -> list[str]:
         return [p.integer_normalized().text("w") for p in self.polynomials()]
 
 
-def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
-    """Span of the degree-m forms cut out by sections of multiplicity m.
+def _form_rows(s: PointConfig, m: int):
+    """The degree-m form system as integer rows: (monomials, rows).
 
     Each right-kernel element c of L_{m-1} contributes the form
     sum_alpha w^alpha (m!/alpha!) (L_m c)_alpha over |alpha| = m: the
@@ -232,10 +231,10 @@ def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     exactly. The images are read off the memoised echelon of L_m^T: its row
     space is {L_m c}, and the vectors of it that vanish on the columns of
     degree < m, {(0, L_m c) : L_{m-1} c = 0}, are spanned by the echelon
-    rows whose pivot lies in the degree-m block. Those rows, cut to that
-    block and scaled by m!/alpha!, are reduced once more, and only that
-    final RREF forms Fractions: it is canonical for the span, so the basis
-    does not depend on which spanning rows are reduced.
+    rows whose pivot lies in the degree-m block. The rows returned are
+    those, cut to that block and scaled by m!/alpha!: independent integer
+    coefficient vectors over ``monomials`` (grlex, w1^m first) that span the
+    system, though not canonically.
     """
     if m < 1:
         raise InputError("form order must be >= 1")
@@ -247,5 +246,12 @@ def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     echelon = _echelon(s, m)
     rows = [tuple(map(mul, weights, row[lo:hi]))
             for row, pc in zip(echelon.rows, echelon.pivots) if lo <= pc < hi]
+    return mons, rows
+
+
+def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
+    """Canonical basis of the degree-m form system: the RREF of the
+    ``_form_rows``, the only step that forms Fractions."""
+    mons, rows = _form_rows(s, m)
     basis = linalg.rref(rows)[0] if rows else ()
-    return FundamentalForm(k=k, m=m, monomials=tuple(mons), basis=basis)
+    return FundamentalForm(k=s.dim, m=m, monomials=tuple(mons), basis=basis)

@@ -69,12 +69,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    @classmethod
     def affine(cls, coeffs: Sequence, const=0) -> "MultiPoly":
         """c0 + sum(coeffs[i] * x_i)."""
         n = len(coeffs)

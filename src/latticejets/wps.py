@@ -155,35 +155,27 @@ class _BinomialStream:
         return self.queue.pop(0)
 
 
-def lowest_degree_binomials(w: WeightVector, count: int = 2,
-                            budget: int = DEGREE_BUDGET):
-    """First ``count`` linearly independent lowest-degree binomials.
+def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
+    """The first two lowest-degree binomials of the stream.
 
-    Returns (chosen, alternatives): alternatives are same-degree primitive
-    candidates that were valid but not selected (tie bookkeeping).
+    Stream candidates are distinct, primitive and sign-normalized, so no two
+    are parallel and the first two are linearly independent. Returns
+    (chosen, alternatives): alternatives are the later candidates of the
+    second one's degree (tie bookkeeping).
     """
     chosen: list[BinomialGenerator] = []
     alternatives: list[BinomialGenerator] = []
-    rows: list[tuple[int, ...]] = []
     try:
         for cand in _BinomialStream(w, budget):
-            if len(chosen) == count:
-                if cand.degree == chosen[-1].degree:
-                    alternatives.append(cand)  # a genuine tie at the last degree
-                    continue
-                break
-            if linalg.rank(rows + [cand.u]) == len(rows) + 1:
-                rows.append(cand.u)
+            if len(chosen) < 2:
                 chosen.append(cand)
-            elif chosen and cand.degree == chosen[-1].degree:
-                alternatives.append(cand)
+            elif cand.degree == chosen[-1].degree:
+                alternatives.append(cand)  # a genuine tie at the last degree
+            else:
+                break
     except BudgetExceededError:
-        if len(chosen) < count:
+        if len(chosen) < 2:
             raise
-    if len(chosen) < count:
-        raise BudgetExceededError(
-            f"found only {len(chosen)} independent binomials within the budget",
-            diagnostics={"weights": w.weights, "budget": budget})
     return chosen, alternatives
 
 
@@ -366,7 +358,7 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
     if not isinstance(w, WeightVector):
         w = WeightVector(tuple(w))
     big = w.lcm
-    chosen, alternatives = _stage("binomials", lowest_degree_binomials, w, 2, budget)
+    chosen, alternatives = _stage("binomials", lowest_degree_binomials, w, budget)
     u1, u2 = chosen[0], chosen[1]
     v_canonical = _stage("width_direction", width_direction, w, u1.u, u2.u)
     rr = _stage("rr_polytope", rr_polytope, w)

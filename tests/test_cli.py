@@ -219,3 +219,82 @@ def test_scan_command(capsys):
     result = json.loads(out)["result"]
     assert result["scanned"] >= 1
     assert isinstance(result["hits"], list)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--max-weight", "12", "--strict"],
+    ["classify", TYPE_II_POLYGON, "--oracle"],
+    ["screen", "7,11,13,15", "--oracle-bound", "3"],
+    ["points", TYPE_II_POINTS, "--strict"],
+    ["table", "--oracle"],
+])
+def test_unread_flags_are_usage_errors(capsys, argv):
+    # each flag is declared only on the subcommands that read it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+README_POINTS = '{"dim":2,"points":[[0,0],[1,0],[2,0],[3,0],[4,0],[5,0],[0,1]]}'
+README_POLYTOPE = '{"dim":3,"vertices":[[0,0,0],[572,286,143],[390,195,-585],[495,-330,-165]]}'
+POINTS_3D = ('{"dim":3,"points":[[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,0],[2,0,1],[1,1,1],'
+             '[3,1,2],[0,2,1],[1,0,2],[2,2,2],[0,3,0]]}')
+POINTS_TWO_FORMS = '{"dim":2,"points":[[0,2],[0,4],[1,2],[1,4],[3,5],[4,5],[5,4],[5,5]]}'
+
+
+# (exit code, sha256 of stdout) of every README and CI invocation; the reports
+# embed the tool version, so a version bump changes every digest
+@pytest.mark.parametrize("argv, code, digest", [
+    (["points", README_POINTS, "--m", "2", "--direction", "0,1"], 0,
+     "b7e1d360a25485823dadcb003db2d461ba6292ab97b1674ab77dfa43e55ed5f6"),
+    (["polytope", README_POLYTOPE, "--direction", "1,0,0"], 0,
+     "941b7f44fb1268a8251827c643b72d1026947fb1c15b2954bfea20a09001c292"),
+    (["classify", '{"dim":2,"vertices":[[0,0],[0,1],[5,0]]}'], 0,
+     "017687d7be0e3b3d53626e5076711ecf45a1a53f02589e2b8dd1b073e33125d4"),
+    (["screen", "7,11,13,15"], 0,
+     "6a64d12c49f8c4115bc87f837dec081e4fbec9ff3506d78eafd83de1a2c7aca8"),
+    (["table", "--strict"], 0,
+     "314cefa06d8a3a4ca5d43cd28ca8b046662aadcb8f8dae319382ef3060c77699"),
+    (["scan", "--max-weight", "12", "--limit", "5"], 0,
+     "3546a4349ea65803e9c2500b23b99509da82987f92c8fa31b63549b7d77a5d11"),
+    (["polytope", '{"dim":2,"vertices":[[0,0],[0,1],[2,1],[3,0]]}', "--oracle"], 0,
+     "cf25a676d8a78d323c14607f9840aad227c9f62a5ccd5d4f46fc11307dece422"),
+    (["polytope", README_POLYTOPE, "--oracle"], 0,
+     "953e39c47d2aa0cbbaa2d54c7f5e1db4e5df3a0f3e68c71084163e0cb148b922"),
+    (["polytope", README_POLYTOPE, "--width-budget", "16"], 0,
+     "53f41d181b1b147d12cab8da3c67ba2c02d2685c8dd47a5e3f742a3588126dc5"),
+    (["polytope", README_POLYTOPE, "--width-budget", "15"], 0,
+     "f3f45a2f3c6f6ad4b4ef8142186c33eb8c7e9d9c4910b307556b5303f77c2d39"),
+    (["classify", '{"dim":2,"vertices":[[3,0],[1,1],[-1,0],[-2,-1]]}'], 0,
+     "afd13e73832b50274052e84e4686b5ccb68064bd98cfff0a788a74a47c4f9b77"),
+    (["points", README_POINTS, "--m", "2", "--direction", "0,1", "--oracle"], 0,
+     "95a42a1b2aff30494e8f4478c526fcd8d1abc2c272af2cd875ee2df6d4356de9"),
+    (["points", POINTS_3D, "--m", "3", "--oracle"], 0,
+     "d2ba742a78c44f6e5706bac1b36c22d6dc15214066e2966fea08a7e60d626dd0"),
+    (["points", POINTS_TWO_FORMS, "--m", "3", "--oracle"], 0,
+     "a0fcba5caade40495893e492dab9936ddef2029883c6b97cc9d28bd1e02f15c9"),
+    (["screen", "7,11,13,15", "--strict"], 0,
+     "6a64d12c49f8c4115bc87f837dec081e4fbec9ff3506d78eafd83de1a2c7aca8"),
+    (["screen", "7,11,13,15", "--degree-budget", "0"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+])
+def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
+    import hashlib
+
+    got, out, _ = run(capsys, argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_two_form_base_locus_with_a_denominator(capsys):
+    # the gcd loop, the t-power and the root [-1 : 2] in one report
+    code, out, _ = run(capsys, ["points", POINTS_TWO_FORMS, "--m", "3", "--oracle"])
+    report = json.loads(out)
+    result = report["result"]
+    assert code == 0 and result["fundamental_form"]["dim"] == 2
+    assert result["base_locus"] == {
+        "gcd_degree": 2,
+        "rational_points": [{"point": [-1, 2], "multiplicity": 1},
+                            {"point": [0, 1], "multiplicity": 1}],
+        "irrational_factor_degrees": [], "empty": False}
+    assert report["oracle"]["base_locus_gcd_degree"]["agree"] is True

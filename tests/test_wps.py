@@ -56,7 +56,7 @@ def test_rr_polytope_worked_example():
 
 
 def test_lowest_degree_binomials_worked_example():
-    chosen, alternatives = lowest_degree_binomials(W, 2)
+    chosen, alternatives = lowest_degree_binomials(W)
     assert chosen[0].u == (1, -2, 0, 1)
     assert chosen[0].degree == 22
     assert chosen[0].text() == "x1*x4 - x2^2"
@@ -67,14 +67,14 @@ def test_lowest_degree_binomials_worked_example():
 
 
 def test_lowest_degree_binomials_unit_weights():
-    chosen, _ = lowest_degree_binomials(WeightVector((1, 1, 1, 1)), 2)
+    chosen, _ = lowest_degree_binomials(WeightVector((1, 1, 1, 1)))
     assert all(b.degree == 1 for b in chosen)
 
 
 def test_binomial_properties_on_table_rows():
     for row in load_table()[:10]:
         w = WeightVector(row.weights)
-        chosen, _ = lowest_degree_binomials(w, 2)
+        chosen, _ = lowest_degree_binomials(w)
         for b in chosen:
             assert sum(a * x for a, x in zip(b.u, w.weights)) == 0
             plus_deg = sum(a * x for a, x in zip(b.u_plus, w.weights))
@@ -84,7 +84,7 @@ def test_binomial_properties_on_table_rows():
 
 def test_degree_budget_error():
     with pytest.raises(BudgetExceededError):
-        lowest_degree_binomials(W, 2, budget=10)
+        lowest_degree_binomials(W, budget=10)
 
 
 def test_width_direction_worked_example():
@@ -226,7 +226,7 @@ def test_spot_rows():
 def test_saturate_generators_noop_when_saturated():
     from latticejets.wps import saturate_generators
 
-    chosen, _ = lowest_degree_binomials(W, 2)
+    chosen, _ = lowest_degree_binomials(W)
     extended = saturate_generators(W, chosen[0].u, chosen[1].u, list(chosen))
     assert extended == list(chosen)
 
@@ -235,7 +235,7 @@ def test_saturate_generators_extends_an_unsaturated_seed():
     # seed with doubled relation vectors: index 4, needs real binomials
     from latticejets.wps import saturate_generators
 
-    chosen, _ = lowest_degree_binomials(W, 2)
+    chosen, _ = lowest_degree_binomials(W)
     u1, u2 = chosen[0].u, chosen[1].u
     doubled = [BinomialGenerator(u=tuple(2 * x for x in u1), degree=44),
                BinomialGenerator(u=tuple(2 * x for x in u2), degree=52)]
@@ -251,7 +251,7 @@ def test_saturate_generators_extends_an_unsaturated_seed():
 def test_saturate_generators_bounded_retries():
     from latticejets.wps import saturate_generators
 
-    chosen, _ = lowest_degree_binomials(W, 2)
+    chosen, _ = lowest_degree_binomials(W)
     u1, u2 = chosen[0].u, chosen[1].u
     doubled = [BinomialGenerator(u=tuple(2 * x for x in u1), degree=44),
                BinomialGenerator(u=tuple(2 * x for x in u2), degree=52)]
@@ -297,7 +297,7 @@ def test_slice_conditions_match_all_point_formulation():
     checked = 0
     for item in scan_weights(10):
         w = item.weights
-        chosen, _ = lowest_degree_binomials(w, 2)
+        chosen, _ = lowest_degree_binomials(w)
         vt = width_direction(w, chosen[0].u, chosen[1].u)
         for v_tilde in (vt, tuple(-x for x in vt)):
             projected, direction = project_to_3d(rr_polytope(w), v_tilde, w)
@@ -332,7 +332,7 @@ def test_width_invariant_under_v_tilde_shifts():
     # adding weight multiples to v~ or negating it never changes the width
     for row in load_table()[:5]:
         w = WeightVector(row.weights)
-        chosen, _ = lowest_degree_binomials(w, 2)
+        chosen, _ = lowest_degree_binomials(w)
         vt = width_direction(w, chosen[0].u, chosen[1].u)
         rr = rr_polytope(w)
 
