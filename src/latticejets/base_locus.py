@@ -28,6 +28,7 @@ k >= 3 are out of scope).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 
@@ -76,9 +77,9 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
     sol = linalg.solve(a_rows, [-v.pair(p) ** m for p in s.points])
     if sol is None:
         return False, None
-    witness = WitnessHypersurface(
-        k=k, m=m, leading_direction=v,
-        lower_terms=from_coefficients(k, monomials_up_to_degree(k, m - 1), sol))
+    x, d = sol
+    lower = from_coefficients(k, monomials_up_to_degree(k, m - 1), [Fraction(c, d) for c in x])
+    witness = WitnessHypersurface(k=k, m=m, leading_direction=v, lower_terms=lower)
     if not witness.vanishes_on(s):
         raise InvariantError("witness hypersurface fails to vanish on S")
     return True, witness

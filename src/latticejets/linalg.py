@@ -14,10 +14,11 @@ denominators), so integer callers pass their rows directly. Its forward half
 alone, with no back-substitution, gives ``row_echelon``, and ``rank`` counts
 its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 ``inverse_unimodular`` read the adjugate off the right block of [m | I];
-``rref`` divides A by d, and ``kernel_basis`` and ``solve`` read their
-vectors off A, keeping the canonical minimal-support solution some callers
-rely on. ``pivot_columns`` are the columns that raise the rank, and the rows
-that do are the pivot columns of the transpose (``independent_rows``);
+``rref`` divides A by d and ``kernel_basis`` reads its vectors off A, while
+``solve`` returns the canonical minimal-support solution that some callers
+rely on scaled, as integers over d, so only those two form Fractions.
+``pivot_columns`` are the columns that raise the rank, and the rows that do
+are the pivot columns of the transpose (``independent_rows``);
 ``lattice_coordinates`` inverts the minor on the pivot columns of its basis
 with ``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel``
 and the saturation test are integer as well. The reference eliminations in
@@ -330,11 +331,12 @@ def kernel_basis(m, side: str = "right") -> KernelBasis:
 
 
 def solve(a, b: Sequence):
-    """One solution of ``a x = b`` over Q, or None if inconsistent.
+    """The canonical solution of ``a x = b`` over Q, scaled, or None if inconsistent.
 
-    ``a`` and ``b`` may hold ints and Fractions. The canonical particular
-    solution sets every free variable to zero, so among all solutions it has
-    minimal support with respect to the caller's column order.
+    Returns (x, d), x integer and d > 0 with a x = d b, read off A = d * RREF
+    of [a | b] with no Fraction. ``a`` and ``b`` may hold ints and Fractions.
+    The canonical solution sets every free variable to zero, so among all
+    solutions it has minimal support with respect to the caller's column order.
     """
     _nonempty(a)
     nrows, ncols = shape(a)
@@ -343,10 +345,10 @@ def solve(a, b: Sequence):
     red, pivots, d = scaled_rref([(*row, v) for row, v in zip(a, b)])
     if ncols in pivots:  # pivot in the augmented column
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for row, pc in zip(red, pivots):
-        x[pc] = Fraction(row[ncols], d)
-    return tuple(x)
+        x[pc] = row[ncols]
+    return (tuple(x), d) if d > 0 else (tuple(-c for c in x), -d)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
@@ -146,18 +142,6 @@ class MultiPoly:
 
     def leading_form(self) -> "MultiPoly":
         return self.homogeneous_part(self.degree())
-
-    def compose_linear(self, u) -> "MultiPoly":
-        """Substitute x_i -> sum_j u[i][j] * x_j."""
-        subs = [MultiPoly.affine(row) for row in u]
-        out = MultiPoly.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.nvars, c)
-            for i, a in enumerate(e):
-                for _ in range(a):
-                    term = term * subs[i]
-            out = out + term
-        return out
 
     # -- normalization and formatting ----------------------------------------
 

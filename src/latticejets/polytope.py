@@ -522,6 +522,8 @@ def _charge(counter, n):
 
 def width_in_direction(p: LatticePolytope, v: Direction) -> int:
     """max - min of <x, v> over P, evaluated on vertices only."""
+    if len(v.coords) != p.dim:
+        raise InputError("direction dimension mismatch")
     values = [v.pair(x) for x in p.vertices]
     return max(values) - min(values)
 
@@ -536,6 +538,8 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     polytope; when v = (1, 0, ..., 0) the slice is a single x1-fiber and the
     cost follows its point count.
     """
+    if len(v.coords) != p.dim:
+        raise InputError("direction dimension mismatch")
     values = [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
         return PointConfig._trusted(p.dim, ())

@@ -11,14 +11,18 @@ extreme levels and one stacked hyperplane per remaining level.
 
 The witness stays factored (paraboloid plus a level range); expanding a
 degree-4275 polynomial in three variables is neither feasible nor useful.
-Verification is slice-wise and never enumerates the full polytope; the
-factored hyperplane levels vanish identically by construction.
+Its paraboloid is s^2 + s - m f, with s the level form and f = F / D the
+affine form through the min+1 slice and the minimal vertex, F integer, D > 0;
+verification decides the integer identity D s (s + 1) = m F slice-wise, and
+polynomials form only for reports. The stacked levels vanish by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -32,34 +36,52 @@ from .polytope import (Direction, LatticePolytope, PointConfig, lattice_width,
 class CorollaryWitness:
     """Degree-m hypersurface through all lattice points, in factored form.
 
-    Vanishing set: the paraboloid covers levels min, min+1 and max; the
-    factors s - i (s the integer level form, i = 1 .. m-2) cover every level
-    in between identically.
+    Vanishing set: the paraboloid s^2 + s - m f covers levels min, min+1 and
+    max; the factors s - i (s the integer level form, i = 1 .. m-2) cover
+    every level in between identically. f = F / D stays integer, so
+    ``is_zero_at`` is D s (s + 1) == m F; the polynomials form on demand.
     """
 
     direction: Direction
     min_level: int
     max_level: int
-    level_form: MultiPoly      # s = <x, v> - (min+1)
-    f: MultiPoly               # vanishes on Lambda and at p_min
-    g: MultiPoly               # s - f; vanishes on Lambda and at p_max
-    paraboloid: MultiPoly      # (f+g)^2 - f(p_max) f - g(p_min) g
+    f_numerator: tuple[int, ...]  # F: coefficients of x_1 .. x_k, then the constant
+    f_denominator: int            # D > 0, with gcd(F, D) = 1
 
     @property
     def degree(self) -> int:
         return self.max_level - self.min_level
 
+    def _scaled_f(self, point) -> int:  # F(point) = D f(point)
+        return sum(map(mul, self.f_numerator, point)) + self.f_numerator[-1]
+
     def is_zero_at(self, point) -> bool:
-        level = self.direction.pair(point)
-        if self.min_level + 2 <= level <= self.max_level - 1:
-            return True
-        return self.paraboloid.evaluate(point) == 0
+        s = self.direction.pair(point) - self.min_level - 1
+        return (1 <= s <= self.degree - 2  # a stacked hyperplane level
+                or self.f_denominator * s * (s + 1) == self.degree * self._scaled_f(point))
+
+    @property
+    def level_form(self) -> MultiPoly:  # s = <x, v> - (min+1)
+        return MultiPoly.affine(self.direction.coords, -(self.min_level + 1))
+
+    @property
+    def f(self) -> MultiPoly:  # vanishes on Lambda and at p_min
+        return MultiPoly.affine(self.f_numerator[:-1], self.f_numerator[-1]).scale(
+            Fraction(1, self.f_denominator))
+
+    @property
+    def g(self) -> MultiPoly:  # s - f; vanishes on Lambda and at p_max
+        return self.level_form - self.f
+
+    @property
+    def paraboloid(self) -> MultiPoly:  # s^2 - f(p_max) f - g(p_min) g = s^2 + s - m f
+        s = self.level_form
+        return s * s + s - self.f.scale(self.degree)
 
     def expanded(self, term_budget: int = 200_000) -> MultiPoly:
         """Full expansion (small widths only; raises past the budget)."""
         m = self.degree
         k = len(self.direction.coords)
-        from math import comb
         if comb(m + k, k) > term_budget:
             raise ToolkitError(f"expansion of a degree-{m} witness exceeds the budget")
         out = self.paraboloid
@@ -120,6 +142,8 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
     The caller asserts that v realizes the lattice width; the report records
     lw_v(P) without re-certifying global minimality.
     """
+    if v.dim != p.dim:
+        raise InputError("direction dimension mismatch")
     if not p.is_full_dim:
         raise InputError("obstruction test needs a full-dimensional polytope")
     values = [v.pair(x) for x in p.vertices]
@@ -183,7 +207,6 @@ def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:
     lw = hi - lo
     if lw < 2:
         raise InvariantError("witness construction needs width >= 2")
-    k = v.dim
     # f affine with f|Lambda = 0, f(p_min) = 0, f(p_max) = lw - 1; the basis
     # rows span the same row space as all of Lambda's, so the RREF and the
     # canonical solution are the same
@@ -192,16 +215,16 @@ def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:
     sol = linalg.solve(rows, rhs)
     if sol is None:
         raise InvariantError("witness linear forms are infeasible despite the conditions")
-    f = MultiPoly.affine(sol[:k], sol[k])
-    s = MultiPoly.affine(v.coords, -(lo + 1))
-    g = s - f
-    f_at_max = f.evaluate(p_max)
-    g_at_min = g.evaluate(p_min)
-    if f_at_max != lw - 1 or g_at_min != -1:
+    x, d = sol
+    content = gcd(d, *x)
+    witness = CorollaryWitness(direction=v, min_level=lo, max_level=hi,
+                               f_numerator=tuple(c // content for c in x),
+                               f_denominator=d // content)
+    # f(p_max) = lw - 1 and g(p_min) = -1 make the paraboloid s^2 + s - lw f
+    if (witness._scaled_f(p_max) != (lw - 1) * witness.f_denominator
+            or witness._scaled_f(p_min) != 0):
         raise InvariantError("witness normalization broke")
-    paraboloid = s * s - f.scale(f_at_max) - g.scale(g_at_min)
-    return CorollaryWitness(direction=v, min_level=lo, max_level=hi,
-                            level_form=s, f=f, g=g, paraboloid=paraboloid)
+    return witness
 
 
 def _verify_witness(p, v, witness, p_min, p_max, slice_cfg, lo, hi) -> bool:
@@ -210,14 +233,9 @@ def _verify_witness(p, v, witness, p_min, p_max, slice_cfg, lo, hi) -> bool:
     Levels min+2 .. max-1 vanish identically through the stacked factors, so
     no enumeration is needed there.
     """
-    bottom = slice_points(p, v, lo)
-    top = slice_points(p, v, hi)
-    if bottom.points != (p_min,) or top.points != (p_max,):
-        return False
-    for q in list(slice_cfg.points) + [p_min, p_max]:
-        if witness.paraboloid.evaluate(q) != 0:
-            return False
-    return True
+    return (slice_points(p, v, lo).points == (p_min,)
+            and slice_points(p, v, hi).points == (p_max,)
+            and all(map(witness.is_zero_at, slice_cfg.points + (p_min, p_max))))
 
 
 def pseudonef_bound(p: LatticePolytope, budget: int | None = None) -> int:

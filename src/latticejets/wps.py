@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, LatticePolytope, _as_point, point_key, primitive,
+from .polytope import (Direction, LatticePolytope, _as_point, point_key,
                        sign_normalized, width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
@@ -226,8 +226,7 @@ def _reduce_mod_weights(v, w):
     return min(candidates)
 
 
-def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int],
-                  w: WeightVector | None = None,
+def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
                   basis: linalg.IntMatrix | None = None):
     """Quotient the weight hyperplane to Z^3, sending v~ to (1, 0, 0).
 
@@ -235,15 +234,6 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int],
     v~-minimizing vertex is the origin, and the level function is the first
     coordinate, so widths transfer unchanged.
     """
-    if w is None:
-        diffs = _vertex_differences(rr)
-        normal_lattice = linalg.integral_kernel(linalg.integer_matrix(diffs))
-        if len(normal_lattice) != 1:
-            raise InputError("polytope does not lie in a hyperplane")
-        wv = primitive(normal_lattice[0])
-        if all(x < 0 for x in wv):
-            wv = tuple(-x for x in wv)
-        w = WeightVector(wv)
     if basis is None:
         basis = linalg.integral_kernel(linalg.integer_matrix([w.weights]))
     if len(basis) != 3:
@@ -264,11 +254,6 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int],
     u = linalg.complete_to_unimodular(v_q)
     new_coords = [linalg.mat_vec(u, c) for c in coords]
     return LatticePolytope(new_coords, 3), Direction((1, 0, 0))
-
-
-def _vertex_differences(p: LatticePolytope):
-    base = p.vertices[0]
-    return [tuple(a - b for a, b in zip(x, base)) for x in p.vertices[1:]]
 
 
 def saturate_generators(w: WeightVector, u1, u2, generators,
@@ -471,9 +456,12 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     increasing with gcd 1. Budget exhaustion, bad input and other stage
     errors on individual quadruples are recorded as skips, not fatal; an
     ``InvariantError`` is a bug, not an inconclusive quadruple, and propagates.
+    ``limit`` (>= 1, else an ``InputError``) stops it after that many hits.
     """
     from itertools import combinations as _comb
 
+    if limit is not None and limit < 1:
+        raise InputError("limit must be >= 1")
     hits = 0
     for quad in _comb(range(min_weight, max_weight + 1), 4):
         if gcd(*quad) != 1:

@@ -169,6 +169,8 @@ def test_bad_weights_exit_2(capsys):
     ["points", '{"dim": 0, "points": [[]]}'],
     ["polytope", '{"dim": 0, "vertices": [[]]}', "--count-points"],
     ["polytope", '{"dim": 0, "vertices": [[]]}'],
+    ["scan", "--max-weight", "15", "--limit", "0"],
+    ["scan", "--max-weight", "15", "--limit", "-1"],
 ])
 def test_non_integer_input_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -277,6 +279,10 @@ POINTS_TWO_FORMS = '{"dim":2,"points":[[0,2],[0,4],[1,2],[1,4],[3,5],[4,5],[5,4]
     (["screen", "7,11,13,15", "--strict"], 0,
      "6a64d12c49f8c4115bc87f837dec081e4fbec9ff3506d78eafd83de1a2c7aca8"),
     (["screen", "7,11,13,15", "--degree-budget", "0"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["scan", "--max-weight", "15", "--limit", "1"], 0,
+     "ad59c65dc4a02d6c4f7aa512ddff017d163bdac30705ee757ff9ce88f84f1273"),
+    (["scan", "--max-weight", "15", "--limit", "0"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):

@@ -11,7 +11,7 @@ from latticejets.errors import InputError
 from latticejets.jets import (_monomial_rows, build_jets, expected_h0, fundamental_form,
                               h0, is_special, jet_row_indices, leading_term_matrix,
                               min_vanishing_degree, rank_j)
-from latticejets.poly import monomials_of_degree, monomials_up_to_degree
+from latticejets.poly import MultiPoly, monomials_of_degree, monomials_up_to_degree
 from latticejets.polytope import (LatticePolytope, PointConfig, config_to_json, lattice_points,
                                   lattice_width)
 from tests.conftest import random_config, random_unimodular, reference_rows
@@ -141,6 +141,19 @@ def test_translation_invariance():
         assert min_vanishing_degree(s) == min_vanishing_degree(moved)
 
 
+def _compose_linear(poly, u):
+    """Substitute x_i -> sum_j u[i][j] * x_j, term by term."""
+    subs = [MultiPoly.affine(row) for row in u]
+    out = MultiPoly(poly.nvars)
+    for e, c in poly.terms.items():
+        term = MultiPoly.constant(poly.nvars, c)
+        for sub, a in zip(subs, e):
+            for _ in range(a):
+                term = term * sub
+        out = out + term
+    return out
+
+
 def test_unimodular_equivariance_of_forms():
     rng = random.Random(12)
     for _ in range(10):
@@ -153,7 +166,7 @@ def test_unimodular_equivariance_of_forms():
         assert form.dim == form_moved.dim
         # form of U.S equals form of S precomposed with U^T acting on w
         ut = linalg.transpose(u)
-        composed = [poly.compose_linear(ut) for poly in form.polynomials()]
+        composed = [_compose_linear(poly, ut) for poly in form.polynomials()]
         rows = []
         for poly in composed:
             rows.append([poly.terms.get(e, Fraction(0)) for e in form.monomials])

@@ -198,9 +198,8 @@ def test_integral_kernel_worked_example_contains_w_and_v():
     assert len(kernel) == 2
     bt = linalg.transpose(kernel)
     for target in ((7, 11, 13, 15), (3, 5, 6, 7)):
-        sol = linalg.solve(bt, [Fraction(x) for x in target])
-        assert sol is not None
-        assert all(c.denominator == 1 for c in sol)
+        x, d = linalg.solve(bt, target)
+        assert not any(c % d for c in x)  # an integer solution
 
 
 def test_integral_kernel_annihilates_and_is_saturated():
@@ -248,8 +247,8 @@ def test_complete_to_unimodular():
 
 def test_solve_particular_and_inconsistent():
     a = [[1, 1, 0], [0, 0, 1]]
-    sol = linalg.solve(a, [Fraction(3), Fraction(5)])
-    assert sol == (Fraction(3), Fraction(0), Fraction(5))  # free variable zeroed
+    assert linalg.solve(a, [3, 5]) == ((3, 0, 5), 1)  # free variable zeroed
+    assert linalg.solve(a, [Fraction(3, 2), 5]) == ((3, 0, 10), 2)
     assert linalg.solve([[1], [1]],
                         [Fraction(0), Fraction(1)]) is None
 
@@ -304,7 +303,9 @@ def _degenerate(rng, m):
 
 def test_scaled_rref_matches_the_reference():
     rng = random.Random(24)
-    seen = {"deficient": 0, "fraction": 0, "zero row": 0, "zero column": 0}
+    rhs_rng = random.Random(124)  # right sides for solve, off the matrix stream
+    seen = {"deficient": 0, "fraction": 0, "zero row": 0, "zero column": 0,
+            "consistent": 0, "inconsistent": 0}
     for _ in range(600):
         m = _degenerate(rng, _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 8)))
         if rng.random() < 0.3:  # rows of Fractions, some with denominators
@@ -321,6 +322,24 @@ def test_scaled_rref_matches_the_reference():
         assert linalg.rank(m) == len(pivots)
         assert linalg.pivot_columns(m) == ref_pivots
         assert linalg.independent_rows(m) == oracles.rref_reference(linalg.transpose(m))[1], m
+        b = [rhs_rng.randint(-5, 5) for _ in m]
+        if rhs_rng.random() < 0.5:  # a consistent right side: m times an integer vector
+            c = [rhs_rng.randint(-3, 3) for _ in m[0]]
+            b = [sum(x * y for x, y in zip(row, c)) for row in m]
+        aug_red, aug_pivots = oracles.rref_reference([list(row) + [y] for row, y in zip(m, b)])
+        sol = linalg.solve(m, b)
+        if len(m[0]) in aug_pivots:
+            assert sol is None, (m, b)
+            seen["inconsistent"] += 1
+        else:
+            x, d = sol
+            assert d > 0 and all(type(c) is int for c in x), (m, b)
+            assert linalg.mat_vec(m, x) == tuple(d * y for y in b), (m, b)
+            ref = [0] * len(m[0])  # the particular solution: every free variable zero
+            for row, pc in zip(aug_red, aug_pivots):
+                ref[pc] = row[-1]
+            assert [Fraction(c, d) for c in x] == ref, (m, b)
+            seen["consistent"] += 1
         seen["deficient"] += len(pivots) < min(len(m), len(m[0]))
         seen["zero row"] += any(not any(row) for row in m)
         seen["zero column"] += any(not any(col) for col in zip(*m))
@@ -385,11 +404,11 @@ def test_scaled_inverse_identity():
 
 
 def _fraction_solve_coordinates(basis, x):
-    """The reference route: a Fraction solve of B^T c = x, kept only if integral."""
-    sol = linalg.solve(linalg.transpose(basis), [Fraction(v) for v in x])
-    if sol is None or any(c.denominator != 1 for c in sol):
+    """The reference route: a rational solve of B^T c = x, kept only if integral."""
+    sol = linalg.solve(linalg.transpose(basis), x)
+    if sol is None or any(c % sol[1] for c in sol[0]):
         return None
-    return tuple(int(c) for c in sol)
+    return tuple(c // sol[1] for c in sol[0])
 
 
 def test_lattice_coordinates_matches_fraction_solve():

@@ -39,7 +39,7 @@ def test_integer_normalized_leading_positive():
 
 
 def test_zero_text():
-    assert MultiPoly.zero(2).text() == "0"
+    assert MultiPoly(2).text() == "0"
 
 
 def test_evaluate_exact():
@@ -47,13 +47,6 @@ def test_evaluate_exact():
     assert p.evaluate((1, 1)) == 0
     assert p.evaluate((3, 1)) == 2 * 2
     assert p.evaluate((Fraction(1, 2), Fraction(1, 2))) == Fraction(0)
-
-
-def test_compose_linear_identity_and_swap():
-    p = from_coefficients(2, [(2, 0), (1, 1)], [1, 3])
-    assert p.compose_linear(((1, 0), (0, 1))) == p
-    swapped = p.compose_linear(((0, 1), (1, 0)))
-    assert swapped == from_coefficients(2, [(0, 2), (1, 1)], [1, 3])
 
 
 def test_leading_form():

@@ -3,12 +3,15 @@
 import random
 import types
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import latticejets.screen as screen_module
 from latticejets import linalg
 from latticejets.errors import InputError
-from latticejets.polytope import Direction, LatticePolytope, lattice_points
+from latticejets.polytope import (Direction, LatticePolytope, lattice_points, slice_points,
+                                  width_in_direction)
 from latticejets.screen import (_affine_basis, _line_misses_span, corollary_check, nef_check,
                                pseudonef_bound)
 from latticejets.surface2 import normal_form
@@ -181,3 +184,85 @@ def test_screen_module_is_not_shadowed():
     assert isinstance(s, types.ModuleType)
     assert latticejets.screen is s
     assert s.corollary_check is corollary_check
+
+
+@pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0)])
+def test_direction_dimension_mismatch_is_an_input_error(coords):
+    v = Direction(coords)
+    for call in (lambda: width_in_direction(DELTA_PRIME, v),
+                 lambda: slice_points(DELTA_PRIME, v, 1),
+                 lambda: corollary_check(DELTA_PRIME, v)):
+        with pytest.raises(InputError, match="direction dimension mismatch"):
+            call()
+
+
+@pytest.fixture(scope="module")
+def table_reports():
+    from latticejets.wps import reproduce_table
+
+    return [result.report for result in reproduce_table()]
+
+
+def test_integer_vanishing_test_matches_the_paraboloid(table_reports):
+    rng = random.Random(31)
+    checked = misses = 0
+    for report in table_reports:
+        cor = report.corollary
+        wit = cor.witness
+        m, lo, hi = wit.degree, wit.min_level, wit.max_level
+        assert wit.f_denominator > 0 and gcd(wit.f_denominator, *wit.f_numerator) == 1
+        s = wit.level_form
+        paraboloid = s * s - wit.f.scale(m - 1) + wit.g  # s^2 - f(p_max) f - g(p_min) g
+        assert paraboloid == wit.paraboloid
+        on = list(cor.slice_config.points) + [cor.p_min, cor.p_max]
+        for q in on:
+            assert wit.is_zero_at(q) and paraboloid.evaluate(q) == 0
+        # U has first row v, so <v, U^-1 y> = y_1: the columns of U^-1 past
+        # the first keep the level
+        inv = linalg.inverse_unimodular(linalg.complete_to_unimodular(wit.direction.coords))
+        steps = linalg.transpose(inv)[1:]
+        off = [tuple(x + sign * y for x, y in zip(q, step))
+               for q in on for step in steps for sign in (1, -1)]
+        off += [linalg.mat_vec(inv, (level,) + tuple(rng.randint(-50, 50) for _ in steps))
+                for level in (lo, lo + 1, hi) for _ in range(3)]
+        off += [tuple(rng.randint(-5000, 5000) for _ in inv) for _ in range(6)]
+        for q in off:
+            level = wit.direction.pair(q)
+            expected = lo + 2 <= level <= hi - 1 or paraboloid.evaluate(q) == 0
+            assert wit.is_zero_at(q) is expected, (report.weights, q)
+            checked += 1
+            misses += not expected
+    assert misses > checked // 2, (misses, checked)
+
+
+def test_worked_example_witness_forms():
+    from latticejets.wps import screen
+
+    wit = screen((7, 11, 13, 15)).corollary.witness
+    assert (wit.f_numerator, wit.f_denominator) == ((3426, -571, -1142, 0), 286)
+    blob = wit.to_json()
+    assert blob["paraboloid"] == "x1^2 - 6853*x1 + 1142*x2 + 2284*x3"
+    assert blob["f"] == "1713/143*x1 - 571/286*x2 - 571/143*x3"
+    assert blob["g"] == "-1570/143*x1 + 571/286*x2 + 571/143*x3 - 1"
+
+
+class _Forbidden(type):
+    """A stand-in class that fails on any use other than ``isinstance``."""
+
+    def __getattr__(cls, name):
+        raise AssertionError(f"{cls.__name__}.{name} on the verdict path")
+
+    def __call__(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__}(...) on the verdict path")
+
+
+def test_verdict_path_builds_no_polynomial_and_no_fraction(monkeypatch, table_reports):
+    cases = [(DELTA_PRIME, Direction((1, 0, 0)))]
+    cases += [(r.projected, r.direction) for r in table_reports[::19]]
+    assert len(cases) == 6
+    monkeypatch.setattr(screen_module, "MultiPoly", _Forbidden("MultiPoly", (), {}))
+    monkeypatch.setattr(screen_module, "Fraction", _Forbidden("Fraction", (), {}))
+    monkeypatch.setattr(linalg, "Fraction", _Forbidden("Fraction", (), {}))
+    for p, v in cases:
+        rep = corollary_check(p, v)
+        assert rep.all_conditions and rep.verified

@@ -141,12 +141,6 @@ def test_projection_rejects_a_non_saturated_basis():
         project_to_3d(rr, (3, 5, 6, 7), W, basis=doubled)
 
 
-def test_projection_recovers_weights_if_omitted():
-    rr = rr_polytope(W)
-    q, v = project_to_3d(rr, (3, 5, 6, 7))
-    assert width_in_direction(q, v) == 572
-
-
 def test_screen_worked_example():
     report = screen(W)
     assert report.m == 572
@@ -276,6 +270,15 @@ def test_scan_weights_15_hits_are_the_published_rows():
     hits = {r.weights.weights: r.m for r in reports if r.verdict == "nef_not_semiample"}
     assert hits == {row.weights: row.m for row in load_table()
                     if 2 <= min(row.weights) and max(row.weights) <= 15}
+
+
+def test_scan_weights_limit():
+    hits = [r for r in scan_weights(15, limit=1)
+            if not isinstance(r, dict) and r.verdict == "nef_not_semiample"]
+    assert [r.weights.weights for r in hits] == [(7, 11, 13, 15)]
+    for limit in (0, -1):
+        with pytest.raises(InputError, match="limit must be >= 1"):
+            next(scan_weights(15, limit=limit))
 
 
 def _old_cond2_cond3(p, direction, p_min, p_max):
