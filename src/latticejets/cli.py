@@ -169,9 +169,9 @@ def _cmd_points(args) -> int:
 
         lt = jets.leading_term_matrix(cfg, m)
         oracle = {"rank": oracles.rank_oracle_agrees(lt)}
-        kernel = linalg.kernel_basis(lt, "right")
+        kernel = linalg.kernel_basis(lt)
         reference = oracles.right_kernel_reference(lt)
-        oracle["right_kernel_span"] = {"agree": oracles.same_span(kernel.vectors, reference)}
+        oracle["right_kernel_span"] = {"agree": oracles.same_span(kernel, reference)}
         if cfg.dim == 2 and form.dim > 0:
             gcd_deg = oracles.binary_form_gcd_degree(form.polynomials())
             oracle["base_locus_gcd_degree"] = {

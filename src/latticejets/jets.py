@@ -49,7 +49,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from .errors import InputError, ToolkitError
+from .errors import InputError
 from .poly import MultiPoly, from_coefficients, monomials_of_degree, monomials_up_to_degree
 from .polytope import PointConfig
 
@@ -182,18 +182,24 @@ def min_vanishing_degree(s: PointConfig) -> int:
 
     A polynomial of degree <= d with coefficient vector f vanishes on S iff
     f L_d = 0, so the least such d is the first at which L_d has fewer
-    pivots than rows; terminates because L_d eventually has more rows than
-    columns (d <= |S|).
+    pivots than rows. That holds at the least order D with more rows than
+    points, C(D+k, k) > |S|, so the answer is at most D. Each d past the
+    memoised order eliminates once, at order min(2d, D): a search to degree
+    d runs O(log d) eliminations, none above order 2d.
     """
     if len(s) < 2:
         raise InputError("need at least two points")
     k = s.dim
+    top = 1
+    while comb(top + k, k) <= len(s):
+        top += 1
     d = 1
     while True:
+        memo = s._jet_echelon
+        if memo is None or memo.order < d:
+            _echelon(s, min(2 * d, top))
         if rank_j(s, d) < comb(d + k, k):
             return d
-        if d > len(s):
-            raise ToolkitError("vanishing-degree search failed to terminate")
         d += 1
 
 

@@ -1,24 +1,24 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra, with rational outputs where a result is rational.
 
-Matrices are immutable tuples of tuples. Rational entries are
-``fractions.Fraction`` (always in lowest terms with positive denominator),
-integer entries are Python ``int`` (arbitrary precision). Everything here is
-deterministic: identical inputs produce bit-identical outputs, which the
-golden tests rely on.
+Matrices are immutable tuples of tuples of Python ``int`` (arbitrary
+precision). Every elimination takes integer entries only: ``_int_rows``
+copies its input and rejects any entry that is not an ``int`` (a
+``Fraction``, a float, a bool) with a ``ToolkitError``, since fraction-free
+elimination is exact only on integers. Only ``rref`` and ``kernel_basis``
+return ``fractions.Fraction`` entries, always in lowest terms with positive
+denominator. Everything here is deterministic: identical inputs produce
+bit-identical outputs, which the golden tests rely on.
 
 One elimination serves the rank, determinant, inverse and RREF routines:
 ``scaled_rref`` is fraction-free Gauss-Jordan (Bareiss 1968), giving
-A = d * RREF(m) over the integers with d its last pivot, and it takes rows
-mixing ``int`` and ``Fraction`` (a row holding a Fraction is cleared of
-denominators), so integer callers pass their rows directly. Its forward half
+A = d * RREF(m) over the integers with d its last pivot. Its forward half
 alone, with no back-substitution, gives ``row_echelon``, and ``rank`` counts
 its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 ``inverse_unimodular`` read the adjugate off the right block of [m | I];
 ``rref`` divides A by d and ``kernel_basis`` reads its vectors off A, while
-``solve`` returns the canonical minimal-support solution that some callers
-rely on scaled, as integers over d, so only those two form Fractions.
-``pivot_columns`` are the columns that raise the rank, and the rows that do
-are the pivot columns of the transpose (``independent_rows``);
+``solve`` returns the canonical minimal-support solution scaled, as integers
+over d. ``pivot_columns`` are the columns that raise the rank, and the rows
+that do are the pivot columns of the transpose (``independent_rows``);
 ``lattice_coordinates`` inverts the minor on the pivot columns of its basis
 with ``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel``
 and the saturation test are integer as well. The reference eliminations in
@@ -27,10 +27,8 @@ and the saturation test are integer as well. The reference eliminations in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
@@ -41,22 +39,10 @@ Vector = tuple[Fraction, ...]
 
 
 def integer_matrix(rows: Iterable[Sequence]) -> IntMatrix:
-    """Freeze ``rows`` into an immutable matrix of ints."""
-
-    def as_int(x):
-        if type(x) is int:  # the common case, before the ABCMeta check below
-            return x
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ToolkitError(f"non-integer entry {x}")
-            return int(x)
-        if isinstance(x, int):
-            return x
-        raise ToolkitError(f"non-integer entry {x!r}")
-
-    out = tuple(tuple(as_int(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ToolkitError("ragged matrix")
+    """Freeze ``rows`` into an immutable matrix of ints, checked as by ``_int_rows``."""
+    out = tuple(map(tuple, rows))
+    if out:
+        _int_rows(out)
     return out
 
 
@@ -90,24 +76,20 @@ def _nonempty(m) -> None:
 # one fraction-free elimination: rank, determinant, inverse, RREF, kernels
 # ---------------------------------------------------------------------------
 
-def _cleared_int_rows(m) -> list[list[int]]:
-    """Integer copies of the rows: a row holding a Fraction is scaled by the
-    lcm of its denominators (rank- and RREF-preserving), an all-int row is copied."""
+def _int_rows(m) -> list[list[int]]:
+    """Mutable copies of the rows of m, once every entry is checked to be an ``int``.
+
+    The one input check of every elimination: a Fraction, float or bool entry
+    raises ``ToolkitError``, and so do rows of unequal length.
+    """
     ncols = len(m[0])
     if any(len(row) != ncols for row in m):
         raise ToolkitError("ragged matrix")
-    # the type sets are built at C speed, first of the whole matrix, then row
-    # by row; isinstance(x, Fraction) goes through ABCMeta for every entry
-    if set(map(type, chain.from_iterable(m))) <= {int}:
-        return [list(row) for row in m]
-    rows = []
-    for row in m:
-        if set(map(type, row)) <= {int}:
-            rows.append(list(row))
-        else:
-            mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-            rows.append([int(x * mult) for x in row])
-    return rows
+    # the type set is built at C speed; isinstance would also let bool through
+    if not set(map(type, chain.from_iterable(m))) <= {int}:
+        bad = next(x for x in chain.from_iterable(m) if type(x) is not int)
+        raise ToolkitError(f"non-integer entry {bad!r}")
+    return [list(row) for row in m]
 
 
 def _gauss_jordan(a: list[list[int]], back: bool = True) -> tuple[tuple[int, ...], int, int]:
@@ -153,16 +135,13 @@ def _gauss_jordan(a: list[list[int]], back: bool = True) -> tuple[tuple[int, ...
 
 
 def scaled_rref(m) -> tuple[IntMatrix, tuple[int, ...], int]:
-    """(A, pivots, d) with A = d * RREF(m) over the integers.
+    """(A, pivots, d) with A = d * RREF(m) over the integers, for an integer m.
 
-    Rows may mix ``int`` and ``Fraction`` entries: integer rows are used as
-    they are, and only rows holding a Fraction are cleared of denominators,
-    which keeps the RREF. d is the last pivot: +-det m for a nonsingular
-    square m, 1 for a zero m. Every pivot entry of A equals d, and the rows
-    past the rank are zero.
+    d is the last pivot: +-det m for a nonsingular square m, 1 for a zero m.
+    Every pivot entry of A equals d, and the rows past the rank are zero.
     """
     _nonempty(m)
-    a = _cleared_int_rows(m)
+    a = _int_rows(m)
     pivots, d, _ = _gauss_jordan(a)
     return tuple(map(tuple, a)), pivots, d
 
@@ -172,13 +151,12 @@ def row_echelon(m) -> tuple[IntMatrix, tuple[int, ...]]:
 
     E is a row echelon form of m over the integers: row r is zero before
     column pivots[r], the rows below it are zero in that column, the rows
-    past the rank are zero, and the rows span the row space of m. Rows may
-    mix ``int`` and ``Fraction`` entries, as in ``scaled_rref``. Cut to its
+    past the rank are zero, and the rows span the row space of m. Cut to its
     first c columns, E is the row echelon form of m cut the same way: each
     step reads only the columns it updates and the pivot columns before them.
     """
     _nonempty(m)
-    a = _cleared_int_rows(m)
+    a = _int_rows(m)
     pivots, _, _ = _gauss_jordan(a, back=False)
     return tuple(map(tuple, a)), pivots
 
@@ -188,15 +166,11 @@ def pivot_columns(m) -> tuple[int, ...]:
     in order, that raise the rank of the columns before them. The forward
     half alone finds them."""
     _nonempty(m)
-    return _gauss_jordan(_cleared_int_rows(m), back=False)[0]
+    return _gauss_jordan(_int_rows(m), back=False)[0]
 
 
 def rank(m) -> int:
-    """Rank over Q: the pivot count of the fraction-free elimination.
-
-    Rows may mix ``int`` and ``Fraction`` entries, so callers pass their
-    rows as they are, with no conversion.
-    """
+    """Rank over Q of an integer matrix: the pivot count of the fraction-free elimination."""
     return len(pivot_columns(m))
 
 
@@ -219,7 +193,7 @@ def _square(m, what: str) -> int:
 def bareiss_det(m) -> int:
     """Determinant of a square integer matrix: the swap sign times the last pivot."""
     n = _square(m, "determinant")
-    pivots, d, sign = _gauss_jordan([list(row) for row in m])
+    pivots, d, sign = _gauss_jordan(_int_rows(m))
     return sign * d if len(pivots) == n else 0
 
 
@@ -230,7 +204,7 @@ def _adjugate(m, what: str) -> tuple[IntMatrix | None, int]:
     sign turns it into det(m) m^-1, the adjugate.
     """
     n = _square(m, what)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_int_rows(m))]
     pivots, d, sign = _gauss_jordan(a)
     if pivots[-1] >= n:  # a pivot in the identity block: m is singular
         return None, 0
@@ -257,14 +231,14 @@ def lattice_coordinates(basis, vectors):
     columns, and that r x r minor is inverted once with ``scaled_inverse``;
     each candidate L x[cols] / d must divide exactly and satisfy c B = x in
     all k coordinates. A vector outside the rational span or off the lattice
-    gets None.
+    gets None. The vectors are integer, checked as the basis is.
     """
     cols = pivot_columns(basis)
     if len(cols) != len(basis):
         raise ToolkitError("lattice basis does not have full row rank")
     inv, d = scaled_inverse([tuple(row[c] for row in basis) for c in cols])
     out = []
-    for x in vectors:
+    for x in _int_rows(vectors) if vectors else ():
         num = [sum(a * x[c] for a, c in zip(row, cols)) for row in inv]
         coords = None
         if not any(v % d for v in num):
@@ -286,55 +260,33 @@ def rref(m) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(Fraction(x, d) for x in row) for row in a), pivots
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """Canonical basis of a left or right kernel.
-
-    ``vectors`` are the rows of the RREF of any spanning set of the kernel,
-    so the basis is unique for the subspace (pivots equal to 1, zeros above
-    and below each pivot).
-    """
-
-    side: str  # "left" | "right"
-    dim_ambient: int
-    vectors: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-
-def kernel_basis(m, side: str = "right") -> KernelBasis:
-    """Canonical (RREF) basis of the right or left kernel of ``m``.
+def kernel_basis(m) -> tuple[Vector, ...]:
+    """Canonical basis of the right kernel of an integer ``m``: the rows of the
+    RREF of any spanning set of the kernel, so unique for the subspace.
 
     The integer kernel vectors of A = d * RREF(m) put d at a free column and
     minus that column of A at the pivots; their RREF is the basis.
     """
-    _nonempty(m)
-    if side not in ("left", "right"):
-        raise ToolkitError(f"unknown kernel side {side!r}")
-    work = m if side == "right" else transpose(m)
-    a, pivots, d = scaled_rref(work)
-    ambient = len(a[0])
+    a, pivots, d = scaled_rref(m)
+    ncols = len(a[0])
     vecs = []
-    for fc in range(ambient):
+    for fc in range(ncols):
         if fc not in pivots:
-            v = [0] * ambient
+            v = [0] * ncols
             v[fc] = d
             for row, pc in zip(a, pivots):
                 v[pc] = -row[fc]
             vecs.append(v)
-    if vecs:
-        canon, _ = rref(vecs)
-        vecs = [row for row in canon if any(row)]
-    return KernelBasis(side=side, dim_ambient=ambient, vectors=tuple(vecs))
+    if not vecs:
+        return ()
+    return tuple(row for row in rref(vecs)[0] if any(row))
 
 
 def solve(a, b: Sequence):
     """The canonical solution of ``a x = b`` over Q, scaled, or None if inconsistent.
 
     Returns (x, d), x integer and d > 0 with a x = d b, read off A = d * RREF
-    of [a | b] with no Fraction. ``a`` and ``b`` may hold ints and Fractions.
+    of [a | b] with no Fraction; ``a`` and ``b`` hold ints.
     The canonical solution sets every free variable to zero, so among all
     solutions it has minimal support with respect to the caller's column order.
     """
@@ -363,8 +315,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     makes the output deterministic.
     """
     _nonempty(m)
-    nrows, ncols = len(m), len(m[0])
-    a = [list(row) for row in m]
+    a = _int_rows(m)
+    nrows, ncols = len(a), len(a[0])
     u = [list(row) for row in identity(nrows)]
     v = [list(row) for row in identity(ncols)]
 
@@ -488,7 +440,7 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     into [0, pivot). Zero rows are dropped.
     """
     _nonempty(m)
-    a = [list(row) for row in m]
+    a = _int_rows(m)
     nrows, ncols = len(a), len(a[0])
     r = 0
     for col in range(ncols):
@@ -546,10 +498,10 @@ def bezout(a: int, b: int) -> tuple[int, int]:
 
 def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector ``v``."""
-    if gcd(*v) != 1:
-        raise ToolkitError("vector is not primitive")
     n = len(v)
-    _, _, vv = smith_normal_form((tuple(v),))
+    _, d, vv = smith_normal_form((tuple(v),))
+    if d[0][0] != 1:  # the gcd of the entries
+        raise ToolkitError("vector is not primitive")
     w = tuple(sum(v[i] * vv[i][j] for i in range(n)) for j in range(n))
     if w[0] == -1:  # SNF may land on -e1; flip V's first column
         vv = tuple((-row[0],) + tuple(row[1:]) for row in vv)

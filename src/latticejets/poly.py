@@ -137,12 +137,6 @@ class MultiPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def leading_form(self) -> "MultiPoly":
-        return self.homogeneous_part(self.degree())
-
     # -- normalization and formatting ----------------------------------------
 
     def sorted_terms(self):

@@ -112,9 +112,6 @@ class Direction:
     def pair(self, p: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(self.coords, p))
 
-    def negated(self) -> "Direction":
-        return Direction(tuple(-x for x in self.coords))
-
 
 @dataclass(frozen=True)
 class PointConfig:
@@ -160,9 +157,6 @@ class PointConfig:
         pts = tuple(tuple(x + y for x, y in zip(linalg.mat_vec(u, p), t)) for p in self.points)
         return PointConfig(self.dim, pts)
 
-    def difference_lattice_rank(self) -> int:
-        return _difference_rank(self.points)
-
     @property
     def differences_generate(self) -> bool:
         """True iff pairwise differences generate all of Z^k (index one)."""
@@ -170,7 +164,7 @@ class PointConfig:
             return self.dim == 0
         base = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
-        divisors = linalg.elementary_divisors(linalg.integer_matrix(diffs))
+        divisors = linalg.elementary_divisors(diffs)
         return len(divisors) == self.dim and all(d == 1 for d in divisors)
 
 
@@ -230,14 +224,6 @@ class LatticePolytope:
     def contains(self, p: Sequence[int]) -> bool:
         p = _as_point(p, self.dim)
         return all(sum(a * b for a, b in zip(f.normal, p)) >= f.offset for f in self.facets())
-
-    def bounding_box(self) -> list[tuple[int, int]]:
-        return [(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-                for i in range(self.dim)]
-
-    def translate(self, t: Sequence[int]) -> "LatticePolytope":
-        t = _as_point(t, self.dim)
-        return LatticePolytope([tuple(a + b for a, b in zip(v, t)) for v in self.vertices], self.dim)
 
     def dilate(self, r: int) -> "LatticePolytope":
         if r < 1:
@@ -325,7 +311,7 @@ def _hyperplane_through(points: Sequence[Point], k: int):
             return None  # collinear triple
         normal = primitive(n)
     else:
-        kernel = linalg.integral_kernel(linalg.integer_matrix(diffs))
+        kernel = linalg.integral_kernel(diffs)
         if len(kernel) != 1:
             return None  # points do not span a hyperplane
         normal = primitive(kernel[0])
@@ -390,8 +376,7 @@ def _affine_lattice_coordinates(points: Sequence[Point], r: int):
     diffs = [tuple(a - b for a, b in zip(p, base)) for p in points]
     if r == 0:
         return [()] * len(points), (), base
-    d_matrix = linalg.integer_matrix(diffs)
-    ker = linalg.integral_kernel(d_matrix)  # directions orthogonal to the span
+    ker = linalg.integral_kernel(diffs)  # directions orthogonal to the span
     if ker:
         basis = linalg.integral_kernel(ker)  # saturation of the row span
     else:

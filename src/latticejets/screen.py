@@ -28,8 +28,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
 from .poly import MultiPoly
-from .polytope import (Direction, LatticePolytope, PointConfig, lattice_width,
-                       point_key, slice_points)
+from .polytope import Direction, LatticePolytope, PointConfig, point_key, slice_points
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,8 @@ class CorollaryWitness:
         return sum(map(mul, self.f_numerator, point)) + self.f_numerator[-1]
 
     def is_zero_at(self, point) -> bool:
+        if len(point) != len(self.direction.coords):
+            raise InputError("point dimension mismatch")
         s = self.direction.pair(point) - self.min_level - 1
         return (1 <= s <= self.degree - 2  # a stacked hyperplane level
                 or self.f_denominator * s * (s + 1) == self.degree * self._scaled_f(point))
@@ -236,12 +237,6 @@ def _verify_witness(p, v, witness, p_min, p_max, slice_cfg, lo, hi) -> bool:
     return (slice_points(p, v, lo).points == (p_min,)
             and slice_points(p, v, hi).points == (p_max,)
             and all(map(witness.is_zero_at, slice_cfg.points + (p_min, p_max))))
-
-
-def pseudonef_bound(p: LatticePolytope, budget: int | None = None) -> int:
-    """Largest multiplicity m with the pulled-back class still pseudonef: lw(P)."""
-    kwargs = {} if budget is None else {"budget": budget}
-    return lattice_width(p, **kwargs).width
 
 
 @dataclass(frozen=True)

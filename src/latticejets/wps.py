@@ -202,7 +202,7 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
             raise InputError(f"exponent vector {u} is not orthogonal to the weights")
     if linalg.rank([u1, u2]) != 2:
         raise InputError("u-vectors must be linearly independent")
-    kernel = linalg.integral_kernel(linalg.integer_matrix([tuple(u1), tuple(u2)]))
+    kernel = linalg.integral_kernel([u1, u2])
     if len(kernel) != 2:
         raise InvariantError("orthogonal lattice of two independent vectors must have rank 2")
     sol = linalg.lattice_coordinates(kernel, [w.weights])[0]
@@ -235,7 +235,7 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
     coordinate, so widths transfer unchanged.
     """
     if basis is None:
-        basis = linalg.integral_kernel(linalg.integer_matrix([w.weights]))
+        basis = linalg.integral_kernel([w.weights])
     if len(basis) != 3:
         raise InputError("weight-orthogonal basis must have rank 3")
     values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
@@ -269,7 +269,7 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
     l_rows = [g.u for g in generators]
     extensions = 0
     stream_iter = None
-    while not linalg.lattice_is_saturated(linalg.integer_matrix(l_rows)):
+    while not linalg.lattice_is_saturated(l_rows):
         if extensions >= max_extra:
             raise BudgetExceededError(
                 "saturation not reached within the generator budget",
@@ -281,8 +281,7 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
         if linalg.rank([u1, u2, cand.u]) != 2:
             continue
         trial = l_rows + [cand.u]
-        if linalg.elementary_divisors(linalg.integer_matrix(trial)) == \
-           linalg.elementary_divisors(linalg.integer_matrix(l_rows)):
+        if linalg.elementary_divisors(trial) == linalg.elementary_divisors(l_rows):
             continue  # no index improvement
         generators = generators + [cand]
         l_rows = trial
@@ -368,8 +367,7 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
     generators = saturate_generators(w, u1.u, u2.u, list(chosen), budget=budget)
     l_rows = [g.u for g in generators]
 
-    nef = _stage("nef", nef_check, [g.degree for g in generators], big, m,
-                 linalg.integer_matrix(l_rows))
+    nef = _stage("nef", nef_check, [g.degree for g in generators], big, m, l_rows)
     ok = corollary.all_conditions and corollary.verified and nef.nef
     return ScreenReport(
         weights=w, lcm=big, binomials=tuple(generators),

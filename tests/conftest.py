@@ -5,7 +5,8 @@ reproducible bit for bit.
 """
 
 import random
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -87,6 +88,16 @@ def reference_rows(s: PointConfig, alphas, falling: bool):
     value = _falling if falling else pow
     return tuple(tuple(prod(value(x, a) for x, a in zip(p, alpha)) for p in s.points)
                  for alpha in alphas)
+
+
+def cleared_rows(rows):
+    """Integer rows: each row scaled by the lcm of its entries' denominators,
+    which keeps the rank, the RREF and the solutions of the rows."""
+    out = []
+    for row in rows:
+        mult = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * mult) for x in row])
+    return out
 
 
 def random_primitive_direction(rng: random.Random, k: int, bound: int = 3):

@@ -14,7 +14,7 @@ from latticejets.jets import (_monomial_rows, build_jets, expected_h0, fundament
 from latticejets.poly import MultiPoly, monomials_of_degree, monomials_up_to_degree
 from latticejets.polytope import (LatticePolytope, PointConfig, config_to_json, lattice_points,
                                   lattice_width)
-from tests.conftest import random_config, random_unimodular, reference_rows
+from tests.conftest import cleared_rows, random_config, random_unimodular, reference_rows
 
 PAPER_QUARTICS = ((1, 4, 10, 4, 1),  # w1^4 + 4w1^3w2 + 10w1^2w2^2 + 4w1w2^3 + w2^4
                   (0, 0, 1, 0, 0))   # w1^2 w2^2
@@ -72,6 +72,38 @@ def test_min_vanishing_degree(rem_base_points, type_ii_points):
     assert min_vanishing_degree(corner) == 3
 
 
+def test_min_vanishing_degree_eliminates_once_per_order_it_passes(monkeypatch,
+                                                                rem_base_points):
+    columns = []
+    real = linalg.row_echelon
+
+    def counting(m):
+        columns.append(len(m[0]))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "row_echelon", counting)
+    assert min_vanishing_degree(PointConfig(2, rem_base_points.points)) == 3
+    assert len(columns) <= 2  # cold: orders 2 and 4
+    warm = PointConfig(2, rem_base_points.points)
+    build_jets(warm, 2)
+    columns.clear()
+    assert min_vanishing_degree(warm) == 3
+    assert len(columns) <= 1  # past the memo's order 2: one elimination
+    # on randoms: the least d with rank L_d below its row count, after
+    # O(log d) eliminations, none above order 2d
+    rng = random.Random(34)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        s = random_config(rng, k, rng.randint(2, 12), coord_bound=2 if k > 1 else 8)
+        columns.clear()
+        d = min_vanishing_degree(s)
+        expected = next(r for r in range(1, len(s) + 1)
+                        if oracles.rank_reference(leading_term_matrix(s, r)) < comb(r + k, k))
+        assert d == expected
+        assert 1 <= len(columns) <= (d + 1).bit_length() - 1, (d, columns)
+        assert max(columns) <= comb(2 * d + k, k)
+
+
 def test_fundamental_form_rem_base_matches_paper(rem_base_points):
     form = fundamental_form(rem_base_points, 4)
     assert form.dim == 2
@@ -109,7 +141,7 @@ def test_rank_j_equals_rank_lt_and_kernels_match():
         j = reference_rows(s, jet_row_indices(k, m), True)
         lt = leading_term_matrix(s, m)
         assert linalg.rank(j) == linalg.rank(lt)
-        assert linalg.kernel_basis(j, "right") == linalg.kernel_basis(lt, "right")
+        assert linalg.kernel_basis(j) == linalg.kernel_basis(lt)
 
 
 def test_h0_chain_monotone():
@@ -171,7 +203,7 @@ def test_unimodular_equivariance_of_forms():
         for poly in composed:
             rows.append([poly.terms.get(e, Fraction(0)) for e in form.monomials])
         if rows:
-            red, _ = linalg.rref(rows)
+            red, _ = linalg.rref(cleared_rows(rows))
             red = tuple(r for r in red if any(r))
             assert red == form_moved.basis
 
@@ -192,11 +224,10 @@ def _form_via_canonical_kernel(s, m):
     """Degree-m form basis by the classical route: the RREF kernel basis of
     the falling-factorial jet matrix J_{m-1}, mapped through the
     multinomial-weighted derivative rows D_m."""
-    kernel = linalg.kernel_basis(reference_rows(s, jet_row_indices(s.dim, m - 1), True),
-                                 "right")
+    kernel = linalg.kernel_basis(reference_rows(s, jet_row_indices(s.dim, m - 1), True))
     degree = monomials_of_degree(s.dim, m)
     rows = []
-    for c in kernel.vectors:
+    for c in kernel:
         row = []
         for alpha, d_row in zip(degree, reference_rows(s, degree, True)):
             weight = factorial(m)
@@ -206,9 +237,9 @@ def _form_via_canonical_kernel(s, m):
         if any(row):
             rows.append(row)
     if not rows:
-        return kernel.dim, ()
-    red, _ = linalg.rref(rows)
-    return kernel.dim, tuple(r for r in red if any(r))
+        return len(kernel), ()
+    red, _ = linalg.rref(cleared_rows(rows))
+    return len(kernel), tuple(r for r in red if any(r))
 
 
 def test_fundamental_form_matches_canonical_kernel_route():

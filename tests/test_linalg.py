@@ -9,6 +9,7 @@ import pytest
 from latticejets import linalg, oracles
 from latticejets.errors import ToolkitError
 from latticejets.jets import leading_term_matrix
+from tests.conftest import cleared_rows
 
 U_MATRIX = ((1, -2, 0, 1), (0, 1, -2, 1))  # exponent differences of the worked example
 
@@ -47,7 +48,7 @@ def test_rank_agrees_with_reference_on_randoms():
         cols = rng.randint(1, 6)
         m = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                         for _ in range(cols)) for _ in range(rows))
-        assert linalg.rank(m) == oracles.rank_reference(m)
+        assert linalg.rank(cleared_rows(m)) == oracles.rank_reference(m)
 
 
 def test_rank_accepts_int_rows():
@@ -65,36 +66,59 @@ def test_rank_accepts_int_rows():
             rows.append(list(rng.choice(rows)))
         frozen = [list(row) for row in rows]
         expected = oracles.rank_reference(rows)
-        assert linalg.rank(rows) == linalg.rank([[Fraction(x) for x in row] for row in rows]) == expected
+        assert linalg.rank(rows) == expected
         assert rows == frozen  # the caller's rows are not modified
-        # rows holding non-integer Fractions are still cleared of denominators;
-        # dividing a whole row by one integer keeps the rank
+        # dividing a whole row by one integer keeps the rank, and so does
+        # clearing it of denominators again
         mixed = [[Fraction(x, d) for x in row] if d > 1 else row
                  for row, d in zip(rows, (rng.randint(1, 5) for _ in rows))]
-        assert linalg.rank(mixed) == oracles.rank_reference(mixed) == expected
+        assert linalg.rank(cleared_rows(mixed)) == oracles.rank_reference(mixed) == expected
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 1.5, 2.0, True],
+                         ids=["fraction", "integral-fraction", "float", "integral-float", "bool"])
+def test_non_integer_entries_fail_the_input_check(bad):
+    square = [[bad, 0], [0, 3]]
+    calls = [
+        lambda: linalg.rank(square),
+        lambda: linalg.solve(square, [1, 2]),
+        lambda: linalg.solve([[1, 0], [0, 3]], [bad, 2]),
+        lambda: linalg.bareiss_det(square),
+        lambda: linalg.scaled_inverse(square),
+        lambda: linalg.smith_normal_form(square),
+        lambda: linalg.elementary_divisors([[bad, 0]]),
+        lambda: linalg.hermite_normal_form(square),
+        lambda: linalg.rref([[1, 2], [3, bad]]),
+        lambda: linalg.kernel_basis([[1, bad, 0]]),
+        lambda: linalg.lattice_coordinates([[1, 0], [0, 1]], [[1, 2], [bad, 0]]),
+        lambda: linalg.complete_to_unimodular((bad, 1)),
+        lambda: linalg.integer_matrix(square),
+    ]
+    for call in calls:
+        with pytest.raises(ToolkitError, match="non-integer entry"):
+            call()
 
 
 def test_right_kernel_of_identity_is_empty():
-    kb = linalg.kernel_basis([[1, 0], [0, 1]], "right")
-    assert kb.dim == 0
+    assert linalg.kernel_basis([[1, 0], [0, 1]]) == ()
 
 
 def test_left_kernel_type_ii_conics(type_ii_points):
     # conics through the seven points form a pencil: y^2 - y and x*y
     lt = leading_term_matrix(type_ii_points, 2)
-    kb = linalg.kernel_basis(lt, "left")
-    assert kb.dim == 2
+    kb = linalg.kernel_basis(linalg.transpose(lt))
+    assert len(kb) == 2
     # row order of the matrix: 1, x, y, x^2, x*y, y^2
     y2_minus_y = (0, 0, -1, 0, 0, 1)
     xy = (0, 0, 0, 0, 1, 0)
     for vec in (y2_minus_y, xy):
-        stacked = list(kb.vectors) + [vec]
-        assert linalg.rank(stacked) == kb.dim
+        stacked = cleared_rows(kb) + [vec]
+        assert linalg.rank(stacked) == len(kb)
 
 
 def test_left_kernel_rem_base_cubic_unique(rem_base_points):
     lt = leading_term_matrix(rem_base_points, 3)
-    assert linalg.kernel_basis(lt, "left").dim == 1
+    assert len(linalg.kernel_basis(linalg.transpose(lt))) == 1
 
 
 def test_kernel_dimension_identity_on_randoms():
@@ -102,30 +126,29 @@ def test_kernel_dimension_identity_on_randoms():
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = tuple(tuple(Fraction(rng.randint(-5, 5)) for _ in range(cols))
-                  for _ in range(rows))
+        m = tuple(tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows))
         r = linalg.rank(m)
-        assert linalg.kernel_basis(m, "right").dim == cols - r
-        assert linalg.kernel_basis(m, "left").dim == rows - r
+        assert len(linalg.kernel_basis(m)) == cols - r
+        assert len(linalg.kernel_basis(linalg.transpose(m))) == rows - r
 
 
 def test_kernel_is_canonical_rref():
     m = [[1, 1, 1, 1]]
-    kb = linalg.kernel_basis(m, "right")
+    kb = linalg.kernel_basis(m)
     # RREF basis: pivots 1, zeros above and below
-    red, pivots = linalg.rref(kb.vectors)
-    assert tuple(red) == kb.vectors
+    red, pivots = linalg.rref(cleared_rows(kb))
+    assert red == kb
     for r, c in enumerate(pivots):
-        assert kb.vectors[r][c] == 1
+        assert kb[r][c] == 1
 
 
 def test_kernel_vectors_annihilate():
     rng = random.Random(3)
     for _ in range(20):
-        m = tuple(tuple(Fraction(rng.randint(-4, 4)) for _ in range(4)) for _ in range(3))
-        for v in linalg.kernel_basis(m, "right").vectors:
+        m = tuple(tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(3))
+        for v in linalg.kernel_basis(m):
             assert not any(linalg.mat_vec(m, v))
-        for v in linalg.kernel_basis(m, "left").vectors:
+        for v in linalg.kernel_basis(linalg.transpose(m)):
             assert not any(linalg.mat_vec(linalg.transpose(m), v))
 
 
@@ -221,7 +244,7 @@ def test_determinism_bit_identical():
     m = linalg.integer_matrix([[6, 4, -2], [2, -8, 3]])
     assert linalg.smith_normal_form(m) == linalg.smith_normal_form(m)
     mm = [[1, 2, 3], [4, 5, 6]]
-    assert linalg.kernel_basis(mm, "right") == linalg.kernel_basis(mm, "right")
+    assert linalg.kernel_basis(mm) == linalg.kernel_basis(mm)
 
 
 def test_hermite_normal_form_is_lattice_invariant():
@@ -248,9 +271,9 @@ def test_complete_to_unimodular():
 def test_solve_particular_and_inconsistent():
     a = [[1, 1, 0], [0, 0, 1]]
     assert linalg.solve(a, [3, 5]) == ((3, 0, 5), 1)  # free variable zeroed
-    assert linalg.solve(a, [Fraction(3, 2), 5]) == ((3, 0, 10), 2)
-    assert linalg.solve([[1], [1]],
-                        [Fraction(0), Fraction(1)]) is None
+    # the first equation x0 + x1 = 3/2, cleared of its denominator
+    assert linalg.solve([[2, 2, 0], [0, 0, 1]], [3, 5]) == ((3, 0, 10), 2)
+    assert linalg.solve([[1], [1]], [0, 1]) is None
 
 
 def test_inverse_unimodular():
@@ -304,14 +327,16 @@ def _degenerate(rng, m):
 def test_scaled_rref_matches_the_reference():
     rng = random.Random(24)
     rhs_rng = random.Random(124)  # right sides for solve, off the matrix stream
-    seen = {"deficient": 0, "fraction": 0, "zero row": 0, "zero column": 0,
+    seen = {"deficient": 0, "cleared": 0, "zero row": 0, "zero column": 0,
             "consistent": 0, "inconsistent": 0}
     for _ in range(600):
         m = _degenerate(rng, _random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 8)))
-        if rng.random() < 0.3:  # rows of Fractions, some with denominators
-            m = [[Fraction(x, q) for x in row]
-                 for row, q in zip(m, (rng.randint(1, 4) for _ in m))]
-            seen["fraction"] += 1
+        if rng.random() < 0.3:  # rows of Fractions, some with denominators, cleared again
+            fractions = [[Fraction(x, q) for x in row]
+                         for row, q in zip(m, (rng.randint(1, 4) for _ in m))]
+            m = cleared_rows(fractions)
+            assert oracles.rref_reference(m) == oracles.rref_reference(fractions)
+            seen["cleared"] += 1
         red, ref_pivots = oracles.rref_reference(m)
         a, pivots, d = linalg.scaled_rref(m)
         assert linalg.rref(m) == (red, ref_pivots), m

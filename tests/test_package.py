@@ -75,3 +75,22 @@ def test_package_surface():
             assert getattr(latticejets, name) is getattr(polytope, name), name
         assert latticejets.screen is sys.modules["latticejets.screen"]
     """))
+
+
+def test_benchmark_probes_resolve():
+    # perfbench/layertrace.py looks each probe up with getattr at run time, so a
+    # renamed or deleted function would only fail there; read its table and resolve it
+    import ast
+    import importlib
+
+    source = (SRC.parent / "perfbench" / "layertrace.py").read_text()
+    table = next(node.value for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets))
+    probes = ast.literal_eval(table)
+    assert len(probes) >= 28
+    for layer, _, attr in probes:
+        target = importlib.import_module(f"latticejets.{layer}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (layer, attr)

@@ -10,10 +10,9 @@ import pytest
 import latticejets.screen as screen_module
 from latticejets import linalg
 from latticejets.errors import InputError
-from latticejets.polytope import (Direction, LatticePolytope, lattice_points, slice_points,
-                                  width_in_direction)
-from latticejets.screen import (_affine_basis, _line_misses_span, corollary_check, nef_check,
-                               pseudonef_bound)
+from latticejets.polytope import (Direction, LatticePolytope, lattice_points, lattice_width,
+                                  slice_points, width_in_direction)
+from latticejets.screen import _affine_basis, _line_misses_span, corollary_check, nef_check
 from latticejets.surface2 import normal_form
 from tests.conftest import random_config
 
@@ -58,7 +57,9 @@ def test_paper_triangle_full_witness_check():
     # leading form is the width power of the level form
     from latticejets.poly import MultiPoly
 
-    lead = expanded.leading_form().integer_normalized()
+    top = max(sum(e) for e in expanded.terms)
+    lead = MultiPoly(2, {e: c for e, c in expanded.terms.items() if sum(e) == top})
+    lead = lead.integer_normalized()
     assert lead == MultiPoly.linear_form_power((1, 0), 5).integer_normalized()
 
 
@@ -140,10 +141,11 @@ def test_report_json_shape():
 
 
 def test_pseudonef_bounds():
-    assert pseudonef_bound(normal_form("I", 2, 3)) == 1
+    # the pseudonef bound of a polytope is its lattice width
+    assert lattice_width(normal_form("I", 2, 3)).width == 1
     cube = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    assert pseudonef_bound(cube) == 1
-    assert pseudonef_bound(DELTA_PRIME) == 572
+    assert lattice_width(cube).width == 1
+    assert lattice_width(DELTA_PRIME).width == 572
 
 
 def test_nef_check_worked_example():
@@ -184,6 +186,14 @@ def test_screen_module_is_not_shadowed():
     assert isinstance(s, types.ModuleType)
     assert latticejets.screen is s
     assert s.corollary_check is corollary_check
+
+
+def test_witness_rejects_a_point_of_the_wrong_dimension():
+    witness = corollary_check(DELTA_PRIME, Direction((1, 0, 0))).witness
+    assert witness.is_zero_at((0, 0, 0))
+    for point in ((1, 0), (1, 0, 0, 5)):
+        with pytest.raises(InputError, match="point dimension mismatch"):
+            witness.is_zero_at(point)
 
 
 @pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0)])
