@@ -231,14 +231,19 @@ def lattice_coordinates(basis, vectors):
     columns, and that r x r minor is inverted once with ``scaled_inverse``;
     each candidate L x[cols] / d must divide exactly and satisfy c B = x in
     all k coordinates. A vector outside the rational span or off the lattice
-    gets None. The vectors are integer, checked as the basis is.
+    gets None. The vectors are integer, checked as the basis is, and have k
+    coordinates.
     """
     cols = pivot_columns(basis)
     if len(cols) != len(basis):
         raise ToolkitError("lattice basis does not have full row rank")
     inv, d = scaled_inverse([tuple(row[c] for row in basis) for c in cols])
+    rows = _int_rows(vectors) if vectors else ()
+    if rows and len(rows[0]) != len(basis[0]):
+        raise ToolkitError(f"vectors have {len(rows[0])} coordinates, "
+                           f"the basis has {len(basis[0])}")
     out = []
-    for x in _int_rows(vectors) if vectors else ():
+    for x in rows:
         num = [sum(a * x[c] for a, c in zip(row, cols)) for row in inv]
         coords = None
         if not any(v % d for v in num):

@@ -134,9 +134,6 @@ class MultiPoly:
             total += v
         return total
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     # -- normalization and formatting ----------------------------------------
 
     def sorted_terms(self):

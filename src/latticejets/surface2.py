@@ -21,6 +21,14 @@ L2, and the points off that line lie on the other one, so ``_line_pair``
 keys a few candidate lines, collecting each line's points in one pass,
 where the general ``_lines_through`` (kept for ``three_collinear``)
 keys the line through every pair of points.
+
+The equivalence suite reads lattice width one off the edge normals, with no
+search over the dual lattice. If lw(P) = 1, P lies between two adjacent
+lattice lines <v, x> = c and c + 1, and every vertex lies on one of them. A
+polygon has at least three vertices, so one line holds two, and the segment
+between them is an edge of P with primitive normal +-v, of width 1.
+Conversely an edge normal of width 1 gives lw <= 1, and a full-dimensional
+polygon has lw >= 1. The facets are already cached by ``lattice_points``.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ from . import linalg
 from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import rank_j
-from .polytope import (LatticePolytope, PointConfig, lattice_points,
-                       lattice_width, point_key, primitive,
-                       sign_normalized)
+from .polytope import (Direction, LatticePolytope, PointConfig, lattice_points,
+                       point_key, primitive, sign_normalized,
+                       width_in_direction)
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV, NOT_SPECIAL = "I", "II", "III", "IV", "NotSpecial"
 
@@ -185,9 +193,11 @@ def _line_pair(points):
 
 
 def _then(u, t, u2, t2=(0, 0)):
-    """The map x -> u2 (u x + t) + t2 as a pair (U, t)."""
-    t = linalg.mat_vec(u2, t)
-    return linalg.mat_mul(u2, u), (t[0] + t2[0], t[1] + t2[1])
+    """The map x -> u2 (u x + t) + t2 as a pair (U, t), on 2x2 tuples."""
+    (a, b), (c, d) = u
+    (e, f), (g, h) = u2
+    return (((e * a + f * c, e * b + f * d), (g * a + h * c, g * b + h * d)),
+            (e * t[0] + f * t[1] + t2[0], g * t[0] + h * t[1] + t2[1]))
 
 
 def classify(p: LatticePolytope) -> PolygonClass:
@@ -219,7 +229,7 @@ def classify(p: LatticePolytope) -> PolygonClass:
     # mapped into this frame once; each later move composes onto (U, t), and
     # the axis and residual points are followed by hand.
     u = ((bz_s, bz_t), (-d[1], d[0]))
-    t = linalg.mat_vec(u, (-anchor[0], -anchor[1]))
+    t = (-bz_s * anchor[0] - bz_t * anchor[1], d[1] * anchor[0] - d[0] * anchor[1])
     frame = [(bz_s * x + bz_t * y + t[0], d[0] * y - d[1] * x + t[1]) for x, y in pts]
     hi = max(q[0] for q in frame if q[1] == 0)
     residual = [q for q in frame if q[1] != 0]
@@ -269,8 +279,9 @@ def classify(p: LatticePolytope) -> PolygonClass:
     # the map is affine unimodular, so it sends vertices to vertices: the
     # transform check needs no hull, on either side
     expected = _normal_form_vertices(kind, a, b)
+    (u00, u01), (u10, u11) = u
     got_vertices = tuple(sorted(
-        (tuple(x + y for x, y in zip(linalg.mat_vec(u, vtx), t)) for vtx in p.vertices),
+        ((u00 * x + u01 * y + t[0], u10 * x + u11 * y + t[1]) for x, y in p.vertices),
         key=point_key))
     if got_vertices != expected:
         raise InvariantError(
@@ -300,11 +311,17 @@ class TeoDim2Record:
 
 
 def teo_dim2_suite(p: LatticePolytope) -> TeoDim2Record:
+    """The k = m = 2 equivalence on a polygon with >= 6 lattice points.
+
+    (1) is read off the edge normals: lw(P) = 1 exactly when some edge's
+    primitive normal has width 1 (see the module docstring), so the
+    certified ``lattice_width`` search never runs here. (3) is the gcd of
+    the degree-2 form system, ``base_locus_k2``. They must agree.
+    """
     pts = lattice_points(p)
     if len(pts) < 6:
         raise ToolkitError(f"hypothesis fails: {len(pts)} lattice points < 6")
-    width = lattice_width(p)
-    cond1 = width.width == 1
+    cond1 = any(width_in_direction(p, Direction(f.normal)) == 1 for f in p.facets())
     locus = base_locus_k2(pts, 2)
     cond3 = locus.gcd_degree >= 1
     record = TeoDim2Record(width_is_one=cond1, base_point_exists=cond3,

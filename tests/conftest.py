@@ -118,7 +118,13 @@ def random_primitive_direction(rng: random.Random, k: int, bound: int = 3):
 
 def random_unimodular(rng: random.Random, k: int, steps: int = 5,
                       shear_bound: int = 3) -> linalg.IntMatrix:
-    """Random unimodular matrix as a product of shears and signed swaps."""
+    """Random unimodular matrix as a product of shears and signed swaps.
+
+    The steps often cancel or leave the matrix monomial: for k = 3 about one
+    draw in five is a signed permutation, which only permutes and flips the
+    axes. ``random_unimodular_off_axes`` redraws those. The draws stay as
+    they are, since ``test_classify_json_digest`` pins a corpus made with them.
+    """
     u = linalg.identity(k)
     for _ in range(steps):
         i, j = rng.sample(range(k), 2)
@@ -135,3 +141,12 @@ def random_unimodular(rng: random.Random, k: int, steps: int = 5,
             m[i][i] = -1
         u = linalg.mat_mul(linalg.integer_matrix(m), u)
     return u
+
+
+def random_unimodular_off_axes(rng: random.Random, k: int) -> linalg.IntMatrix:
+    """A ``random_unimodular`` draw that is no signed permutation: some row
+    has two nonzero entries, so the map mixes the coordinates."""
+    while True:
+        u = random_unimodular(rng, k)
+        if any(sum(x != 0 for x in row) > 1 for row in u):
+            return u

@@ -243,6 +243,8 @@ README_POLYTOPE = '{"dim":3,"vertices":[[0,0,0],[572,286,143],[390,195,-585],[49
 POINTS_3D = ('{"dim":3,"points":[[0,0,0],[1,0,0],[0,1,0],[0,0,1],[1,1,0],[2,0,1],[1,1,1],'
              '[3,1,2],[0,2,1],[1,0,2],[2,2,2],[0,3,0]]}')
 POINTS_TWO_FORMS = '{"dim":2,"points":[[0,2],[0,4],[1,2],[1,4],[3,5],[4,5],[5,4],[5,5]]}'
+WIDTH_ONE_TYPE_I = '{"dim":2,"vertices":[[0,0],[1,1],[3,1],[3,0]]}'
+WIDTH_TWO_TYPE_III = '{"dim":2,"vertices":[[2,2],[0,1],[-2,-2],[0,-1]]}'
 
 
 # (exit code, sha256 of stdout) of every README and CI invocation; the reports
@@ -284,6 +286,10 @@ POINTS_TWO_FORMS = '{"dim":2,"points":[[0,2],[0,4],[1,2],[1,4],[3,5],[4,5],[5,4]
      "ad59c65dc4a02d6c4f7aa512ddff017d163bdac30705ee757ff9ce88f84f1273"),
     (["scan", "--max-weight", "15", "--limit", "0"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["classify", WIDTH_ONE_TYPE_I], 0,
+     "6be37e9009309d5a316f9a74228ec9b2f2a7221d5a85befe4db371455054d90d"),
+    (["classify", WIDTH_TWO_TYPE_III], 0,
+     "291093d18b3c29bc19e730d1167312c349cd37f6e6a0363e9ae06ca8e586d639"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
     import hashlib

@@ -471,6 +471,14 @@ def test_lattice_coordinates_matches_fraction_solve():
         linalg.lattice_coordinates([[1, 2, 3], [2, 4, 6]], [[1, 2, 3]])
 
 
+def test_lattice_coordinates_rejects_vectors_of_the_wrong_length():
+    basis = [[1, 0, 0], [0, 1, 0]]
+    assert linalg.lattice_coordinates(basis, [[1, 0, 0]]) == [(1, 0)]
+    for x in ([1, 0], [1, 0, 0, 7]):
+        with pytest.raises(ToolkitError, match="coordinates"):
+            linalg.lattice_coordinates(basis, [x])
+
+
 def test_inverse_unimodular_random():
     rng = random.Random(23)
     for n in range(1, 6):

@@ -47,9 +47,3 @@ def test_evaluate_exact():
     assert p.evaluate((1, 1)) == 0
     assert p.evaluate((3, 1)) == 2 * 2
     assert p.evaluate((Fraction(1, 2), Fraction(1, 2))) == Fraction(0)
-
-
-def test_degree():
-    p = MultiPoly.linear_form_power([1, 1], 3) + MultiPoly.affine([5, 0], 1)
-    assert p.degree() == 3
-    assert MultiPoly(2).degree() == -1

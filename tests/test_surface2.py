@@ -199,6 +199,40 @@ def test_teo_dim2_suite():
     assert not rec.width_is_one and not rec.base_point_exists
 
 
+def _random_shear(rng, bound):
+    """x -> x + s y or y -> y + s x with |s| <= bound: it sends the direction
+    (0, 1) to (0, 1) or (-s, 1), inside the oracle's default box."""
+    s = rng.randint(-bound, bound)
+    return ((1, s), (0, 1)) if rng.random() < 0.5 else ((1, 0), (s, 1))
+
+
+def test_width_one_bit_agrees_with_the_certified_search_and_the_oracle():
+    rng = random.Random(1717)
+    polygons = []
+    while len(polygons) < 150:
+        p = random_full_dim_polytope(rng, 2)
+        if len(lattice_points(p)) >= 6:
+            polygons.append(p)
+    for _ in range(120):  # two adjacent lines, 6 to 14 lattice points
+        lo, hi = rng.randint(-4, 4), rng.randint(-4, 4)
+        n_lo = rng.randint(0, 6)
+        n_hi = rng.randint(max(0, 4 - n_lo), 6)
+        thin = LatticePolytope([(lo, 0), (lo + n_lo, 0), (hi, 1), (hi + n_hi, 1)])
+        polygons.append(unimodular_image(thin, _random_shear(rng, 10),
+                                         (rng.randint(-8, 8), rng.randint(-8, 8))))
+    for kind, a, b in sweep_shapes():
+        u = linalg.mat_mul(_random_shear(rng, 3), _random_shear(rng, 3))
+        polygons.append(unimodular_image(normal_form(kind, a, b), u,
+                                         (rng.randint(-8, 8), rng.randint(-8, 8))))
+    answers = {True: 0, False: 0}
+    for p in polygons:
+        bit = teo_dim2_suite(p).width_is_one
+        assert bit == (lattice_width(p).width == 1), p
+        assert bit == (oracles.brute_force_width(p)[0] == 1), p
+        answers[bit] += 1
+    assert min(answers.values()) >= 100, answers
+
+
 def test_classified_polygons_are_special_for_3e():
     for kind, a, b in [("I", 2, 3), ("II", 5, None), ("III", 3, 1), ("IV", 2, 1)]:
         pts = lattice_points(normal_form(kind, a, b))
