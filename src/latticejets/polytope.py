@@ -407,7 +407,7 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
     ineqs = [(f.normal, f.offset) for f in p.facets()]
     pts: list[Point] = []
     _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, budget])
-    pts.sort(key=point_key)
+    pts.sort(key=sum)  # the kernel emits lex order; a stable sort by sum makes it point_key order
     p._lattice_points = PointConfig._trusted(p.dim, tuple(pts))
     return p._lattice_points
 
@@ -532,7 +532,7 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     ineqs += [(v.coords, level), (tuple(-x for x in v.coords), -level)]
     pts: list[Point] = []
     _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, LATTICE_POINT_BUDGET])
-    pts.sort(key=point_key)
+    pts.sort(key=sum)  # the kernel emits lex order; a stable sort by sum makes it point_key order
     return PointConfig._trusted(p.dim, tuple(pts))
 
 

@@ -9,6 +9,10 @@ polytope lies on an explicit degree-m hypersurface whose top form is the
 m-th power of the level function: an affine paraboloid catches the three
 extreme levels and one stacked hyperplane per remaining level.
 
+Condition (3) holds exactly when the witness's affine form f exists, so
+one linear solve decides it and yields f. A failed (2) implies a failed
+(3): the slice then spans its level hyperplane, which the segment crosses.
+
 The witness stays factored (paraboloid plus a level range); expanding a
 degree-4275 polynomial in three variables is neither feasible nor useful.
 Its paraboloid is s^2 + s - m f, with s the level form and f = F / D the
@@ -28,7 +32,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
 from .poly import MultiPoly
-from .polytope import Direction, LatticePolytope, PointConfig, point_key, slice_points
+from .polytope import (Direction, LatticePolytope, PointConfig, _as_int, _as_point,
+                       point_key, slice_points)
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,15 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
 
     The caller asserts that v realizes the lattice width; the report records
     lw_v(P) without re-certifying global minimality.
+
+    Condition (3) is one affine system: f = 0 on the min+1 slice Lambda and
+    at p_min, f(p_max) = lw - 1. For lw >= 2 the right side is nonzero, so
+    f exists iff p_max is off aff(Lambda + p_min). As p_min is on level lo
+    and p_max on hi >= lo + 2, that holds iff the line p_min p_max misses
+    aff(Lambda), which lies on level lo + 1. When (2) fails, aff(Lambda) is
+    that whole level hyperplane, which the line crosses; when lw = 1, Lambda
+    holds p_max. Either way (3) fails and nothing is solved. The basis rows
+    span the row space of all of Lambda's, so the canonical solution is the same.
     """
     if v.dim != p.dim:
         raise InputError("direction dimension mismatch")
@@ -159,14 +173,18 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
     slice_cfg = slice_points(p, v, lo + 1)
     basis = _affine_basis(slice_cfg.points)
     cond2_vacuous = not basis
-    cond2 = cond2_vacuous or (p.dim - (len(basis) - 1) >= 2)
+    cond2 = len(basis) < p.dim  # aff(Lambda) has dimension len(basis) - 1
 
-    cond3 = _line_misses_span(p_min, p_max, basis)
+    sol = None
+    if cond2 and lw >= 2:
+        rows = [q + (1,) for q in basis + (p_min, p_max)]
+        sol = linalg.solve(rows, [0] * (len(basis) + 1) + [lw - 1])
+    cond3 = sol is not None
 
     witness = None
     verified = False
     if cond1 and cond2 and cond3:
-        witness = _build_witness(v, p_min, p_max, basis, lo, hi)
+        witness = _build_witness(v, sol, p_min, p_max, lo, hi)
         verified = _verify_witness(p, v, witness, p_min, p_max, slice_cfg, lo, hi)
     return CorollaryReport(direction=v, lw=lw, p_min=p_min, p_max=p_max,
                            slice_config=slice_cfg, cond1=cond1, cond2=cond2,
@@ -189,33 +207,9 @@ def _affine_basis(points) -> tuple:
     return (base,) + tuple(points[i + 1] for i in linalg.pivot_columns(diffs))
 
 
-def _line_misses_span(p_min, p_max, basis) -> bool:
-    """True iff the segment's line does not meet the affine span of the basis points.
-
-    p_min + alpha*seg = q0 + sum beta_i (q_i - q0) is solvable in (alpha, beta)
-    iff b = q0 - p_min adds nothing to the rank of the columns seg, q_i - q0.
-    So the line misses the span iff b is a pivot column of [seg, q_i - q0 | b].
-    """
-    if not basis:
-        return True
-    seg = tuple(a - b for a, b in zip(p_max, p_min))
-    cols = [seg] + [tuple(b - a for a, b in zip(q, basis[0])) for q in basis[1:]]
-    b = tuple(q - pm for q, pm in zip(basis[0], p_min))
-    return len(cols) in linalg.independent_rows(cols + [b])
-
-
-def _build_witness(v, p_min, p_max, basis, lo, hi) -> CorollaryWitness:
+def _build_witness(v, sol, p_min, p_max, lo, hi) -> CorollaryWitness:
+    """The witness whose f is x / d, for the solution (x, d) of the (3) system."""
     lw = hi - lo
-    if lw < 2:
-        raise InvariantError("witness construction needs width >= 2")
-    # f affine with f|Lambda = 0, f(p_min) = 0, f(p_max) = lw - 1; the basis
-    # rows span the same row space as all of Lambda's, so the RREF and the
-    # canonical solution are the same
-    rows = [tuple(q) + (1,) for q in list(basis) + [p_min, p_max]]
-    rhs = [0] * (len(basis) + 1) + [lw - 1]
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise InvariantError("witness linear forms are infeasible despite the conditions")
     x, d = sol
     content = gcd(d, *x)
     witness = CorollaryWitness(direction=v, min_level=lo, max_level=hi,
@@ -269,14 +263,18 @@ def nef_check(degrees: Sequence[int], d: int, lw: int,
     The generator list may contain linearly dependent rows (the
     three-binomial cases); the certificate concerns the lattice they
     generate, so saturation is checked through the Smith normal form of the
-    full matrix.
+    full matrix. A bool, float or string among the integers is an InputError.
     """
+    try:
+        d, lw = _as_int(d), _as_int(lw)
+    except TypeError:
+        raise InputError(f"d = {d!r} and lw = {lw!r} must be integers") from None
+    degrees = _as_point(degrees)
     if lw < 1:
         raise InputError("width must be >= 1")
     if not degrees:
         raise InputError("no generator degrees given")
     bound = Fraction(d, lw)
-    degrees = tuple(int(x) for x in degrees)
     saturation_ok = linalg.lattice_is_saturated(linalg.integer_matrix(l_matrix))
     nef = all(deg < bound for deg in degrees) and saturation_ok
     return NefReport(degrees=degrees, d=d, lw=lw, bound=bound,

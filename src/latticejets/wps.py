@@ -198,6 +198,8 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
     the two sign choices is returned.
     """
     for u in (u1, u2):
+        if len(u) != len(w.weights):
+            raise InputError(f"exponent vector {tuple(u)} has length {len(u)}, expected 4")
         if sum(a * b for a, b in zip(u, w.weights)) != 0:
             raise InputError(f"exponent vector {u} is not orthogonal to the weights")
     if linalg.rank([u1, u2]) != 2:
@@ -234,6 +236,8 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
     v~-minimizing vertex is the origin, and the level function is the first
     coordinate, so widths transfer unchanged.
     """
+    if len(v_tilde) != len(w.weights):
+        raise InputError(f"direction {tuple(v_tilde)} has length {len(v_tilde)}, expected 4")
     if basis is None:
         basis = linalg.integral_kernel([w.weights])
     if len(basis) != 3:

@@ -290,6 +290,10 @@ WIDTH_TWO_TYPE_III = '{"dim":2,"vertices":[[2,2],[0,1],[-2,-2],[0,-1]]}'
      "6be37e9009309d5a316f9a74228ec9b2f2a7221d5a85befe4db371455054d90d"),
     (["classify", WIDTH_TWO_TYPE_III], 0,
      "291093d18b3c29bc19e730d1167312c349cd37f6e6a0363e9ae06ca8e586d639"),
+    (["screen", "4,5,6,7", "--strict"], 1,
+     "17f7dd358d07ff2055273e65a4e1cb2647a7a0684ccb761553bac4a656959d2f"),
+    (["screen", "7,15,19,23", "--strict"], 0,
+     "f3ff8e6d482468e7c804cd99aae3bef2d9f2e08d83627f80da457044fb1bed36"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
     import hashlib

@@ -102,6 +102,18 @@ def test_lattice_points_type_ii_triangle():
 def test_lattice_points_graded_lex_order():
     pts = lattice_points(LatticePolytope([(0, 0), (2, 0), (0, 2)]))
     assert list(pts.points) == sorted(pts.points, key=point_key)
+    # the enumerators sort by sum only and rely on the kernel's lex order
+    rng = random.Random(47)
+    for _ in range(60):
+        p = random_full_dim_polytope(rng, rng.choice([1, 2, 3]), coord_bound=4)
+        pts = lattice_points(p).points
+        assert list(pts) == sorted(set(pts), key=point_key)
+        v = Direction(tuple(rng.randint(-2, 2) for _ in range(p.dim - 1)) + (1,))
+        levels = [v.pair(x) for x in p.vertices]
+        for level in range(min(levels), max(levels) + 1):
+            cut = slice_points(p, v, level).points
+            assert list(cut) == sorted(set(cut), key=point_key)
+            assert cut == tuple(x for x in pts if v.pair(x) == level)
 
 
 def test_lattice_points_matches_box_scan_on_randoms():

@@ -1,5 +1,7 @@
 """Obstruction conditions, witness construction, nefness certificate."""
 
+import hashlib
+import json
 import random
 import types
 from fractions import Fraction
@@ -8,13 +10,14 @@ from math import gcd
 import pytest
 
 import latticejets.screen as screen_module
-from latticejets import linalg
+from latticejets import linalg, wps
 from latticejets.errors import InputError
+from latticejets.oracles import rank_reference
 from latticejets.polytope import (Direction, LatticePolytope, lattice_points, lattice_width,
-                                  slice_points, width_in_direction)
-from latticejets.screen import _affine_basis, _line_misses_span, corollary_check, nef_check
+                                  primitive, slice_points, unimodular_image, width_in_direction)
+from latticejets.screen import _affine_basis, corollary_check, nef_check
 from latticejets.surface2 import normal_form
-from tests.conftest import random_config
+from tests.conftest import random_config, random_full_dim_polytope, random_unimodular
 
 DELTA_PRIME = LatticePolytope([(0, 0, 0), (572, 286, 143),
                                (390, 195, -585), (495, -330, -165)])
@@ -105,25 +108,131 @@ def test_affine_basis_is_a_rank_raising_subsequence():
     assert _affine_basis(()) == ()
 
 
-def test_line_misses_span_cases():
-    p_min, p_max = (0, 0, 0), (0, 0, 4)  # the line is the z-axis
-    # skew: the x-direction line at height 1 and y = 1 never meets the z-axis
-    assert _line_misses_span(p_min, p_max, ((0, 1, 1), (1, 1, 1)))
-    # parallel: a line at (1, 0) in the z-direction
-    assert _line_misses_span(p_min, p_max, ((1, 0, 1), (1, 0, 2)))
-    # through the span: the x-direction line at height 1 crosses the axis at (0, 0, 1)
-    assert not _line_misses_span(p_min, p_max, ((2, 0, 1), (3, 0, 1)))
-    # a plane containing the axis, and one crossing it
-    assert not _line_misses_span(p_min, p_max, ((1, 0, 0), (1, 0, 1), (2, 0, 3)))
-    assert not _line_misses_span(p_min, p_max, ((1, 0, 2), (0, 1, 2), (1, 1, 2)))
-    # one-point basis: on the line or off it
-    assert not _line_misses_span(p_min, p_max, ((0, 0, 7),))
-    assert _line_misses_span(p_min, p_max, ((0, 1, 2),))
-    # empty basis: nothing to meet
-    assert _line_misses_span(p_min, p_max, ())
-    # a tilted segment in the plane: it meets the point (2, 3) but misses (3, 3)
-    assert not _line_misses_span((0, 0), (4, 6), ((2, 3),))
-    assert _line_misses_span((0, 0), (4, 6), ((3, 3),))
+def _line_misses_span(p_min, p_max, points) -> bool:
+    """Reference for condition (3): the line p_min p_max misses aff(points).
+
+    p_min + alpha*seg = q0 + sum beta_i (q_i - q0) is solvable in (alpha, beta)
+    iff b = q0 - p_min adds nothing to the rank of the columns seg, q_i - q0.
+    The ranks are the oracle's, so nothing here shares code with ``screen``.
+    """
+    if not points:
+        return True
+    seg = tuple(a - b for a, b in zip(p_max, p_min))
+    cols = [seg] + [tuple(a - b for a, b in zip(q, points[0])) for q in points[1:]]
+    b = tuple(q - pm for q, pm in zip(points[0], p_min))
+    return rank_reference(cols + [b]) > rank_reference(cols)
+
+
+# (vertices, direction, min+1 slice, cond3); in 3-D the level is z, p_min is
+# the origin and, but for the one-point-on-the-line case, p_max = (2, 0, 4),
+# so the line crosses level 1 at (1/2, 0, 1)
+LINE_CASES = {
+    "skew": ([(0, 0, 0), (2, 0, 4), (0, -1, 1), (0, 2, 1), (1, 0, 2)], (0, 0, 1),
+             ((0, -1, 1), (0, 0, 1), (0, 1, 1), (0, 2, 1)), True),
+    # parallel: Lambda runs along the line's shadow on level 1, but at y = 1
+    "parallel": ([(0, 0, 0), (2, 0, 4), (-1, 1, 1), (2, 1, 1)], (0, 0, 1),
+                 ((-1, 1, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1)), True),
+    "crossing": ([(0, 0, 0), (2, 0, 4), (0, 1, 1), (1, -1, 1), (2, 1, 3)], (0, 0, 1),
+                 ((1, -1, 1), (0, 1, 1)), False),
+    # a slice spans no plane that contains the line; its plane is the level
+    # plane, which the line crosses, and condition (2) fails with it
+    "level_plane": ([(0, 0, 0), (2, 0, 4), (-1, -1, 1), (2, -1, 1), (0, 2, 1)], (0, 0, 1),
+                    ((-1, -1, 1), (0, -1, 1), (0, 0, 1), (1, -1, 1), (0, 1, 1), (1, 0, 1),
+                     (2, -1, 1), (0, 2, 1)), False),
+    "point_on_line": ([(0, 0, 0), (0, 0, 4), (1, 0, 2), (0, 1, 2)], (0, 0, 1),
+                      ((0, 0, 1),), False),
+    "point_off_line": ([(0, 0, 0), (2, 0, 4), (0, 1, 1), (1, 1, 2)], (0, 0, 1),
+                       ((0, 1, 1),), True),
+    # the tilted segment (0, 0) -> (4, 6) meets the point (2, 3) but misses (1, 1)
+    "tilted_2d_on": ([(0, 0), (4, 6), (1, 2)], (2, -1), ((2, 3),), False),
+    "tilted_2d_off": ([(0, 0), (4, 6), (3, 3)], (1, 0), ((1, 1),), True),
+}
+
+
+@pytest.mark.parametrize("name", LINE_CASES)
+def test_cond3_on_hand_made_polytopes(name):
+    vertices, v, expected_slice, cond3 = LINE_CASES[name]
+    rep = corollary_check(LatticePolytope(vertices), Direction(v))
+    assert rep.slice_config.points == expected_slice
+    assert _line_misses_span(rep.p_min, rep.p_max, expected_slice) is cond3
+    assert rep.cond3 is cond3
+    assert rep.cond2 is (name != "level_plane")
+
+
+def _corollary_corpus(seed=41, n=3200):
+    """Seeded (P, v) pairs, both orientations of each: half random 2-D and 3-D
+    polytopes with random primitive directions, half unimodular images of
+    polytopes one to three levels thick, so width one, empty min+1 slices and
+    failures of condition (2) all occur."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        k = rng.choice([2, 3])
+        if rng.random() < 0.5:
+            p = random_full_dim_polytope(rng, k, coord_bound=3)
+            v = (0,) * k
+            while not any(v):
+                v = tuple(rng.randint(-2, 2) for _ in range(k))
+            v = primitive(v)
+        else:
+            h = rng.randint(1, 3)
+            pts = [(rng.randint(0, h),) + tuple(rng.randint(-2, 2) for _ in range(k - 1))
+                   for _ in range(rng.randint(k + 1, k + 3))]
+            try:
+                p = LatticePolytope(pts)
+            except Exception:
+                continue
+            if not p.is_full_dim:
+                continue
+            u = random_unimodular(rng, k, steps=3, shear_bound=2)
+            p = unimodular_image(p, u, tuple(rng.randint(-3, 3) for _ in range(k)))
+            v = tuple(linalg.inverse_unimodular(u)[0])  # <v, U x> = x_1
+        out.append((p, Direction(v)))
+        out.append((p, Direction(tuple(-x for x in v))))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_reports():
+    return [corollary_check(p, v) for p, v in _corollary_corpus()]
+
+
+def test_cond3_agrees_with_the_line_test_on_a_seeded_corpus(corpus_reports):
+    assert len(corpus_reports) >= 3000
+    kinds = {}
+    for rep in corpus_reports:
+        expected = _line_misses_span(rep.p_min, rep.p_max, rep.slice_config.points)
+        assert rep.cond3 is expected, rep.to_json()
+        kind = ("width one" if rep.lw == 1 else "empty slice" if not rep.slice_config.points
+                else "cond2 fails" if not rep.cond2 else f"cond3 {rep.cond3}")
+        kinds[kind, rep.cond2] = kinds.get((kind, rep.cond2), 0) + 1
+    # width one with (2) holding is where the solve's lw >= 2 guard decides (3)
+    assert set(kinds) == {("width one", True), ("width one", False), ("empty slice", True),
+                          ("cond2 fails", False), ("cond3 True", True),
+                          ("cond3 False", True)}, kinds
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_seeded_corollary_corpus_keeps_its_digest(corpus_reports):
+    digest = hashlib.sha256()
+    for rep in corpus_reports:
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "4e0fd96016f35dacdb490bd6bc33e7cf5f060c9844ebeb66ac6d18b8763d0d1a"
+
+
+@pytest.mark.parametrize("run, solves", [
+    (lambda: wps.screen((4, 5, 6, 7)), 0),  # both orientations fail (2)
+    (lambda: corollary_check(DELTA_PRIME, Direction((1, 0, 0))), 1),
+])
+def test_the_obstruction_test_solves_at_most_once(monkeypatch, run, solves):
+    calls = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
+    report = run()
+    corollary = getattr(report, "corollary", report)
+    assert corollary.cond3 is (solves == 1)
+    assert len(calls) == solves
 
 
 def test_corollary_rejects_lower_dimensional():
@@ -177,6 +286,22 @@ def test_nef_check_validates_input():
         nef_check([5], 10, 0, linalg.integer_matrix([[1, 0]]))
     with pytest.raises(InputError):
         nef_check([], 10, 2, linalg.integer_matrix([[1, 0]]))
+
+
+@pytest.mark.parametrize("bad", [True, 25.7, 26.0, "26"])
+@pytest.mark.parametrize("slot", ["degree", "d", "lw"])
+def test_nef_check_takes_integers_only(slot, bad):
+    # int() would truncate 25.7 to 25 < 51/2 and read "26" as 26
+    args = {"degree": [25], "d": 51, "lw": 2}
+    args[slot] = [bad] if slot == "degree" else bad
+    with pytest.raises(InputError, match="integer"):
+        nef_check(args["degree"], args["d"], args["lw"], [[1, -1]])
+    assert nef_check([25], 51, 2, [[1, -1]]).nef
+
+
+def test_nef_check_rejects_a_string_of_degrees():
+    with pytest.raises(InputError, match="integer"):
+        nef_check("26", 51, 2, [[1, -1]])
 
 
 def test_screen_module_is_not_shadowed():

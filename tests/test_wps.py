@@ -109,6 +109,22 @@ def test_width_direction_rejects_non_orthogonal():
         width_direction(W, (1, 0, 0, 0), (0, 1, -2, 1))
 
 
+@pytest.mark.parametrize("u", [(1, -2, 0), (11, -7, 0), (1, -2, 0, 1, 5)])
+def test_width_direction_rejects_exponent_vectors_of_the_wrong_length(u):
+    # (11, -7, 0) pairs to zero with the first three weights, and the 5-vector
+    # with all four, so only the length tells them apart
+    with pytest.raises(InputError, match=f"has length {len(u)}, expected 4"):
+        width_direction(W, u, (0, 1, -2, 1))
+    with pytest.raises(InputError, match=f"has length {len(u)}, expected 4"):
+        width_direction(W, (0, 1, -2, 1), u)
+
+
+@pytest.mark.parametrize("v_tilde", [(3, 5, 6), (3, 5, 6, 7, 9)])
+def test_projection_rejects_a_direction_of_the_wrong_length(v_tilde):
+    with pytest.raises(InputError, match=f"has length {len(v_tilde)}, expected 4"):
+        project_to_3d(rr_polytope(W), v_tilde, W)
+
+
 def test_projection_preserves_width():
     rr = rr_polytope(W)
     q, v = project_to_3d(rr, (3, 5, 6, 7), W)
