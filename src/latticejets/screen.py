@@ -171,7 +171,7 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
     p_max = min(maxs, key=point_key)
 
     slice_cfg = slice_points(p, v, lo + 1)
-    basis = _affine_basis(slice_cfg.points)
+    basis = _affine_basis(slice_cfg.points, p.dim - 1)  # the slice is on one level
     cond2_vacuous = not basis
     cond2 = len(basis) < p.dim  # aff(Lambda) has dimension len(basis) - 1
 
@@ -192,19 +192,29 @@ def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
                            witness=witness, verified=verified)
 
 
-def _affine_basis(points) -> tuple:
+def _affine_basis(points, max_rank: int) -> tuple:
     """The points, in order, that raise the affine rank: an affine basis of their span.
 
     The first point is kept, then every point whose difference from it is
     independent of the differences kept so far: the pivot columns of the
-    k x (n - 1) matrix of differences, built column-major, since a slice can
-    hold thousands of points.
+    k x (n - 1) matrix of differences. A slice can hold thousands of points
+    but lies on one level hyperplane, so its affine rank is at most k - 1
+    and the caller passes that as ``max_rank``. The differences go to the
+    elimination in growing blocks, each after the columns kept so far, and
+    none is built once the rank reaches ``max_rank``: the pivot columns of a
+    prefix are the pivot columns of the whole matrix inside that prefix.
     """
-    if len(points) < 2:  # no differences to eliminate
-        return tuple(points)
+    if not points:
+        return ()
     base = points[0]
-    diffs = [[x - b for x in coord[1:]] for coord, b in zip(zip(*points), base)]
-    return (base,) + tuple(points[i + 1] for i in linalg.pivot_columns(diffs))
+    kept: list[int] = []
+    start, size = 1, 8
+    while start < len(points) and len(kept) < max_rank:
+        cols = kept + list(range(start, min(start + size, len(points))))
+        diffs = [[points[i][j] - b for i in cols] for j, b in enumerate(base)]
+        kept = [cols[c] for c in linalg.pivot_columns(diffs)]
+        start, size = start + size, 4 * size
+    return (base,) + tuple(points[i] for i in kept)
 
 
 def _build_witness(v, sol, p_min, p_max, lo, hi) -> CorollaryWitness:

@@ -60,11 +60,20 @@ class WeightVector:
 
 
 def _in_semigroup(target: int, gens: Sequence[int]) -> bool:
-    reachable = [False] * (target + 1)
-    reachable[0] = True
-    for value in range(1, target + 1):
-        reachable[value] = any(value >= g and reachable[value - g] for g in gens)
-    return reachable[target]
+    """Whether target is a sum of the positive gens (0 is the empty sum).
+
+    Bit i of ``reach`` says that i is such a sum. Closing it under +g, then
+    +2g, +4g, ... adds every multiple of g up to the target, and closing
+    under each generator in turn adds every combination of them.
+    """
+    mask = (1 << (target + 1)) - 1
+    reach = 1
+    for g in gens:
+        shift = g
+        while shift <= target:
+            reach |= (reach << shift) & mask
+            shift *= 2
+    return reach >> target & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -350,21 +359,26 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
     u1, u2 = chosen[0], chosen[1]
     v_canonical = _stage("width_direction", width_direction, w, u1.u, u2.u)
     rr = _stage("rr_polytope", rr_polytope, w)
+    # one weight lattice serves both orientations
+    lattice = _stage("projection", linalg.integral_kernel, [w.weights])
     # the obstruction conditions live on the min side of the direction and
-    # v~ is only determined up to sign, so evaluate both orientations and
-    # keep the passing one (canonical sign first)
+    # v~ is only determined up to sign, so evaluate the canonical sign first
+    # and keep the passing orientation. Negating v~ swaps the min and max
+    # vertices, so both signs share cond1: the negated one runs only when
+    # cond1 holds
     best = None
     for v_tilde in (v_canonical, tuple(-x for x in v_canonical)):
         values = tuple(sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices)
         m = max(values) - min(values)
-        projected, direction = _stage("projection", project_to_3d, rr, v_tilde, w)
+        projected, direction = _stage("projection", project_to_3d, rr, v_tilde, w,
+                                      basis=lattice)
         if width_in_direction(projected, direction) != m:
             raise InvariantError("projection changed the width")
         corollary = _stage("corollary", corollary_check, projected, direction)
-        if best is None:
+        passed = corollary.all_conditions and corollary.verified
+        if best is None or passed:
             best = (v_tilde, values, m, projected, direction, corollary)
-        if corollary.all_conditions and corollary.verified:
-            best = (v_tilde, values, m, projected, direction, corollary)
+        if passed or not corollary.cond1:
             break
     v_tilde, values, m, projected, direction, corollary = best
 
@@ -458,10 +472,13 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     increasing with gcd 1. Budget exhaustion, bad input and other stage
     errors on individual quadruples are recorded as skips, not fatal; an
     ``InvariantError`` is a bug, not an inconclusive quadruple, and propagates.
-    ``limit`` (>= 1, else an ``InputError``) stops it after that many hits.
+    ``min_weight`` must be >= 1 and ``limit`` (>= 1) stops it after that many
+    hits; either below 1 is an ``InputError``.
     """
     from itertools import combinations as _comb
 
+    if min_weight < 1:
+        raise InputError("min_weight must be >= 1")
     if limit is not None and limit < 1:
         raise InputError("limit must be >= 1")
     hits = 0

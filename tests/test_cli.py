@@ -179,6 +179,13 @@ def test_non_integer_input_exit_2(capsys, argv):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("min_weight", ["0", "-2"])
+def test_scan_rejects_a_min_weight_below_one(capsys, min_weight):
+    code, out, err = run(capsys, ["scan", "--max-weight", "15", "--min-weight", min_weight])
+    assert (code, out) == (2, "")
+    assert "input error" in err and "min_weight must be >= 1" in err
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run(capsys, ["polytope", DELTA_PRIME, "--count-points",
                                 "--enum-budget", "1000"])
@@ -294,6 +301,8 @@ WIDTH_TWO_TYPE_III = '{"dim":2,"vertices":[[2,2],[0,1],[-2,-2],[0,-1]]}'
      "17f7dd358d07ff2055273e65a4e1cb2647a7a0684ccb761553bac4a656959d2f"),
     (["screen", "7,15,19,23", "--strict"], 0,
      "f3ff8e6d482468e7c804cd99aae3bef2d9f2e08d83627f80da457044fb1bed36"),
+    (["scan", "--max-weight", "22"], 0,
+     "b6dd0b5113d158b85643eb1da27cc135443c5fc48d908c3f7a12888e622a6870"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
     import hashlib

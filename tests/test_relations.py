@@ -1,8 +1,10 @@
-"""Metamorphic relations: the screen under weight orders and unimodular images,
-and the 3-D lattice width under dilation and unimodular images."""
+"""Metamorphic relations: the screen under weight orders, unimodular images
+and the reduction of weights that share a factor, and the 3-D lattice width
+under dilation and unimodular images."""
 
 import random
 from itertools import permutations
+from math import gcd
 
 from latticejets import linalg
 from latticejets.polytope import Direction, lattice_width, unimodular_image
@@ -39,6 +41,37 @@ def test_unimodular_images_keep_the_obstruction():
             moved = corollary_check(unimodular_image(rep.projected, u, t), v)
             assert (moved.cond1, moved.cond2, moved.cond3, moved.verified, moved.lw,
                     len(moved.slice_config)) == expected, (row.weights, u, t)
+
+
+# the hits of scan_weights(30) in which three weights share a factor d, with
+# the table row that P(a, db, dc, de) = P(a, b, c, e) reduces them to
+ILL_FORMED_HITS = {
+    (7, 22, 26, 30): (7, 11, 13, 15),
+    (11, 14, 26, 30): (7, 11, 13, 15),
+    (13, 14, 22, 30): (7, 11, 13, 15),
+    (14, 15, 22, 26): (7, 11, 13, 15),
+    (17, 18, 20, 26): (9, 10, 13, 17),
+    (17, 22, 24, 26): (11, 12, 13, 17),
+}
+
+
+def _reduced(weights):
+    """Divide the three weights that share a factor d > 1 by d, and sort."""
+    for i, a in enumerate(weights):
+        rest = weights[:i] + weights[i + 1:]
+        d = gcd(*rest)
+        if d > 1:
+            return tuple(sorted((a,) + tuple(x // d for x in rest)))
+    return weights
+
+
+def test_ill_formed_hits_reduce_to_table_rows_with_the_same_m():
+    table = {row.weights: row.m for row in load_table()}
+    for weights, row in ILL_FORMED_HITS.items():
+        assert _reduced(weights) == row and row in table
+        rep = screen(weights)
+        assert (rep.verdict, rep.m) == ("nef_not_semiample", table[row]), weights
+    assert sorted(table[row] for row in ILL_FORMED_HITS.values()) == [572] * 4 + [702, 816]
 
 
 def test_3d_lattice_width_scales_under_dilation():

@@ -97,7 +97,7 @@ def test_affine_basis_is_a_rank_raising_subsequence():
     for _ in range(200):
         k = rng.choice([2, 3])
         pts = random_config(rng, k, rng.randint(1, 6), coord_bound=2).points
-        basis = _affine_basis(pts)
+        basis = _affine_basis(pts, k)  # general position: the rank may reach k
         assert basis[0] == pts[0]
         assert [q for q in pts if q in basis] == list(basis)
         for i in range(1, len(basis) + 1):
@@ -105,7 +105,50 @@ def test_affine_basis_is_a_rank_raising_subsequence():
             assert (linalg.rank(diffs) if diffs else 0) == i - 1
         diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
         assert len(basis) - 1 == (linalg.rank(diffs) if diffs else 0)
-    assert _affine_basis(()) == ()
+    assert _affine_basis((), 3) == ()
+
+
+def _one_shot_affine_basis(points) -> tuple:
+    """Reference: the pivot columns of the whole k x (n - 1) difference matrix at once."""
+    if len(points) < 2:
+        return tuple(points)
+    base = points[0]
+    diffs = [[x - b for x in coord[1:]] for coord, b in zip(zip(*points), base)]
+    return (base,) + tuple(points[i + 1] for i in linalg.pivot_columns(diffs))
+
+
+def test_capped_affine_basis_equals_the_one_shot_elimination():
+    # every level slice of seeded random 2-D and 3-D polytopes lies on one
+    # hyperplane, so capping the rank at k - 1 must give the uncapped basis
+    rng = random.Random(53)
+    kinds = dict.fromkeys(["empty", "one point", "collinear", "past the first block",
+                           "past the second block", "rank raised after the first block"], 0)
+    for _ in range(160):
+        k = rng.choice([2, 3])
+        if k == 3 and rng.random() < 0.4:
+            # a long thin triangle on level x_3 = 0, mostly one line of points,
+            # in a random unimodular frame
+            n = rng.randint(10, 60)
+            u = random_unimodular(rng, 3, steps=3, shear_bound=2)
+            p = unimodular_image(LatticePolytope([(0, 0, 0), (n, 0, 0), (n, rng.randint(1, 2), 0),
+                                                  (0, 0, 1)]), u, (1, -2, 0))
+            v = Direction(tuple(linalg.inverse_unimodular(u)[2]))  # <v, U x> = x_3
+        else:
+            p = random_full_dim_polytope(rng, k, coord_bound=rng.choice([2, 4, 7]))
+            v = Direction(primitive(tuple(rng.randint(-2, 2) or 1 for _ in range(k))))
+        values = [v.pair(x) for x in p.vertices]
+        for level in range(min(values) - 1, max(values) + 2):
+            pts = slice_points(p, v, level).points
+            basis = _affine_basis(pts, k - 1)
+            assert basis == _one_shot_affine_basis(pts) == _affine_basis(pts, k), (pts, v)
+            if len(pts) <= 1:
+                kinds["empty" if not pts else "one point"] += 1
+            elif len(basis) == 2 and len(pts) >= 3:
+                kinds["collinear"] += 1
+            kinds["past the first block"] += len(pts) > 9
+            kinds["past the second block"] += len(pts) > 41
+            kinds["rank raised after the first block"] += bool(pts) and pts.index(basis[-1]) > 8
+    assert min(kinds.values()) >= 5, sorted(kinds.items())
 
 
 def _line_misses_span(p_min, p_max, points) -> bool:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,29 @@ def test_well_formed_flag():
     assert W.well_formed is True
     # 6 = 1 + 2 + 3 lies in the semigroup of the other weights
     assert WeightVector((1, 2, 3, 6)).well_formed is False
+
+
+def _in_semigroup_by_values(target, gens) -> bool:
+    """Reference: decide each value 1 .. target from the values below it."""
+    reachable = [False] * (target + 1)
+    reachable[0] = True
+    for value in range(1, target + 1):
+        reachable[value] = any(value >= g and reachable[value - g] for g in gens)
+    return reachable[target]
+
+
+def test_semigroup_bitmask_matches_the_value_by_value_reference():
+    rng = random.Random(67)
+    cases = [(0, [3]), (0, [1, 2]), (5, [6, 7, 8]), (4, [5]), (12, [12]), (13, [12]), (1, [1])]
+    for _ in range(20_000):
+        gens = [rng.randint(1, 40) for _ in range(rng.choice([1, 1, 2, 3, 3, 4]))]
+        cases.append((rng.randint(0, 90), gens))
+    answers = {True: 0, False: 0}
+    for target, gens in cases:
+        got = wps._in_semigroup(target, gens)
+        assert got is _in_semigroup_by_values(target, gens), (target, gens)
+        answers[got] += 1
+    assert min(answers.values()) >= 5_000, answers
 
 
 def test_rr_polytope_unit_weights():
@@ -316,6 +340,46 @@ def test_scan_weights_limit():
     for limit in (0, -1):
         with pytest.raises(InputError, match="limit must be >= 1"):
             next(scan_weights(15, limit=limit))
+
+
+def test_scan_weights_rejects_a_min_weight_below_one():
+    for min_weight in (0, -3):
+        with pytest.raises(InputError, match="min_weight must be >= 1"):
+            next(scan_weights(15, min_weight=min_weight))
+    first = next(scan_weights(5, min_weight=1, well_formed_only=False))
+    assert first.weights.weights == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("weights, projections", [
+    ((4, 6, 7, 9), 1),      # cond1 fails, so it fails in the negated orientation too
+    ((4, 5, 6, 7), 2),      # cond1 holds, cond2 fails both ways
+    ((7, 11, 13, 15), 1),   # passes in the canonical orientation
+    ((7, 15, 19, 23), 2),   # passes in the negated orientation
+])
+def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, weights,
+                                                                  projections):
+    projected, kernels = [], []
+    project, kernel = wps.project_to_3d, linalg.integral_kernel
+
+    def counting_project(*args, **kwargs):
+        projected.append(args[1])
+        return project(*args, **kwargs)
+
+    def counting_kernel(m):
+        kernels.append([tuple(row) for row in m])
+        return kernel(m)
+
+    monkeypatch.setattr(wps, "project_to_3d", counting_project)
+    monkeypatch.setattr(linalg, "integral_kernel", counting_kernel)
+    report = screen(weights)
+    assert len(projected) == projections
+    # the report keeps the passing orientation, else the canonical one
+    assert report.v_tilde == projected[-1 if report.verdict == "nef_not_semiample" else 0]
+    assert kernels.count([weights]) == 1
+    if not report.corollary.cond1:  # the skipped negated orientation fails cond1 too
+        negated = tuple(-x for x in report.v_tilde)
+        flipped = project(rr_polytope(report.weights), negated, report.weights)
+        assert not corollary_check(*flipped).cond1
 
 
 def _old_cond2_cond3(p, direction, p_min, p_max):
