@@ -521,8 +521,13 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     by the same fiber kernel as ``lattice_points``, with fiber ranges read off
     the projections of that system. Only the slice is visited, never the full
     polytope; when v = (1, 0, ..., 0) the slice is a single x1-fiber and the
-    cost follows its point count.
+    cost follows its point count. A level that is not an int (a bool, float
+    or string) is an InputError.
     """
+    try:
+        level = _as_int(level)
+    except TypeError:
+        raise InputError(f"level {level!r} is not an integer") from None
     if len(v.coords) != p.dim:
         raise InputError("direction dimension mismatch")
     values = [v.pair(x) for x in p.vertices]

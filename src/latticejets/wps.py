@@ -2,8 +2,11 @@
 
 Pipeline per weight vector w = (a1, a2, a3, a4):
 
-1. the two lowest-degree independent binomial relations among the weighted
-   monomials (exponent differences u1, u2, both orthogonal to w);
+1. the two lowest-degree binomial relations among the weighted monomials
+   (exponent differences u1, u2, both orthogonal to w), found one degree at
+   a time: a primitive relation u is x^{u+} - x^{u-} for exactly one pair of
+   monomials with disjoint supports, so each degree's relations come from
+   its disjoint-support pairs alone, and no degree past u2's is read;
 2. a vector v~ completing w to a Z-basis of the rank-2 lattice orthogonal
    to u1 and u2 (the tangent direction of the one-parameter subgroup);
 3. m = the width of the Riemann-Roch simplex in direction v~;
@@ -120,72 +123,48 @@ def _monomials_of_weighted_degree(w: Sequence[int], d: int):
                     yield (a1, a2, a3, r3 // w4)
 
 
-class _BinomialStream:
-    """Binomial candidates by ascending weighted degree, canonically ordered.
+def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
+    """The binomials of weighted degree d, one list for each d = 1 .. budget that has any.
 
-    Within one degree, candidates are the primitive sign-normalized exponent
-    differences of monomial pairs, ordered by graded-lex on u+; each is
-    yielded once (non-primitive differences are skipped: their primitive
-    version appeared at a lower degree).
+    A primitive relation u is x^{u+} - x^{u-} for exactly one pair of
+    monomials with disjoint supports, so a degree's list is the primitive,
+    sign-normalized differences of its disjoint-support pairs, ordered by
+    graded-lex on u+. A pair sharing support c has the difference of the
+    pair with c removed, of lower degree, so no relation appears twice and
+    no state carries over from one degree to the next. Past the budget this
+    raises ``BudgetExceededError``.
     """
-
-    def __init__(self, w: WeightVector, budget: int = DEGREE_BUDGET):
-        self.w = w.weights
-        self.budget = budget
-        self.degree = 0
-        self.seen: set = set()
-        self.queue: list[BinomialGenerator] = []
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> BinomialGenerator:
-        while not self.queue:
-            self.degree += 1
-            if self.degree > self.budget:
-                raise BudgetExceededError(
-                    f"no further binomials up to weighted degree {self.budget}",
-                    diagnostics={"weights": self.w, "degree_budget": self.budget})
-            mons = list(_monomials_of_weighted_degree(self.w, self.degree))
-            if len(mons) < 2:
-                continue
-            found = {}
-            for i in range(len(mons)):
-                for j in range(i + 1, len(mons)):
-                    u = sign_normalized(tuple(a - b for a, b in zip(mons[i], mons[j])))
-                    if gcd(*u) != 1 or u in self.seen:
-                        continue
-                    found[u] = BinomialGenerator(u=u, degree=self.degree)
-            # ties within one degree: graded-lex-minimal u+ goes first
-            ordered = sorted(found, key=lambda u: point_key(tuple(max(x, 0) for x in u)))
-            for u in ordered:
-                self.seen.add(u)
-                self.queue.append(found[u])
-        return self.queue.pop(0)
+    for d in range(1, budget + 1):
+        mons = list(_monomials_of_weighted_degree(w.weights, d))
+        batch = []
+        for i, a in enumerate(mons):
+            for b in mons[i + 1:]:
+                if not any(x and y for x, y in zip(a, b)):
+                    u = tuple(x - y for x, y in zip(a, b))
+                    if gcd(*u) == 1:
+                        batch.append(BinomialGenerator(u=sign_normalized(u), degree=d))
+        if batch:
+            batch.sort(key=lambda g: point_key(g.u_plus))
+            yield batch
+    raise BudgetExceededError(
+        f"no further binomials up to weighted degree {budget}",
+        diagnostics={"weights": w.weights, "degree_budget": budget})
 
 
 def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
-    """The first two lowest-degree binomials of the stream.
+    """The two lowest-degree binomials, and the ties of the second one's degree.
 
-    Stream candidates are distinct, primitive and sign-normalized, so no two
-    are parallel and the first two are linearly independent. Returns
-    (chosen, alternatives): alternatives are the later candidates of the
-    second one's degree (tie bookkeeping).
+    Binomials come one degree at a time (``_binomial_batches``), and no
+    degree past the second binomial's is read. They are distinct, primitive
+    and sign-normalized, so no two are parallel and the first two are
+    linearly independent. Returns (chosen, alternatives): alternatives are
+    the rest of the second one's degree.
     """
-    chosen: list[BinomialGenerator] = []
-    alternatives: list[BinomialGenerator] = []
-    try:
-        for cand in _BinomialStream(w, budget):
-            if len(chosen) < 2:
-                chosen.append(cand)
-            elif cand.degree == chosen[-1].degree:
-                alternatives.append(cand)  # a genuine tie at the last degree
-            else:
-                break
-    except BudgetExceededError:
-        if len(chosen) < 2:
-            raise
-    return chosen, alternatives
+    batches = _binomial_batches(w, budget)
+    found: list[BinomialGenerator] = []
+    while len(found) < 2:
+        found += next(batches)
+    return found[:2], found[2:]
 
 
 def rr_polytope(w: WeightVector) -> LatticePolytope:
@@ -211,11 +190,9 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
             raise InputError(f"exponent vector {tuple(u)} has length {len(u)}, expected 4")
         if sum(a * b for a, b in zip(u, w.weights)) != 0:
             raise InputError(f"exponent vector {u} is not orthogonal to the weights")
-    if linalg.rank([u1, u2]) != 2:
-        raise InputError("u-vectors must be linearly independent")
     kernel = linalg.integral_kernel([u1, u2])
-    if len(kernel) != 2:
-        raise InvariantError("orthogonal lattice of two independent vectors must have rank 2")
+    if len(kernel) != 2:  # rank 2 exactly when u1 and u2 are independent
+        raise InputError("u-vectors must be linearly independent")
     sol = linalg.lattice_coordinates(kernel, [w.weights])[0]
     if sol is None:
         raise InvariantError("weights do not lie in the orthogonal lattice")
@@ -274,23 +251,24 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
                         max_extra: int = MAX_EXTRA_GENERATORS):
     """Extend the generators until they span a saturated lattice.
 
-    Candidates come from the binomial stream, restricted to the rational
-    plane of u1 and u2 (relations vanishing on the one-parameter subgroup);
-    only candidates that strictly improve the lattice index are kept, and
-    the number of extensions is bounded.
+    Candidates are the binomials by ascending degree, restricted to the
+    rational plane of u1 and u2 (relations vanishing on the one-parameter
+    subgroup); only candidates that strictly improve the lattice index are
+    kept, and the number of extensions is bounded.
     """
     l_rows = [g.u for g in generators]
     extensions = 0
-    stream_iter = None
+    candidates = None
     while not linalg.lattice_is_saturated(l_rows):
         if extensions >= max_extra:
             raise BudgetExceededError(
                 "saturation not reached within the generator budget",
                 diagnostics={"weights": w.weights, "generators": l_rows})
-        if stream_iter is None:
+        if candidates is None:
             skip = {g.u for g in generators}
-            stream_iter = (b for b in _BinomialStream(w, budget) if b.u not in skip)
-        cand = next(stream_iter)
+            candidates = (b for batch in _binomial_batches(w, budget) for b in batch
+                          if b.u not in skip)
+        cand = next(candidates)
         if linalg.rank([u1, u2, cand.u]) != 2:
             continue
         trial = l_rows + [cand.u]

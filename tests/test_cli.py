@@ -303,6 +303,10 @@ WIDTH_TWO_TYPE_III = '{"dim":2,"vertices":[[2,2],[0,1],[-2,-2],[0,-1]]}'
      "f3ff8e6d482468e7c804cd99aae3bef2d9f2e08d83627f80da457044fb1bed36"),
     (["scan", "--max-weight", "22"], 0,
      "b6dd0b5113d158b85643eb1da27cc135443c5fc48d908c3f7a12888e622a6870"),
+    (["screen", "5,6,9,13"], 0,
+     "da23d976feebbeb12fa273dcf71f534080a14f811f3206f94256bd4eee498ee7"),
+    (["screen", "6,7,9,11"], 0,
+     "63b97d988e898372c7da45556f824bcbf09801fd7d84b0be46840b16600fc1c2"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
     import hashlib

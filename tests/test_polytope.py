@@ -335,6 +335,13 @@ def test_slice_points_unit_square():
     assert slice_points(square, Direction((0, 1)), 0).points == ((0, 0), (1, 0))
 
 
+@pytest.mark.parametrize("level", [1.5, 2.0, 0.0, True, False, "1"])
+def test_slice_points_rejects_a_level_that_is_not_an_int(level):
+    square = LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)])
+    with pytest.raises(InputError, match="is not an integer"):
+        slice_points(square, Direction((0, 1)), level)
+
+
 def test_slice_points_subset_of_lattice_points():
     rng = random.Random(3)
     for _ in range(10):

@@ -3,7 +3,7 @@ and the reduction of weights that share a factor, and the 3-D lattice width
 under dilation and unimodular images."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 from latticejets import linalg
@@ -72,6 +72,30 @@ def test_ill_formed_hits_reduce_to_table_rows_with_the_same_m():
         rep = screen(weights)
         assert (rep.verdict, rep.m) == ("nef_not_semiample", table[row]), weights
     assert sorted(table[row] for row in ILL_FORMED_HITS.values()) == [572] * 4 + [702, 816]
+
+
+# the well-formed hits of scan_weights(30) that are not table rows, with their m
+BEYOND_PUBLISHED_TABLE = {
+    (7, 22, 25, 30): 220, (9, 22, 23, 25): 2250, (9, 22, 26, 29): 1276,
+    (10, 16, 19, 21): 735, (10, 22, 23, 27): 1215, (10, 24, 27, 29): 522,
+    (11, 13, 20, 21): 1386, (11, 16, 23, 25): 2000, (11, 19, 25, 29): 2552,
+    (11, 19, 28, 29): 2755, (12, 19, 23, 29): 2436, (13, 14, 22, 29): 1015,
+    (13, 16, 25, 27): 2457, (13, 17, 19, 22): 1768, (13, 17, 20, 25): 425,
+    (13, 17, 21, 23): 1785, (13, 19, 25, 28): 2375, (13, 23, 28, 29): 3289,
+    (15, 22, 23, 27): 920, (16, 19, 29, 30): 1672, (17, 18, 21, 26): 442,
+    (17, 20, 27, 28): 918, (17, 24, 28, 29): 986, (18, 20, 21, 29): 580,
+    (20, 21, 25, 29): 725, (22, 23, 25, 30): 460,
+}
+
+
+def test_hits_beyond_the_published_table_screen_with_their_m():
+    table = {row.weights for row in load_table()}
+    assert len(BEYOND_PUBLISHED_TABLE) == 26
+    for weights, m in BEYOND_PUBLISHED_TABLE.items():
+        assert weights not in table
+        assert all(gcd(*three) == 1 for three in combinations(weights, 3)), weights
+        rep = screen(weights)
+        assert (rep.verdict, rep.m) == ("nef_not_semiample", m), weights
 
 
 def test_3d_lattice_width_scales_under_dilation():

@@ -1,9 +1,11 @@
 """The weighted-projective-space pipeline."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -108,6 +110,57 @@ def test_binomial_properties_on_table_rows():
             assert plus_deg == minus_deg == b.degree
 
 
+def _relations_up_to_degree(w, top):
+    """Reference: the primitive, sign-normalized u with u.w = 0 and w.u+ <= top.
+
+    Read off the box |u_i| <= top / w_i, which holds every such u, with no
+    monomial enumeration. Ordered by (w.u+, graded-lex on u+); a tie in u+
+    (equal weights) goes by u- in lex order.
+    """
+    box = [range(-(top // a), top // a + 1) for a in w]
+    found = []
+    for u in itertools.product(*box):
+        if any(u) and sum(x * a for x, a in zip(u, w)) == 0 and gcd(*u) == 1 \
+                and polytope.sign_normalized(u) == u:
+            plus = tuple(max(x, 0) for x in u)
+            minus = tuple(max(-x, 0) for x in u)
+            degree = sum(x * a for x, a in zip(plus, w))
+            if degree <= top:
+                found.append(((degree, polytope.point_key(plus), minus), u))
+    return [(u, key[0]) for key, u in sorted(found)]
+
+
+def test_lowest_degree_binomials_match_the_box_reference():
+    quads = [q for q in itertools.combinations_with_replacement(range(1, 13), 4)
+             if gcd(*q) == 1]
+    ties = 0
+    for q in quads:
+        chosen, alternatives = lowest_degree_binomials(WeightVector(q))
+        got = [(b.u, b.degree) for b in chosen + alternatives]
+        assert got == _relations_up_to_degree(q, chosen[1].degree), q
+        ties += bool(alternatives)
+    assert len(quads) == 1203 and ties >= 100, (len(quads), ties)
+
+
+@pytest.mark.parametrize("weights, sizes", [((5, 6, 9, 13), [1, 3]), ((6, 7, 9, 11), [3])])
+def test_binomial_batches_group_ties_by_degree(weights, sizes):
+    batches = wps._binomial_batches(WeightVector(weights))
+    assert [len(next(batches)) for _ in sizes] == sizes
+
+
+def test_lowest_degree_binomials_read_no_degree_past_the_second(monkeypatch):
+    read = []
+    monomials = wps._monomials_of_weighted_degree
+
+    def recording(w, d):
+        read.append(d)
+        return monomials(w, d)
+
+    monkeypatch.setattr(wps, "_monomials_of_weighted_degree", recording)
+    chosen, _ = lowest_degree_binomials(W)
+    assert chosen[1].degree == max(read) == 26
+
+
 def test_degree_budget_error():
     with pytest.raises(BudgetExceededError):
         lowest_degree_binomials(W, budget=10)
@@ -131,6 +184,14 @@ def test_width_direction_vertex_values():
 def test_width_direction_rejects_non_orthogonal():
     with pytest.raises(InputError):
         width_direction(W, (1, 0, 0, 0), (0, 1, -2, 1))
+
+
+@pytest.mark.parametrize("u1, u2", [((1, -2, 0, 1), (2, -4, 0, 2)),
+                                    ((0, 0, 0, 0), (1, -2, 0, 1)),
+                                    ((0, 1, -2, 1), (0, 0, 0, 0))])
+def test_width_direction_rejects_dependent_exponent_vectors(u1, u2):
+    with pytest.raises(InputError, match="u-vectors must be linearly independent"):
+        width_direction(W, u1, u2)
 
 
 @pytest.mark.parametrize("u", [(1, -2, 0), (11, -7, 0), (1, -2, 0, 1, 5)])
