@@ -24,7 +24,12 @@ A planar hull is Andrew's monotone chain (1979); its counterclockwise cycle
 gives the vertices and, edge by edge, the facets. Lower-dimensional point
 sets (hulls, quotient widths) are handled in integer coordinates on a
 saturated basis of their difference lattice, solved with one integer inverse
-of a basis minor (``linalg.lattice_coordinates``).
+of a basis minor (``linalg.lattice_coordinates``). A polytope whose vertices
+are known in closed form (the Riemann-Roch simplices of ``wps`` and their
+projections to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes
+its vertices as given, and a full-dimensional simplex takes its facets from
+``_simplex_facets``, the hyperplane through each k of its k + 1 vertices
+oriented by the remaining one.
 """
 
 from __future__ import annotations
@@ -195,6 +200,21 @@ class LatticePolytope:
         self._facets = None
         self._lattice_points = None
 
+    @classmethod
+    def _trusted(cls, dim: int, vertices: tuple[Point, ...],
+                 facets: tuple[Facet, ...] | None = None) -> "LatticePolytope":
+        """A polytope on distinct int vertices of length ``dim`` in ``point_key``
+        order, unchecked: for polytopes whose vertices are known in closed form.
+        With ``facets`` (sorted, as ``facets()`` returns them) it is
+        full-dimensional; without, the vertices are affinely independent."""
+        p = object.__new__(cls)
+        p.dim = dim
+        p.vertices = vertices
+        p.affine_dim = dim if facets is not None else len(vertices) - 1
+        p._facets = facets
+        p._lattice_points = None
+        return p
+
     def __repr__(self):
         return f"LatticePolytope(dim={self.dim}, vertices={list(self.vertices)})"
 
@@ -258,7 +278,8 @@ def config_from_json(data) -> PointConfig:
 
 # ---------------------------------------------------------------------------
 # hull machinery (the monotone chain in the plane, brute-force facet
-# enumeration above it; fine for the small inputs this toolkit meets, and exact)
+# enumeration above it; fine for the small inputs this toolkit meets, and exact;
+# a simplex with known vertices skips it through ``_simplex_facets``)
 # ---------------------------------------------------------------------------
 
 def polygon_ccw_vertices(points: Iterable[Sequence[int]]) -> list[Point]:
@@ -330,6 +351,26 @@ def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
             facets.add(Facet(normal, offset))
         elif all(v <= offset for v in values):
             facets.add(Facet(tuple(-x for x in normal), -offset))
+    return tuple(sorted(facets))
+
+
+def _simplex_facets(vertices: Sequence[Point]) -> tuple[Facet, ...]:
+    """``_facets_of`` for the k + 1 vertices of a full-dimensional simplex in Z^k.
+
+    Facet i is the hyperplane through every vertex but the i-th, oriented so
+    that the i-th lies on its inner side; no other vertex is tested. Vertices
+    that do not span a full-dimensional simplex are an InputError.
+    """
+    k = len(vertices) - 1
+    facets = []
+    for i, apex in enumerate(vertices):
+        hp = _hyperplane_through(vertices[:i] + vertices[i + 1:], k) if len(apex) == k else None
+        value = None if hp is None else sum(a * b for a, b in zip(hp[0], apex))
+        if value is None or value == hp[1]:
+            raise InputError(f"{list(vertices)} do not span a full-dimensional simplex")
+        normal, offset = hp
+        facets.append(Facet(normal, offset) if value > offset
+                      else Facet(tuple(-x for x in normal), -offset))
     return tuple(sorted(facets))
 
 

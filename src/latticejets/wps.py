@@ -10,8 +10,13 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
 2. a vector v~ completing w to a Z-basis of the rank-2 lattice orthogonal
    to u1 and u2 (the tangent direction of the one-parameter subgroup);
 3. m = the width of the Riemann-Roch simplex in direction v~;
-4. projection of the simplex to a full-dimensional lattice polytope in Z^3
-   with v~ mapped to (1,0,0), followed by the obstruction conditions;
+4. projection of the simplex to a full-dimensional lattice simplex in Z^3
+   with v~ mapped to (1,0,0), followed by the obstruction conditions. Both
+   simplices are built in closed form with no hull: the Riemann-Roch
+   simplex's vertices are (lcm/a_i) e_i, and the projected facets are the
+   planes through each three vertices, oriented by the fourth. The vertices'
+   lattice coordinates are solved once per screen, relative to one fixed
+   vertex, and each orientation shifts them to its own least vertex;
 5. the nefness certificate: generator degrees below lcm(w)/m plus
    saturation of the generated relation lattice.
 
@@ -29,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, LatticePolytope, _as_point, point_key,
+from .polytope import (Direction, LatticePolytope, _as_point, _simplex_facets, point_key,
                        sign_normalized, width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
@@ -170,12 +175,8 @@ def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
 def rr_polytope(w: WeightVector) -> LatticePolytope:
     """Riemann-Roch simplex {u >= 0 : u.w = lcm(w)} in Z^4."""
     big = w.lcm
-    verts = []
-    for i, a in enumerate(w.weights):
-        v = [0, 0, 0, 0]
-        v[i] = big // a
-        verts.append(tuple(v))
-    return LatticePolytope(verts, 4)
+    verts = [tuple(big // a if j == i else 0 for j in range(4)) for i, a in enumerate(w.weights)]
+    return LatticePolytope._trusted(4, tuple(sorted(verts, key=point_key)))
 
 
 def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tuple[int, ...]:
@@ -218,9 +219,13 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
                   basis: linalg.IntMatrix | None = None):
     """Quotient the weight hyperplane to Z^3, sending v~ to (1, 0, 0).
 
-    Returns (polytope, direction): the polytope is translated so the unique
-    v~-minimizing vertex is the origin, and the level function is the first
-    coordinate, so widths transfer unchanged.
+    ``rr`` is a simplex with four vertices, as ``rr_polytope`` builds it;
+    one that does not project to a full-dimensional simplex is an
+    ``InputError``. Returns (polytope, direction): the polytope is
+    translated so the unique v~-minimizing vertex is the origin, and the
+    level function is the first coordinate, so widths transfer unchanged.
+    ``screen`` runs the same two steps, ``_vertex_coordinates`` once and
+    ``_project_orientation`` for each orientation.
     """
     if len(v_tilde) != len(w.weights):
         raise InputError(f"direction {tuple(v_tilde)} has length {len(v_tilde)}, expected 4")
@@ -228,22 +233,44 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
         basis = linalg.integral_kernel([w.weights])
     if len(basis) != 3:
         raise InputError("weight-orthogonal basis must have rank 3")
-    values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
-    lo = min(values)
-    anchors = [x for x, val in zip(rr.vertices, values) if val == lo]
-    anchor = min(anchors, key=point_key)
+    return _project_orientation(rr, v_tilde, basis, _vertex_coordinates(rr, basis))
+
+
+def _vertex_coordinates(rr: LatticePolytope, basis: linalg.IntMatrix):
+    """Coordinates c with c B = x - a0 for each vertex x of rr, a0 the first vertex.
+
+    One solve serves every orientation, since the vertices lie in one coset
+    of the lattice spanned by ``basis`` exactly when their differences from
+    any one of them lie in it.
+    """
+    a0 = rr.vertices[0]
     coords = linalg.lattice_coordinates(
-        basis, [tuple(a - b for a, b in zip(x, anchor)) for x in rr.vertices])
+        basis, [tuple(a - b for a, b in zip(x, a0)) for x in rr.vertices])
     if None in coords:
         raise InvariantError("vertex outside the weight-orthogonal lattice")
+    return coords
+
+
+def _project_orientation(rr: LatticePolytope, v_tilde: Sequence[int],
+                         basis: linalg.IntMatrix, coords):
+    """``project_to_3d`` on the coordinates that ``_vertex_coordinates`` returns.
+
+    The anchor a is the v~-least vertex, the graded-lex least on a tie, and
+    coords(x - a) = coords(x - a0) - coords(a - a0), so nothing is solved
+    again. The image is a full-dimensional simplex, built with its facets
+    and no hull.
+    """
+    values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
+    shift = coords[values.index(min(values))]  # vertices are in point_key order
     v_q = tuple(sum(a * b for a, b in zip(row, v_tilde)) for row in basis)
     if not any(v_q):
         raise InputError("direction is a multiple of the weights")
     if gcd(*v_q) != 1:
         raise InvariantError(f"projected direction {v_q} is imprimitive")
     u = linalg.complete_to_unimodular(v_q)
-    new_coords = [linalg.mat_vec(u, c) for c in coords]
-    return LatticePolytope(new_coords, 3), Direction((1, 0, 0))
+    verts = tuple(sorted((linalg.mat_vec(u, [a - b for a, b in zip(c, shift)]) for c in coords),
+                         key=point_key))
+    return LatticePolytope._trusted(3, verts, _simplex_facets(verts)), Direction((1, 0, 0))
 
 
 def saturate_generators(w: WeightVector, u1, u2, generators,
@@ -337,8 +364,9 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
     u1, u2 = chosen[0], chosen[1]
     v_canonical = _stage("width_direction", width_direction, w, u1.u, u2.u)
     rr = _stage("rr_polytope", rr_polytope, w)
-    # one weight lattice serves both orientations
+    # one weight lattice and one solve for the vertex coordinates serve both orientations
     lattice = _stage("projection", linalg.integral_kernel, [w.weights])
+    coords = _stage("projection", _vertex_coordinates, rr, lattice)
     # the obstruction conditions live on the min side of the direction and
     # v~ is only determined up to sign, so evaluate the canonical sign first
     # and keep the passing orientation. Negating v~ swaps the min and max
@@ -348,8 +376,8 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
     for v_tilde in (v_canonical, tuple(-x for x in v_canonical)):
         values = tuple(sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices)
         m = max(values) - min(values)
-        projected, direction = _stage("projection", project_to_3d, rr, v_tilde, w,
-                                      basis=lattice)
+        projected, direction = _stage("projection", _project_orientation, rr, v_tilde,
+                                      lattice, coords)
         if width_in_direction(projected, direction) != m:
             raise InvariantError("projection changed the width")
         corollary = _stage("corollary", corollary_check, projected, direction)

@@ -74,6 +74,35 @@ def test_enumerated_configs_equal_the_checked_construction():
             assert all(type(x) is int for q in cfg for x in q)
 
 
+def test_trusted_simplex_equals_the_checked_hull():
+    # a random full-dimensional simplex, built unchecked with its closed-form
+    # facets, must be what the public constructor and its facet search build
+    rng = random.Random(53)
+    built = 0
+    while built < 60:
+        k = rng.choice((2, 3, 3))
+        verts = {tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(k + 1)}
+        if len(verts) != k + 1:
+            continue
+        verts = tuple(sorted(verts, key=point_key))
+        diffs = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
+        if linalg.rank(diffs) < k:
+            with pytest.raises(InputError, match="full-dimensional simplex"):
+                polytope._simplex_facets(verts)
+            continue
+        trusted = LatticePolytope._trusted(k, verts, polytope._simplex_facets(verts))
+        checked = LatticePolytope(rng.sample(verts, k + 1), k)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.vertices == checked.vertices
+        assert trusted.affine_dim == checked.affine_dim == k
+        assert trusted.facets() == checked.facets() == polytope._facets_of(verts, k)
+        assert lattice_points(trusted) == lattice_points(checked)
+        built += 1
+    for verts in (((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 0), (0, 1), (1, 1))):
+        with pytest.raises(InputError, match="full-dimensional simplex"):
+            polytope._simplex_facets(verts)
+
+
 def test_differences_generate_flag():
     assert PointConfig(2, ((0, 0), (1, 0), (0, 1))).differences_generate is True
     # differences span an index-2 sublattice

@@ -420,7 +420,7 @@ def test_scan_weights_rejects_a_min_weight_below_one():
 def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, weights,
                                                                   projections):
     projected, kernels = [], []
-    project, kernel = wps.project_to_3d, linalg.integral_kernel
+    project, kernel = wps._project_orientation, linalg.integral_kernel
 
     def counting_project(*args, **kwargs):
         projected.append(args[1])
@@ -430,7 +430,7 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
         kernels.append([tuple(row) for row in m])
         return kernel(m)
 
-    monkeypatch.setattr(wps, "project_to_3d", counting_project)
+    monkeypatch.setattr(wps, "_project_orientation", counting_project)
     monkeypatch.setattr(linalg, "integral_kernel", counting_kernel)
     report = screen(weights)
     assert len(projected) == projections
@@ -439,8 +439,64 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
     assert kernels.count([weights]) == 1
     if not report.corollary.cond1:  # the skipped negated orientation fails cond1 too
         negated = tuple(-x for x in report.v_tilde)
-        flipped = project(rr_polytope(report.weights), negated, report.weights)
+        flipped = project_to_3d(rr_polytope(report.weights), negated, report.weights)
         assert not corollary_check(*flipped).cond1
+
+
+@pytest.mark.parametrize("weights, projections", [
+    ((4, 6, 7, 9), 1), ((4, 5, 6, 7), 2), ((7, 11, 13, 15), 1), ((7, 15, 19, 23), 2)])
+def test_screen_builds_no_hull_and_solves_the_vertex_coordinates_once(monkeypatch, weights,
+                                                                       projections):
+    hulls, solves, orientations = [], [], []
+    solve, orient = linalg.lattice_coordinates, wps._project_orientation
+
+    def no_hull(self, *args, **kwargs):
+        hulls.append(args)
+        raise AssertionError("the screen's simplices are built in closed form")
+
+    def counting_solve(basis, vectors):
+        solves.append(len(basis))
+        return solve(basis, vectors)
+
+    def counting_orient(*args):
+        orientations.append(args[1])
+        return orient(*args)
+
+    monkeypatch.setattr(polytope.LatticePolytope, "__init__", no_hull)
+    monkeypatch.setattr(linalg, "lattice_coordinates", counting_solve)
+    monkeypatch.setattr(wps, "_project_orientation", counting_orient)
+    screen(weights)
+    assert hulls == []
+    assert len(orientations) == projections
+    # one solve for v~ on the rank-2 lattice of width_direction, one for the
+    # four vertices on the rank-3 weight lattice, however many orientations
+    assert solves == [2, 3]
+
+
+def _screened_weights():
+    table = [row.weights for row in load_table()]
+    scan = [x["weights"] if isinstance(x, dict) else x.weights.weights for x in scan_weights(15)]
+    return table + scan
+
+
+def test_closed_form_simplices_equal_the_hull():
+    rng = random.Random(71)
+    weights = _screened_weights()
+    assert len(weights) == 93 + 169
+    for quad in weights:
+        w = WeightVector(quad)
+        rr = rr_polytope(w)
+        checked = polytope.LatticePolytope(rng.sample(rr.vertices, 4), 4)
+        assert rr.vertices == checked.vertices and rr.affine_dim == checked.affine_dim == 3
+        assert rr == checked and hash(rr) == hash(checked)
+        chosen, _ = lowest_degree_binomials(w)
+        v_tilde = width_direction(w, chosen[0].u, chosen[1].u)
+        for v in (v_tilde, tuple(-x for x in v_tilde)):
+            q, _ = project_to_3d(rr, v, w)
+            hull = polytope.LatticePolytope(rng.sample(q.vertices, 4), 3)
+            assert q.vertices == hull.vertices
+            assert q.affine_dim == hull.affine_dim == 3
+            assert q.facets() == hull.facets() == polytope._facets_of(q.vertices, 3)
 
 
 def _old_cond2_cond3(p, direction, p_min, p_max):
