@@ -36,7 +36,7 @@ from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import _form_rows, leading_term_matrix
 from .poly import MultiPoly, from_coefficients, monomials_up_to_degree
-from .polytope import Direction, LatticePolytope, PointConfig, lattice_points, lattice_width
+from .polytope import Direction, PointConfig
 
 
 @dataclass(frozen=True)
@@ -259,37 +259,3 @@ def _factor_degrees(g) -> list[int]:
     for factor, mult in factors:
         out.extend([factor.degree()] * mult)
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# hyperplane-stack witness from a small lattice width
-# ---------------------------------------------------------------------------
-
-def width_base_point(p: LatticePolytope, m: int):
-    """Base direction and explicit stacked-hyperplane witness when lw <= m-1.
-
-    The witness is (v.x)^(m-lw-1) * prod_{i=min}^{max} (v.x - i), expanded;
-    its leading form is (v.x)^m and it vanishes on every lattice point of P
-    because each one sits on one of the lw+1 stacked hyperplanes.
-    """
-    res = lattice_width(p)
-    if res.width > m - 1:
-        raise ToolkitError(
-            f"hypothesis fails: lw(P) = {res.width} is not <= m-1 = {m - 1}")
-    v = res.direction
-    if v is None:
-        raise InputError("zero-dimensional polytope has no base direction")
-    values = [v.pair(x) for x in p.vertices]
-    lo, hi = min(values), max(values)
-    k = p.dim
-    s_form = MultiPoly.affine(v.coords)
-    witness_poly = MultiPoly.constant(k, 1)
-    for _ in range(m - res.width - 1):
-        witness_poly = witness_poly * s_form
-    for i in range(lo, hi + 1):
-        witness_poly = witness_poly * (s_form - MultiPoly.constant(k, i))
-    lower = witness_poly - MultiPoly.linear_form_power(v.coords, m)
-    witness = WitnessHypersurface(k=k, m=m, leading_direction=v, lower_terms=lower)
-    if not witness.vanishes_on(lattice_points(p)):
-        raise InvariantError("stacked-hyperplane witness fails to vanish")
-    return v, witness

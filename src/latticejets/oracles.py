@@ -3,7 +3,8 @@
 These deliberately avoid the main code paths: ranks and right kernels by a
 textbook Gauss-Jordan on Fractions (the main routes share one fraction-free
 integer elimination), kernels compared as subspaces, widths by a full scan
-over a box of primitive directions, binary-form gcds through sympy. The
+over a box of primitive directions in Python integers (a lower-dimensional
+polytope on its quotient width), binary-form gcds through sympy. The
 CLI's --oracle flag runs them next to the main algorithms and diffs the
 results; the test suite freezes their values.
 """
@@ -15,7 +16,7 @@ from itertools import product
 from math import gcd
 
 from . import linalg
-from .errors import ToolkitError
+from .errors import InputError, ToolkitError
 from .polytope import Direction, LatticePolytope, WidthResult, direction_key
 
 
@@ -91,30 +92,23 @@ def primitive_directions(k: int, bound: int):
 def brute_force_width(p: LatticePolytope, bound: int = 10):
     """Exhaustive width scan over primitive directions in a coordinate box.
 
-    Exact: the bulk of the scan runs in int64 via numpy when the products
-    provably fit, otherwise in Python integers.
+    Exact: the scan runs on Python integers. Directions constant on P
+    (width 0) are skipped unless every one is, which happens only when P is
+    a point, so a lower-dimensional P gets its quotient width: its difference
+    lattice is saturated, hence a direct summand, so every primitive
+    functional on it lifts to a primitive ambient direction of the same
+    width, and a direction whose restriction is imprimitive is no narrower.
+    Ties go to the least ``direction_key``; a ``bound`` below 1 is an
+    ``InputError``.
     """
-    dirs = primitive_directions(p.dim, bound)
-    max_coord = max((abs(x) for v in p.vertices for x in v), default=0)
-    if max_coord * bound * p.dim < 2 ** 62:
-        import numpy as np
-
-        vmat = np.array(dirs, dtype=np.int64)
-        xmat = np.array(p.vertices, dtype=np.int64).T
-        values = vmat @ xmat
-        widths = values.max(axis=1) - values.min(axis=1)
-        best = int(widths.min())
-        candidates = [dirs[i] for i in np.nonzero(widths == best)[0]]
-    else:
-        best, candidates = None, []
-        for v in dirs:
-            vals = [sum(a * b for a, b in zip(v, x)) for x in p.vertices]
-            w = max(vals) - min(vals)
-            if best is None or w < best:
-                best, candidates = w, [v]
-            elif w == best:
-                candidates.append(v)
-    direction = min(candidates, key=direction_key)
+    if bound < 1:
+        raise InputError(f"oracle bound must be >= 1, got {bound}")
+    scored = []
+    for v in primitive_directions(p.dim, bound):
+        vals = [sum(a * b for a, b in zip(v, x)) for x in p.vertices]
+        scored.append((max(vals) - min(vals), v))
+    nonconstant = [item for item in scored if item[0]] or scored
+    best, direction = min(nonconstant, key=lambda item: (item[0], direction_key(item[1])))
     return best, Direction(direction)
 
 

@@ -153,10 +153,6 @@ class PointConfig:
     def __iter__(self):
         return iter(self.points)
 
-    def translate(self, t: Sequence[int]) -> "PointConfig":
-        t = _as_point(t, self.dim)
-        return PointConfig(self.dim, tuple(tuple(a + b for a, b in zip(p, t)) for p in self.points))
-
     def apply(self, u: linalg.IntMatrix, t: Sequence[int] | None = None) -> "PointConfig":
         t = _as_point(t, self.dim) if t is not None else (0,) * self.dim
         pts = tuple(tuple(x + y for x, y in zip(linalg.mat_vec(u, p), t)) for p in self.points)
@@ -261,10 +257,6 @@ class LatticePolytope:
             return cls(data["vertices"], dim=_as_int(data["dim"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad polytope JSON: {exc}") from exc
-
-
-def config_to_json(cfg: PointConfig) -> dict:
-    return {"dim": cfg.dim, "points": [list(p) for p in cfg.points]}
 
 
 def config_from_json(data) -> PointConfig:

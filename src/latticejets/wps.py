@@ -215,8 +215,7 @@ def _reduce_mod_weights(v, w):
     return min(candidates)
 
 
-def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
-                  basis: linalg.IntMatrix | None = None):
+def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
     """Quotient the weight hyperplane to Z^3, sending v~ to (1, 0, 0).
 
     ``rr`` is a simplex with four vertices, as ``rr_polytope`` builds it;
@@ -229,10 +228,7 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector,
     """
     if len(v_tilde) != len(w.weights):
         raise InputError(f"direction {tuple(v_tilde)} has length {len(v_tilde)}, expected 4")
-    if basis is None:
-        basis = linalg.integral_kernel([w.weights])
-    if len(basis) != 3:
-        raise InputError("weight-orthogonal basis must have rank 3")
+    basis = linalg.integral_kernel([w.weights])
     return _project_orientation(rr, v_tilde, basis, _vertex_coordinates(rr, basis))
 
 

@@ -1,4 +1,4 @@
-"""Base-point decisions: feasibility vs evaluation, gcd locus, width witnesses."""
+"""Base-point decisions: feasibility vs evaluation, gcd locus, small widths."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,11 @@ import pytest
 
 from latticejets import jets, linalg, oracles
 from latticejets.base_locus import (_gcd, _rational_roots, base_locus_k2, is_base_point,
-                                    is_base_point_via_form, width_base_point)
+                                    is_base_point_via_form)
 from latticejets.errors import InputError, ToolkitError
 from latticejets.jets import fundamental_form
-from latticejets.polytope import Direction, LatticePolytope, PointConfig, lattice_points
+from latticejets.polytope import (Direction, LatticePolytope, PointConfig, lattice_points,
+                                  lattice_width)
 from latticejets.surface2 import normal_form
 from tests.conftest import (random_config, random_primitive_direction,
                             random_unimodular)
@@ -237,8 +238,6 @@ def test_small_width_direction_is_base_point():
     for _ in range(15):
         p = random_full_dim_polytope(rng, 2, coord_bound=3)
         pts = lattice_points(p)
-        from latticejets.polytope import lattice_width
-
         res = lattice_width(p)
         m = res.width + 1
         if m < 2 or len(pts) < 2:
@@ -309,26 +308,18 @@ def test_both_routes_reject_a_direction_of_the_wrong_dimension(type_ii_points):
                 route(type_ii_points, 2, Direction(coords))
 
 
-def test_width_base_point_type_i():
-    v, witness = width_base_point(normal_form("I", 2, 3), 2)
-    assert v.coords == (0, 1)
-    assert witness.text() == "x2^2 - x2"
-
-
-def test_width_base_point_type_ii_m3():
-    v, witness = width_base_point(normal_form("II", 5, None), 3)
-    assert witness.text() == "x2^3 - x2^2"
-    assert witness.vanishes_on(lattice_points(normal_form("II", 5, None)))
-
-
-def test_width_base_point_cube():
-    cube = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    v, witness = width_base_point(cube, 2)
-    assert sorted(abs(x) for x in v.coords) == [0, 0, 1]
-    assert witness.vanishes_on(lattice_points(cube))
-
-
-def test_width_base_point_hypothesis_failure():
-    tri = LatticePolytope([(0, 0), (2, 0), (0, 2)])  # width 2
-    with pytest.raises(ToolkitError, match="hypothesis fails"):
-        width_base_point(tri, 2)
+@pytest.mark.parametrize("p, m", [
+    (normal_form("I", 2, 3), 3), (normal_form("II", 5, None), 3),
+    (normal_form("III", 3, 1), 3), (normal_form("IV", 2, 1), 3),
+    (normal_form("I", 2, 3), 2),
+    (LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]), 2),
+], ids=["I-2-3", "II-5", "III-3-1", "IV-2-1", "I-2-3-m2", "cube-m2"])
+def test_lw_at_most_m_minus_1_gives_a_base_point(p, m):
+    # lw(P) <= m - 1: the lw + 1 stacked hyperplanes v.x = c, times (v.x)^(m-lw-1),
+    # vanish on every lattice point, so the width direction is a base point
+    res = lattice_width(p)
+    assert res.certified and res.width <= m - 1
+    s = lattice_points(p)
+    flag, witness = is_base_point(s, m, res.direction)
+    assert flag is True and witness.vanishes_on(s)
+    assert is_base_point_via_form(s, m, res.direction) is True

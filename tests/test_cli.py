@@ -171,6 +171,10 @@ def test_bad_weights_exit_2(capsys):
     ["polytope", '{"dim": 0, "vertices": [[]]}'],
     ["scan", "--max-weight", "15", "--limit", "0"],
     ["scan", "--max-weight", "15", "--limit", "-1"],
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], [0, 1], [2, 1], [3, 0]]}', "--oracle",
+     "--oracle-bound", "0"],
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], [0, 1], [2, 1], [3, 0]]}', "--oracle",
+     "--oracle-bound", "-1"],
 ])
 def test_non_integer_input_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -4,8 +4,7 @@ import random
 from fractions import Fraction
 
 from latticejets import linalg, oracles
-from latticejets.polytope import LatticePolytope, lattice_width
-from tests.conftest import random_full_dim_polytope
+from latticejets.polytope import Direction, LatticePolytope, lattice_width
 
 
 def test_rank_reference_known_values():
@@ -26,28 +25,30 @@ def test_same_span():
     assert not oracles.same_span(a[:1], b)
 
 
-def test_brute_force_width_matches_python_fallback():
-    rng = random.Random(71)
-    for _ in range(10):
-        p = random_full_dim_polytope(rng, 2, coord_bound=5)
-        fast_w, fast_dir = oracles.brute_force_width(p, bound=6)
-        # force the pure-python branch by faking a huge coordinate bound check
-        dirs = oracles.primitive_directions(2, 6)
-        best = None
-        for v in dirs:
-            vals = [sum(a * b for a, b in zip(v, x)) for x in p.vertices]
-            w = max(vals) - min(vals)
-            best = w if best is None else min(best, w)
-        assert fast_w == best
-
-
 def test_brute_force_width_big_coordinates_python_path():
-    # coordinates large enough to route around the int64 fast path
+    # products far past 64 bits stay exact in Python integers
     big = 10 ** 18
     p = LatticePolytope([(0, 0), (big, 1), (1, big)])
     w, direction = oracles.brute_force_width(p, bound=1)
     assert w > 0
     assert direction.coords in ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def test_brute_force_width_takes_the_quotient_width_below_full_dimension():
+    # directions constant on a segment or triangle in Z^3 have width 0 and are skipped
+    rng = random.Random(2203)
+    runs = 0
+    while runs < 60:
+        p = LatticePolytope([tuple(rng.randint(-3, 3) for _ in range(3))
+                             for _ in range(rng.choice((2, 3)))])
+        if p.affine_dim == 0:
+            continue
+        res = lattice_width(p)
+        assert res.certified and res.width > 0
+        assert oracles.brute_force_width(p)[0] == res.width, p.vertices
+        runs += 1
+    point = LatticePolytope([(3, -1, 2)])
+    assert oracles.brute_force_width(point) == (0, Direction((0, 0, 1)))
 
 
 def test_width_oracle_agrees_record():

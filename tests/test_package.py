@@ -1,8 +1,8 @@
 """The package surface and its import graph, each checked in a fresh interpreter.
 
 ``import latticejets`` loads no layer, and each README invocation loads only
-the layers it runs. Only ``latticejets.*`` names are checked: which stdlib
-modules start-up loads differs by host.
+the layers it runs. Only ``latticejets.*`` names and numpy, which is no
+dependency, are checked: which stdlib modules start-up loads differs by host.
 """
 
 import os
@@ -15,13 +15,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs cli.main on its arguments, then prints the latticejets.* modules it loaded
+# runs cli.main on its arguments, then prints the latticejets.* modules it loaded,
+# and numpy if anything loaded it
 CLI_CHILD = textwrap.dedent("""
     import contextlib, io, sys
     from latticejets import cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
-    print(code, *sorted(n for n in sys.modules if n.startswith("latticejets.")))
+    print(code, *sorted(n for n in sys.modules if n.startswith("latticejets.") or n == "numpy"))
 """)
 
 README_POINTS = '{"dim":2,"points":[[0,0],[1,0],[2,0],[3,0],[4,0],[5,0],[0,1]]}'
@@ -56,6 +57,14 @@ def test_readme_invocation_loads_only_its_layers(argv, absent):
     assert code == "0"
     assert "latticejets.cli" in loaded
     assert {f"latticejets.{name}" for name in absent}.isdisjoint(loaded)
+
+
+def test_oracle_run_loads_no_numpy():
+    polygon = '{"dim":2,"vertices":[[0,0],[0,1],[2,1],[3,0]]}'
+    code, *loaded = python(CLI_CHILD, "polytope", polygon, "--oracle").split()
+    assert code == "0"
+    assert "latticejets.oracles" in loaded
+    assert "numpy" not in loaded
 
 
 def test_package_surface():

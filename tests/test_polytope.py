@@ -9,7 +9,7 @@ import pytest
 from latticejets import linalg, oracles, polytope
 from latticejets.errors import BudgetExceededError, InputError, ToolkitError
 from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
-                                  config_from_json, config_to_json, lattice_points,
+                                  config_from_json, lattice_points,
                                   lattice_width, point_key, slice_points,
                                   unimodular_image, width_in_direction)
 from tests.conftest import random_full_dim_polytope, random_unimodular
@@ -70,7 +70,6 @@ def test_enumerated_configs_equal_the_checked_construction():
             checked = PointConfig(p.dim, cfg.points)
             assert cfg == checked and hash(cfg) == hash(checked)
             assert repr(cfg) == repr(checked)
-            assert config_to_json(cfg) == config_to_json(checked)
             assert all(type(x) is int for q in cfg for x in q)
 
 
@@ -495,8 +494,6 @@ def test_json_round_trip():
     p = LatticePolytope([(0, 0), (1, 3), (3, 1), (4, 4)])
     again = LatticePolytope.from_json(json.dumps(p.to_json()))
     assert again == p
-    cfg = lattice_points(p)
-    assert config_from_json(config_to_json(cfg)) == cfg
 
 
 def test_bad_json_raises_input_error():

@@ -245,15 +245,6 @@ def test_width_one_iff_types_i_ii():
         assert lattice_width(normal_form(kind, a, b)).width == expect
 
 
-def test_width_base_point_succeeds_on_classified_polygons():
-    from latticejets.base_locus import width_base_point
-
-    for kind, a, b in [("I", 2, 3), ("II", 5, None), ("III", 3, 1), ("IV", 2, 1)]:
-        p = normal_form(kind, a, b)
-        v, witness = width_base_point(p, 3)
-        assert witness.vanishes_on(lattice_points(p))
-
-
 def _pick_data(p):
     """Twice the area, and the boundary and interior lattice point counts."""
     cycle = polygon_ccw_vertices(p.vertices)

@@ -218,16 +218,19 @@ def test_projection_preserves_width():
     assert width_in_direction(q, v) == 572
 
 
-def test_projection_alternative_basis_same_verdicts():
-    from latticejets.screen import corollary_check
-
+def _project_on(basis):
+    """The two steps ``screen`` runs, on a given basis of the weight lattice."""
     rr = rr_polytope(W)
+    return wps._project_orientation(rr, (3, 5, 6, 7), basis, wps._vertex_coordinates(rr, basis))
+
+
+def test_projection_alternative_basis_same_verdicts():
     default_basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
     # a different (still valid) basis of the same lattice
     u = linalg.integer_matrix([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     other_basis = linalg.mat_mul(u, default_basis)
-    q1, v1 = project_to_3d(rr, (3, 5, 6, 7), W)
-    q2, v2 = project_to_3d(rr, (3, 5, 6, 7), W, basis=other_basis)
+    q1, v1 = _project_on(default_basis)
+    q2, v2 = _project_on(other_basis)
     assert width_in_direction(q1, v1) == width_in_direction(q2, v2) == 572
     r1 = corollary_check(q1, v1)
     r2 = corollary_check(q2, v2)
@@ -237,11 +240,10 @@ def test_projection_alternative_basis_same_verdicts():
 
 
 def test_projection_rejects_a_non_saturated_basis():
-    rr = rr_polytope(W)
     basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
     doubled = (tuple(2 * x for x in basis[0]),) + basis[1:]
     with pytest.raises(InvariantError, match="vertex outside the weight-orthogonal lattice"):
-        project_to_3d(rr, (3, 5, 6, 7), W, basis=doubled)
+        _project_on(doubled)
 
 
 def test_screen_worked_example():
