@@ -20,15 +20,19 @@ its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 over d. ``pivot_columns`` are the columns that raise the rank, and the rows
 that do are the pivot columns of the transpose (``independent_rows``);
 ``lattice_coordinates`` inverts the minor on the pivot columns of its basis
-with ``scaled_inverse``. Smith and Hermite normal forms, ``integral_kernel``
-and the saturation test are integer as well. The reference eliminations in
-``oracles`` share no code with these.
+with ``scaled_inverse``. Smith and Hermite normal forms and
+``integral_kernel`` are integer as well, and two lattice steps need no Smith
+form: ``complete_to_unimodular`` runs Euclid on its one row and carries the
+inverse of the column operations, and ``lattice_is_saturated`` and
+``lattice_index`` read the gcd of the maximal minors. The reference
+eliminations in ``oracles`` share no code with these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
@@ -410,13 +414,58 @@ def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _maximal_minors(m):
+    """The r x r minors of an integer ``m``, r its rank, in order of rows then columns.
+
+    Their gcd, the r-th determinantal divisor, is the product of the
+    elementary divisors (Newman 1972, ch. II): the index of the lattice that
+    the rows generate in its saturation. The rank comes from the forward
+    elimination; a zero m has rank 0, and the one empty minor is 1.
+    """
+    _nonempty(m)
+    rows = _int_rows(m)
+    r = len(_gauss_jordan([row[:] for row in rows], back=False)[0])
+    if r == 0:
+        yield 1
+        return
+    for sub in combinations(rows, r):
+        if r == 1:
+            yield from sub[0]
+        elif r == 2:
+            x, y = sub
+            for i, j in combinations(range(len(x)), 2):
+                yield x[i] * y[j] - x[j] * y[i]
+        else:
+            for cols in combinations(range(len(sub[0])), r):
+                pivots, d, _ = _gauss_jordan([[row[c] for c in cols] for row in sub],
+                                             back=False)
+                yield d if len(pivots) == r else 0
+
+
+def lattice_index(m: IntMatrix) -> int:
+    """Index of the lattice generated by the rows of ``m`` in its saturation.
+
+    The gcd of the maximal minors; rows may be linearly dependent.
+    """
+    g = 0
+    for minor in _maximal_minors(m):
+        g = gcd(g, minor)
+    return g
+
+
 def lattice_is_saturated(m: IntMatrix) -> bool:
     """True iff the lattice generated by the rows of ``m`` is saturated.
 
     Tolerates linearly dependent rows (the span is what is tested); used by
-    the screening pipeline where generator lists may be redundant.
+    the screening pipeline where generator lists may be redundant. The gcd of
+    the maximal minors is 1 exactly then, and the scan stops once it is.
     """
-    return all(d == 1 for d in elementary_divisors(m))
+    g = 0
+    for minor in _maximal_minors(m):
+        g = gcd(g, minor)
+        if g == 1:
+            return True
+    return False
 
 
 def integral_kernel(m: IntMatrix) -> IntMatrix:
@@ -502,16 +551,44 @@ def bezout(a: int, b: int) -> tuple[int, int]:
 
 
 def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
-    """Unimodular matrix whose first row is the primitive vector ``v``."""
-    n = len(v)
-    _, d, vv = smith_normal_form((tuple(v),))
-    if d[0][0] != 1:  # the gcd of the entries
+    """Unimodular matrix whose first row is the primitive vector ``v``.
+
+    Euclid on the one row, with the pivot rule of ``smith_normal_form``:
+    the smallest nonzero |entry|, the first on a tie, is swapped to the
+    front, and the others are reduced by floor quotients, until only the
+    front is nonzero. The column operations V would collect are carried out
+    on U = V^-1 as row operations instead: swapping columns of V swaps rows
+    of U, col_j -= q col_0 is row_0 += q row_j, and a final -1 negates
+    row 0. The result is the inverse of the Smith V, flipped to give +1.
+    """
+    row = tuple(v)
+    _nonempty((row,))
+    a = _int_rows((row,))[0]
+    n = len(a)
+    u = [[0] * n for _ in range(n)]
+    for i in range(n):
+        u[i][i] = 1
+    while True:
+        piv, best = None, 0
+        for j, x in enumerate(a):
+            if x and (piv is None or abs(x) < best):
+                piv, best = j, abs(x)
+        if piv is None:
+            raise ToolkitError("vector is not primitive")
+        a[0], a[piv] = a[piv], a[0]
+        u[0], u[piv] = u[piv], u[0]
+        p = a[0]
+        done = True
+        for j in range(1, n):
+            if a[j]:
+                q = a[j] // p
+                a[j] -= q * p
+                u[0] = [x + q * y for x, y in zip(u[0], u[j])]
+                done = done and not a[j]
+        if done:
+            break
+    if p not in (1, -1):  # the gcd of the entries, up to sign
         raise ToolkitError("vector is not primitive")
-    w = tuple(sum(v[i] * vv[i][j] for i in range(n)) for j in range(n))
-    if w[0] == -1:  # SNF may land on -e1; flip V's first column
-        vv = tuple((-row[0],) + tuple(row[1:]) for row in vv)
-        w = tuple(sum(v[i] * vv[i][j] for i in range(n)) for j in range(n))
-    if w != tuple(1 if j == 0 else 0 for j in range(n)):
-        raise ToolkitError("basis completion failed")
-    # row * V = e1, so V^-1 has first row equal to v
-    return inverse_unimodular(vv)
+    if p == -1:
+        u[0] = [-x for x in u[0]]
+    return tuple(map(tuple, u))

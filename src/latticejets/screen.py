@@ -272,8 +272,9 @@ def nef_check(degrees: Sequence[int], d: int, lw: int,
 
     The generator list may contain linearly dependent rows (the
     three-binomial cases); the certificate concerns the lattice they
-    generate, so saturation is checked through the Smith normal form of the
-    full matrix. A bool, float or string among the integers is an InputError.
+    generate, so saturation is checked through the gcd of the maximal
+    minors of the full matrix. A bool, float or string among the integers
+    is an InputError.
     """
     try:
         d, lw = _as_int(d), _as_int(lw)

@@ -8,7 +8,10 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
    monomials with disjoint supports, so each degree's relations come from
    its disjoint-support pairs alone, and no degree past u2's is read;
 2. a vector v~ completing w to a Z-basis of the rank-2 lattice orthogonal
-   to u1 and u2 (the tangent direction of the one-parameter subgroup);
+   to u1 and u2 (the tangent direction of the one-parameter subgroup), in
+   closed form: one Euclid completion of w to a unimodular basis, and the
+   cross product of u1 and u2 read in its last three rows, with no Smith
+   form, kernel or solve;
 3. m = the width of the Riemann-Roch simplex in direction v~;
 4. projection of the simplex to a full-dimensional lattice simplex in Z^3
    with v~ mapped to (1,0,0), followed by the obstruction conditions. Both
@@ -18,7 +21,8 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
    lattice coordinates are solved once per screen, relative to one fixed
    vertex, and each orientation shifts them to its own least vertex;
 5. the nefness certificate: generator degrees below lcm(w)/m plus
-   saturation of the generated relation lattice.
+   saturation of the generated relation lattice, read off the gcd of its
+   maximal minors.
 
 The verdict is nef_not_semiample only when every predicate passes. The
 screen does not certify m as the lattice width of the Riemann-Roch simplex
@@ -29,6 +33,7 @@ realize the width, and the published m values are reproduced exactly from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -182,28 +187,38 @@ def rr_polytope(w: WeightVector) -> LatticePolytope:
 def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tuple[int, ...]:
     """v~ completing w to a Z-basis of the lattice orthogonal to u1 and u2.
 
-    Normalized modulo sign and modulo adding multiples of w: the first
-    coordinate is reduced into [0, w1) and the lexicographically smaller of
-    the two sign choices is returned.
+    w is primitive, so it is the first row of a unimodular U
+    (``linalg.complete_to_unimodular``). In the basis w, U[1], U[2], U[3],
+    the lattice orthogonal to u1 and u2 is Z w plus the kernel of the 2 x 3
+    matrix (u_i . U[j]), which is spanned by its rows' cross product c over
+    gcd(c); c is zero exactly when u1 and u2 are dependent. The result is
+    certified: orthogonal to u1 and u2, with the 2 x 2 minors of [w; v~]
+    coprime. Normalized modulo sign and modulo adding multiples of w: the
+    first coordinate is reduced into [0, w1) and the lexicographically
+    smaller of the two sign choices is returned.
     """
+    wt = w.weights
+    us = []
     for u in (u1, u2):
-        if len(u) != len(w.weights):
-            raise InputError(f"exponent vector {tuple(u)} has length {len(u)}, expected 4")
-        if sum(a * b for a, b in zip(u, w.weights)) != 0:
+        p = _as_point(u)
+        if len(p) != len(wt):
+            raise InputError(f"exponent vector {p} has length {len(p)}, expected 4")
+        if sum(a * b for a, b in zip(p, wt)) != 0:
             raise InputError(f"exponent vector {u} is not orthogonal to the weights")
-    kernel = linalg.integral_kernel([u1, u2])
-    if len(kernel) != 2:  # rank 2 exactly when u1 and u2 are independent
+        us.append(p)
+    basis = linalg.complete_to_unimodular(wt)[1:]
+    (a1, a2, a3), (b1, b2, b3) = ([sum(x * y for x, y in zip(p, row)) for row in basis]
+                                  for p in us)
+    c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    g = gcd(*c)
+    if not g:
         raise InputError("u-vectors must be linearly independent")
-    sol = linalg.lattice_coordinates(kernel, [w.weights])[0]
-    if sol is None:
-        raise InvariantError("weights do not lie in the orthogonal lattice")
-    alpha, beta = sol
-    if gcd(alpha, beta) != 1:
-        raise InvariantError("weights are imprimitive in the orthogonal lattice")
-    s, t = linalg.bezout(alpha, beta)
-    # det [[alpha, beta], [-t, s]] = alpha*s + beta*t = 1
-    v = tuple(-t * b1 + s * b2 for b1, b2 in zip(kernel[0], kernel[1]))
-    return _reduce_mod_weights(v, w.weights)
+    v = _reduce_mod_weights(
+        tuple(sum(k // g * x for k, x in zip(c, col)) for col in zip(*basis)), wt)
+    minors = (wt[i] * v[j] - wt[j] * v[i] for i, j in combinations(range(4), 2))
+    if any(sum(a * b for a, b in zip(p, v)) for p in us) or gcd(*minors) != 1:
+        raise InvariantError(f"v~ = {v} is not a basis completion of the weights")
+    return v
 
 
 def _reduce_mod_weights(v, w):
@@ -226,8 +241,9 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
     ``screen`` runs the same two steps, ``_vertex_coordinates`` once and
     ``_project_orientation`` for each orientation.
     """
+    v_tilde = _as_point(v_tilde)
     if len(v_tilde) != len(w.weights):
-        raise InputError(f"direction {tuple(v_tilde)} has length {len(v_tilde)}, expected 4")
+        raise InputError(f"direction {v_tilde} has length {len(v_tilde)}, expected 4")
     basis = linalg.integral_kernel([w.weights])
     return _project_orientation(rr, v_tilde, basis, _vertex_coordinates(rr, basis))
 
@@ -295,7 +311,8 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
         if linalg.rank([u1, u2, cand.u]) != 2:
             continue
         trial = l_rows + [cand.u]
-        if linalg.elementary_divisors(trial) == linalg.elementary_divisors(l_rows):
+        # trial contains l_rows and both span the plane, so an equal index is an equal lattice
+        if linalg.lattice_index(trial) == linalg.lattice_index(l_rows):
             continue  # no index improvement
         generators = generators + [cand]
         l_rows = trial
@@ -477,14 +494,12 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     ``min_weight`` must be >= 1 and ``limit`` (>= 1) stops it after that many
     hits; either below 1 is an ``InputError``.
     """
-    from itertools import combinations as _comb
-
     if min_weight < 1:
         raise InputError("min_weight must be >= 1")
     if limit is not None and limit < 1:
         raise InputError("limit must be >= 1")
     hits = 0
-    for quad in _comb(range(min_weight, max_weight + 1), 4):
+    for quad in combinations(range(min_weight, max_weight + 1), 4):
         if gcd(*quad) != 1:
             continue
         w = WeightVector(quad)

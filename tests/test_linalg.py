@@ -7,8 +7,9 @@ from math import gcd
 import pytest
 
 from latticejets import linalg, oracles
-from latticejets.errors import ToolkitError
+from latticejets.errors import InputError, ToolkitError
 from latticejets.jets import leading_term_matrix
+from latticejets.wps import WeightVector, width_direction
 from tests.conftest import cleared_rows
 
 U_MATRIX = ((1, -2, 0, 1), (0, 1, -2, 1))  # exponent differences of the worked example
@@ -92,11 +93,17 @@ def test_non_integer_entries_fail_the_input_check(bad):
         lambda: linalg.kernel_basis([[1, bad, 0]]),
         lambda: linalg.lattice_coordinates([[1, 0], [0, 1]], [[1, 2], [bad, 0]]),
         lambda: linalg.complete_to_unimodular((bad, 1)),
+        lambda: linalg.lattice_is_saturated(square),
+        lambda: linalg.lattice_index(square),
         lambda: linalg.integer_matrix(square),
     ]
     for call in calls:
         with pytest.raises(ToolkitError, match="non-integer entry"):
             call()
+    # the screen's width direction reads its exponent vectors as input points
+    w = WeightVector((7, 11, 13, 15))
+    with pytest.raises(InputError, match="is not a vector of integers"):
+        width_direction(w, (bad, -2, 0, 1), (0, 1, -2, 1))
 
 
 def test_right_kernel_of_identity_is_empty():
@@ -266,6 +273,70 @@ def test_complete_to_unimodular():
         assert linalg.bareiss_det(u) in (1, -1)
     with pytest.raises(ToolkitError, match="primitive"):
         linalg.complete_to_unimodular((2, 4))
+
+
+def _smith_completion(v):
+    """The Smith route: V from the SNF of the one row, flipped to +1, then inverted."""
+    n = len(v)
+    _, d, vv = linalg.smith_normal_form((tuple(v),))
+    if d[0][0] != 1:
+        raise ToolkitError("vector is not primitive")
+    if sum(v[i] * vv[i][0] for i in range(n)) == -1:
+        vv = tuple((-row[0],) + tuple(row[1:]) for row in vv)
+    return linalg.inverse_unimodular(vv)
+
+
+def test_complete_to_unimodular_matches_the_smith_route():
+    rng = random.Random(23)
+    primitive = 0
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        v = tuple(rng.choice((0, rng.randint(-3, 3), rng.randint(-40, 40))) for _ in range(n))
+        try:
+            expected = _smith_completion(v)
+        except ToolkitError as exc:
+            with pytest.raises(ToolkitError, match=str(exc)):
+                linalg.complete_to_unimodular(v)
+            continue
+        primitive += 1
+        assert linalg.complete_to_unimodular(v) == expected
+    assert primitive >= 2000
+    for v in ((0,), (0, 0, 0), (2, 4), (-6, 0, 9, 3)):
+        with pytest.raises(ToolkitError, match="vector is not primitive"):
+            linalg.complete_to_unimodular(v)
+    for call in (_smith_completion, linalg.complete_to_unimodular):
+        with pytest.raises(ToolkitError, match="degenerate input: empty matrix"):
+            call(())
+
+
+def test_lattice_is_saturated_matches_the_elementary_divisors():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(600):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 5)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            k = rng.randint(2, 3)
+            m = [[k * x for x in row] for row in m]
+        if rows > 2 and rng.random() < 0.4:  # a dependent row
+            m[-1] = [x + rng.randint(-3, 3) * y for x, y in zip(m[0], m[1])]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:  # rank 2 in a wider row: the screen's shape
+            m = [row[:] for row in m[:2]] + [[a - b for a, b in zip(m[0], m[1 % rows])]]
+        divisors = linalg.elementary_divisors(m)
+        index = 1
+        for d in divisors:
+            index *= d
+        saturated = all(d == 1 for d in divisors)
+        assert linalg.lattice_is_saturated(m) is saturated
+        assert linalg.lattice_index(m) == index
+        seen.add((saturated, linalg.rank(m) < rows))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert linalg.lattice_is_saturated([[0, 0], [0, 0]]) is True
+    assert linalg.lattice_index([[0, 0, 0]]) == 1
+    with pytest.raises(ToolkitError, match="degenerate input: empty matrix"):
+        linalg.lattice_is_saturated([])
 
 
 def test_solve_particular_and_inconsistent():

@@ -210,6 +210,80 @@ def test_projection_rejects_a_direction_of_the_wrong_length(v_tilde):
         project_to_3d(rr_polytope(W), v_tilde, W)
 
 
+ILL_TYPED = [("1", -2, 0, 1), None, (1.0, -2, 0, 1), (True, -2, 0, 1)]
+ILL_TYPED_IDS = ["str", "none", "float", "bool"]
+
+
+@pytest.mark.parametrize("u", ILL_TYPED, ids=ILL_TYPED_IDS)
+def test_width_direction_rejects_ill_typed_exponent_vectors(u):
+    with pytest.raises(InputError, match="is not a vector of integers"):
+        width_direction(W, u, (0, 1, -2, 1))
+    with pytest.raises(InputError, match="is not a vector of integers"):
+        width_direction(W, (0, 1, -2, 1), u)
+
+
+@pytest.mark.parametrize("v_tilde", [("3", 5, 6, 7), None, (3.0, 5, 6, 7), (3, 5, True, 7)],
+                         ids=ILL_TYPED_IDS)
+def test_projection_rejects_an_ill_typed_direction(v_tilde):
+    with pytest.raises(InputError, match="is not a vector of integers"):
+        project_to_3d(rr_polytope(W), v_tilde, W)
+
+
+def _kernel_route_width_direction(w, u1, u2):
+    """v~ through the integral kernel of (u1, u2), the coordinates of w in it and Bezout."""
+    kernel = linalg.integral_kernel([u1, u2])
+    if len(kernel) != 2:
+        raise InputError("u-vectors must be linearly independent")
+    alpha, beta = linalg.lattice_coordinates(kernel, [w.weights])[0]
+    assert gcd(alpha, beta) == 1
+    s, t = linalg.bezout(alpha, beta)
+    v = tuple(-t * b1 + s * b2 for b1, b2 in zip(kernel[0], kernel[1]))
+    return wps._reduce_mod_weights(v, w.weights)
+
+
+def test_width_direction_matches_the_kernel_route():
+    quads = _screened_weights()
+    cases = []
+    for quad in quads:
+        w = WeightVector(quad)
+        chosen, _ = lowest_degree_binomials(w)
+        cases.append((w, chosen[0].u, chosen[1].u))
+    # seeded weights, with u1 and u2 random combinations of a weight-lattice basis
+    rng = random.Random(37)
+    while len(cases) < len(quads) + 300:
+        quad = tuple(rng.randint(1, 60) for _ in range(4))
+        if gcd(*quad) != 1:
+            continue
+        w = WeightVector(quad)
+        basis = linalg.integral_kernel([quad])
+        u1, u2 = (linalg.mat_vec(linalg.transpose(basis), [rng.randint(-3, 3) for _ in basis])
+                  for _ in range(2))
+        cases.append((w, u1, u2))
+    dependent = 0
+    for w, u1, u2 in cases:
+        try:
+            expected = _kernel_route_width_direction(w, u1, u2)
+        except InputError:
+            dependent += 1
+            with pytest.raises(InputError, match="u-vectors must be linearly independent"):
+                width_direction(w, u1, u2)
+            continue
+        assert width_direction(w, u1, u2) == expected
+    assert 0 < dependent < 30
+
+
+def test_width_direction_certifies_its_completion(monkeypatch):
+    complete = linalg.complete_to_unimodular
+
+    def doubled(v):  # first row v, the other rows doubled: index 8, not a basis
+        u = complete(v)
+        return (u[0],) + tuple(tuple(2 * x for x in row) for row in u[1:])
+
+    monkeypatch.setattr(linalg, "complete_to_unimodular", doubled)
+    with pytest.raises(InvariantError, match="not a basis completion of the weights"):
+        width_direction(W, (1, -2, 0, 1), (0, 1, -2, 1))
+
+
 def test_projection_preserves_width():
     rr = rr_polytope(W)
     q, v = project_to_3d(rr, (3, 5, 6, 7), W)
@@ -340,6 +414,8 @@ def test_saturate_generators_extends_an_unsaturated_seed():
                BinomialGenerator(u=tuple(2 * x for x in u2), degree=52)]
     extended = saturate_generators(W, u1, u2, doubled)
     rows = [g.u for g in extended]
+    assert [(g.u, g.degree) for g in extended] == [
+        ((2, -4, 0, 2), 44), ((0, 2, -4, 2), 52), ((1, -2, 0, 1), 22), ((0, 1, -2, 1), 26)]
     assert linalg.lattice_is_saturated(linalg.integer_matrix(rows))
     assert len(extended) > 2
     # every added generator lies in the rational plane of u1 and u2
@@ -449,8 +525,9 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
     ((4, 6, 7, 9), 1), ((4, 5, 6, 7), 2), ((7, 11, 13, 15), 1), ((7, 15, 19, 23), 2)])
 def test_screen_builds_no_hull_and_solves_the_vertex_coordinates_once(monkeypatch, weights,
                                                                        projections):
-    hulls, solves, orientations = [], [], []
-    solve, orient = linalg.lattice_coordinates, wps._project_orientation
+    hulls, solves, orientations, smiths = [], [], [], []
+    solve, orient, smith = (linalg.lattice_coordinates, wps._project_orientation,
+                            linalg.smith_normal_form)
 
     def no_hull(self, *args, **kwargs):
         hulls.append(args)
@@ -464,15 +541,22 @@ def test_screen_builds_no_hull_and_solves_the_vertex_coordinates_once(monkeypatc
         orientations.append(args[1])
         return orient(*args)
 
+    def counting_smith(m):
+        smiths.append([tuple(row) for row in m])
+        return smith(m)
+
     monkeypatch.setattr(polytope.LatticePolytope, "__init__", no_hull)
     monkeypatch.setattr(linalg, "lattice_coordinates", counting_solve)
     monkeypatch.setattr(wps, "_project_orientation", counting_orient)
+    monkeypatch.setattr(linalg, "smith_normal_form", counting_smith)
     screen(weights)
     assert hulls == []
     assert len(orientations) == projections
-    # one solve for v~ on the rank-2 lattice of width_direction, one for the
-    # four vertices on the rank-3 weight lattice, however many orientations
-    assert solves == [2, 3]
+    # one solve for the four vertices on the rank-3 weight lattice, however
+    # many orientations; width_direction solves nothing
+    assert solves == [3]
+    # and one Smith form, for that weight lattice's integral kernel
+    assert smiths == [[weights]]
 
 
 def _screened_weights():
