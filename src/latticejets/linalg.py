@@ -445,11 +445,14 @@ def _maximal_minors(m):
 def lattice_index(m: IntMatrix) -> int:
     """Index of the lattice generated by the rows of ``m`` in its saturation.
 
-    The gcd of the maximal minors; rows may be linearly dependent.
+    The gcd of the maximal minors; rows may be linearly dependent. The scan
+    stops once the gcd is 1, which no further minor changes.
     """
     g = 0
     for minor in _maximal_minors(m):
         g = gcd(g, minor)
+        if g == 1:
+            break
     return g
 
 
@@ -457,15 +460,9 @@ def lattice_is_saturated(m: IntMatrix) -> bool:
     """True iff the lattice generated by the rows of ``m`` is saturated.
 
     Tolerates linearly dependent rows (the span is what is tested); used by
-    the screening pipeline where generator lists may be redundant. The gcd of
-    the maximal minors is 1 exactly then, and the scan stops once it is.
+    the screening pipeline where generator lists may be redundant.
     """
-    g = 0
-    for minor in _maximal_minors(m):
-        g = gcd(g, minor)
-        if g == 1:
-            return True
-    return False
+    return lattice_index(m) == 1
 
 
 def integral_kernel(m: IntMatrix) -> IntMatrix:

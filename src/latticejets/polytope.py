@@ -416,7 +416,7 @@ def _affine_lattice_coordinates(points: Sequence[Point], r: int):
         basis = linalg.identity(len(base))
     coords = linalg.lattice_coordinates(basis, diffs)
     if None in coords:
-        raise ToolkitError("point outside its own difference lattice")
+        raise InvariantError("point outside its own difference lattice")
     return coords, basis, base
 
 
@@ -643,7 +643,7 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     edges = _edges_at_vertex(p, vertex)
     e_basis = [edges[i] for i in linalg.independent_rows(edges)]
     if len(e_basis) < k:
-        raise ToolkitError("vertex cone is not full-dimensional")
+        raise InvariantError("vertex cone is not full-dimensional")
     ineqs = [(e, -best_w) for e in e_basis] + [(tuple(-x for x in e), -best_w) for e in e_basis]
     points: list[Point] = []
     try:
@@ -672,7 +672,7 @@ def _quotient_width(p: LatticePolytope, budget: int) -> WidthResult:
     # lift: v in Z^k with B v = u, via the SNF completion of B
     uu, dd, vv = linalg.smith_normal_form(basis)
     if any(dd[i][i] != 1 for i in range(r)):
-        raise ToolkitError("difference lattice basis is not saturated")
+        raise InvariantError("difference lattice basis is not saturated")
     uu_u = linalg.mat_vec(uu, u)
     padded = tuple(uu_u) + (0,) * (p.dim - r)
     lift = linalg.mat_vec(vv, padded)

@@ -17,9 +17,9 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
    with v~ mapped to (1,0,0), followed by the obstruction conditions. Both
    simplices are built in closed form with no hull: the Riemann-Roch
    simplex's vertices are (lcm/a_i) e_i, and the projected facets are the
-   planes through each three vertices, oriented by the fourth. The vertices'
-   lattice coordinates are solved once per screen, relative to one fixed
-   vertex, and each orientation shifts them to its own least vertex;
+   planes through each three vertices, oriented by the fourth.
+   ``project_to_3d`` runs once, for the canonical sign of v~; the negated
+   sign's image is its reflection about the top vertex (``_negated``);
 5. the nefness certificate: generator degrees below lcm(w)/m plus
    saturation of the generated relation lattice, read off the gcd of its
    maximal minors.
@@ -233,56 +233,50 @@ def _reduce_mod_weights(v, w):
 def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
     """Quotient the weight hyperplane to Z^3, sending v~ to (1, 0, 0).
 
-    ``rr`` is a simplex with four vertices, as ``rr_polytope`` builds it;
-    one that does not project to a full-dimensional simplex is an
-    ``InputError``. Returns (polytope, direction): the polytope is
-    translated so the unique v~-minimizing vertex is the origin, and the
-    level function is the first coordinate, so widths transfer unchanged.
-    ``screen`` runs the same two steps, ``_vertex_coordinates`` once and
-    ``_project_orientation`` for each orientation.
+    ``rr`` is a simplex in Z^4 on one level of w, as ``rr_polytope`` builds
+    it; another ``rr``, or a v~ that does not complete w to a basis modulo
+    w, is an ``InputError``. Returns (polytope, direction): the vertices'
+    weight-lattice coordinates relative to the v~-least vertex (graded-lex
+    least on a tie), mapped by the Euclid completion of v~'s projection, so
+    the level function is the first coordinate and widths transfer
+    unchanged. The facets come in closed form, with no hull.
     """
     v_tilde = _as_point(v_tilde)
-    if len(v_tilde) != len(w.weights):
+    wt = w.weights
+    if len(v_tilde) != len(wt):
         raise InputError(f"direction {v_tilde} has length {len(v_tilde)}, expected 4")
-    basis = linalg.integral_kernel([w.weights])
-    return _project_orientation(rr, v_tilde, basis, _vertex_coordinates(rr, basis))
-
-
-def _vertex_coordinates(rr: LatticePolytope, basis: linalg.IntMatrix):
-    """Coordinates c with c B = x - a0 for each vertex x of rr, a0 the first vertex.
-
-    One solve serves every orientation, since the vertices lie in one coset
-    of the lattice spanned by ``basis`` exactly when their differences from
-    any one of them lie in it.
-    """
-    a0 = rr.vertices[0]
+    if rr.dim != len(wt):
+        raise InputError(f"polytope has dimension {rr.dim}, expected 4")
+    if len({sum(a * b for a, b in zip(x, wt)) for x in rr.vertices}) != 1:
+        raise InputError(f"polytope vertices are not on one level of the weights {wt}")
+    basis = linalg.integral_kernel([wt])
+    values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
+    anchor = rr.vertices[values.index(min(values))]  # vertices are in point_key order
     coords = linalg.lattice_coordinates(
-        basis, [tuple(a - b for a, b in zip(x, a0)) for x in rr.vertices])
+        basis, [tuple(a - b for a, b in zip(x, anchor)) for x in rr.vertices])
     if None in coords:
         raise InvariantError("vertex outside the weight-orthogonal lattice")
-    return coords
-
-
-def _project_orientation(rr: LatticePolytope, v_tilde: Sequence[int],
-                         basis: linalg.IntMatrix, coords):
-    """``project_to_3d`` on the coordinates that ``_vertex_coordinates`` returns.
-
-    The anchor a is the v~-least vertex, the graded-lex least on a tie, and
-    coords(x - a) = coords(x - a0) - coords(a - a0), so nothing is solved
-    again. The image is a full-dimensional simplex, built with its facets
-    and no hull.
-    """
-    values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
-    shift = coords[values.index(min(values))]  # vertices are in point_key order
     v_q = tuple(sum(a * b for a, b in zip(row, v_tilde)) for row in basis)
     if not any(v_q):
         raise InputError("direction is a multiple of the weights")
     if gcd(*v_q) != 1:
-        raise InvariantError(f"projected direction {v_q} is imprimitive")
+        raise InputError(f"projected direction {v_q} is imprimitive")
     u = linalg.complete_to_unimodular(v_q)
-    verts = tuple(sorted((linalg.mat_vec(u, [a - b for a, b in zip(c, shift)]) for c in coords),
-                         key=point_key))
+    verts = tuple(sorted((linalg.mat_vec(u, c) for c in coords), key=point_key))
     return LatticePolytope._trusted(3, verts, _simplex_facets(verts)), Direction((1, 0, 0))
+
+
+def _negated(projected: LatticePolytope) -> LatticePolytope:
+    """``project_to_3d`` for -v~, read off its image for v~ with a unique top vertex.
+
+    Euclid on -v_q picks the same pivots and floor quotients as on v_q, so
+    its completion is v_q's with the first row negated; the new anchor is the
+    top vertex, so x maps to (top_1 - x_1, x_2 - top_2, x_3 - top_3).
+    """
+    t1, t2, t3 = max(projected.vertices, key=lambda x: x[0])
+    verts = tuple(sorted(((t1 - x1, x2 - t2, x3 - t3) for x1, x2, x3 in projected.vertices),
+                         key=point_key))
+    return LatticePolytope._trusted(3, verts, _simplex_facets(verts))
 
 
 def saturate_generators(w: WeightVector, u1, u2, generators,
@@ -296,9 +290,10 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
     kept, and the number of extensions is bounded.
     """
     l_rows = [g.u for g in generators]
+    index = linalg.lattice_index(l_rows)
     extensions = 0
     candidates = None
-    while not linalg.lattice_is_saturated(l_rows):
+    while index != 1:
         if extensions >= max_extra:
             raise BudgetExceededError(
                 "saturation not reached within the generator budget",
@@ -311,11 +306,12 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
         if linalg.rank([u1, u2, cand.u]) != 2:
             continue
         trial = l_rows + [cand.u]
+        trial_index = linalg.lattice_index(trial)
         # trial contains l_rows and both span the plane, so an equal index is an equal lattice
-        if linalg.lattice_index(trial) == linalg.lattice_index(l_rows):
+        if trial_index == index:
             continue  # no index improvement
         generators = generators + [cand]
-        l_rows = trial
+        l_rows, index = trial, trial_index
         extensions += 1
     return generators
 
@@ -377,20 +373,19 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
     u1, u2 = chosen[0], chosen[1]
     v_canonical = _stage("width_direction", width_direction, w, u1.u, u2.u)
     rr = _stage("rr_polytope", rr_polytope, w)
-    # one weight lattice and one solve for the vertex coordinates serve both orientations
-    lattice = _stage("projection", linalg.integral_kernel, [w.weights])
-    coords = _stage("projection", _vertex_coordinates, rr, lattice)
+    projected, direction = _stage("projection", project_to_3d, rr, v_canonical, w)
     # the obstruction conditions live on the min side of the direction and
     # v~ is only determined up to sign, so evaluate the canonical sign first
     # and keep the passing orientation. Negating v~ swaps the min and max
     # vertices, so both signs share cond1: the negated one runs only when
-    # cond1 holds
+    # cond1 holds, and its top vertex, the one _negated anchors on, is unique
     best = None
-    for v_tilde in (v_canonical, tuple(-x for x in v_canonical)):
+    for sign in (1, -1):
+        v_tilde = tuple(sign * x for x in v_canonical)
+        if sign < 0:
+            projected = _negated(projected)
         values = tuple(sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices)
         m = max(values) - min(values)
-        projected, direction = _stage("projection", _project_orientation, rr, v_tilde,
-                                      lattice, coords)
         if width_in_direction(projected, direction) != m:
             raise InvariantError("projection changed the width")
         corollary = _stage("corollary", corollary_check, projected, direction)

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from latticejets import linalg, oracles, polytope
-from latticejets.errors import BudgetExceededError, InputError, ToolkitError
+from latticejets.errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
                                   config_from_json, lattice_points,
                                   lattice_width, point_key, slice_points,
@@ -300,9 +300,34 @@ def test_affine_lattice_coordinates_rejects_a_non_saturated_lattice(monkeypatch)
         return out
 
     monkeypatch.setattr(polytope.linalg, "integral_kernel", doubled_second_call)
-    with pytest.raises(ToolkitError, match="outside its own difference lattice"):
+    with pytest.raises(InvariantError, match="outside its own difference lattice"):
         polytope._affine_lattice_coordinates([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2)
     assert len(calls) == 2
+
+
+def _one_edge(edges_at_vertex):
+    return lambda p, vertex: edges_at_vertex(p, vertex)[:1]
+
+
+def _doubled_basis(affine_lattice_coordinates):
+    def doubled(points, r):
+        coords, basis, base = affine_lattice_coordinates(points, r)
+        return coords, (tuple(2 * x for x in basis[0]),) + basis[1:], base
+    return doubled
+
+
+@pytest.mark.parametrize("name, fault, vertices, message", [
+    ("_edges_at_vertex", _one_edge, [(0, 0), (3, 0), (0, 3)],
+     "vertex cone is not full-dimensional"),
+    ("_affine_lattice_coordinates", _doubled_basis, [(0, 0, 0), (3, 0, 0), (0, 3, 0)],
+     "difference lattice basis is not saturated"),
+], ids=["vertex-cone", "quotient-basis"])
+def test_lattice_width_reports_internal_faults_as_invariant_errors(monkeypatch, name, fault,
+                                                                    vertices, message):
+    # neither can happen on any input, so each is a bug (CLI exit 4), never bad input (exit 2)
+    monkeypatch.setattr(polytope, name, fault(getattr(polytope, name)))
+    with pytest.raises(InvariantError, match=message):
+        lattice_width(LatticePolytope(vertices))
 
 
 def test_all_points_within_width_band():

@@ -292,19 +292,19 @@ def test_projection_preserves_width():
     assert width_in_direction(q, v) == 572
 
 
-def _project_on(basis):
-    """The two steps ``screen`` runs, on a given basis of the weight lattice."""
-    rr = rr_polytope(W)
-    return wps._project_orientation(rr, (3, 5, 6, 7), basis, wps._vertex_coordinates(rr, basis))
+def _project_on(monkeypatch, basis):
+    """``project_to_3d`` with ``basis`` in place of the weight lattice's HNF basis."""
+    monkeypatch.setattr(linalg, "integral_kernel", lambda m: basis)
+    return project_to_3d(rr_polytope(W), (3, 5, 6, 7), W)
 
 
-def test_projection_alternative_basis_same_verdicts():
+def test_projection_alternative_basis_same_verdicts(monkeypatch):
     default_basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
     # a different (still valid) basis of the same lattice
     u = linalg.integer_matrix([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     other_basis = linalg.mat_mul(u, default_basis)
-    q1, v1 = _project_on(default_basis)
-    q2, v2 = _project_on(other_basis)
+    q1, v1 = _project_on(monkeypatch, default_basis)
+    q2, v2 = _project_on(monkeypatch, other_basis)
     assert width_in_direction(q1, v1) == width_in_direction(q2, v2) == 572
     r1 = corollary_check(q1, v1)
     r2 = corollary_check(q2, v2)
@@ -313,11 +313,49 @@ def test_projection_alternative_basis_same_verdicts():
     assert len(r1.slice_config) == len(r2.slice_config)
 
 
-def test_projection_rejects_a_non_saturated_basis():
+def test_projection_rejects_a_non_saturated_basis(monkeypatch):
     basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
     doubled = (tuple(2 * x for x in basis[0]),) + basis[1:]
     with pytest.raises(InvariantError, match="vertex outside the weight-orthogonal lattice"):
-        _project_on(doubled)
+        _project_on(monkeypatch, doubled)
+
+
+@pytest.mark.parametrize("rr, message", [
+    (rr_polytope(WeightVector((1, 2, 3, 5))), "not on one level of the weights"),
+    (polytope.LatticePolytope([(0, 0, 0, 1), (15, 0, 0, 0), (0, 0, 0, 0)]),
+     "not on one level of the weights"),
+    (polytope.LatticePolytope([(0, 0), (1, 0), (0, 1)]), "has dimension 2, expected 4"),
+], ids=["other-weights", "two-levels", "dimension-2"])
+def test_projection_rejects_a_polytope_off_one_weight_level(rr, message):
+    with pytest.raises(InputError, match=message):
+        project_to_3d(rr, (3, 5, 6, 7), W)
+
+
+def test_projection_rejects_a_direction_that_does_not_complete_the_weights():
+    # (6, 10, 12, 14) = 2 (3, 5, 6, 7): its 2 x 2 minors with W share the factor 2
+    with pytest.raises(InputError, match=r"projected direction \(-2, -2, -2\) is imprimitive"):
+        project_to_3d(rr_polytope(W), (6, 10, 12, 14), W)
+    with pytest.raises(InputError, match="direction is a multiple of the weights"):
+        project_to_3d(rr_polytope(W), (14, 22, 26, 30), W)
+
+
+def test_negated_orientation_is_the_reflection_of_the_canonical_image():
+    reflected = 0
+    for quad in _screened_weights():
+        w = WeightVector(quad)
+        rr = rr_polytope(w)
+        chosen, _ = lowest_degree_binomials(w)
+        v = width_direction(w, chosen[0].u, chosen[1].u)
+        q, direction = project_to_3d(rr, v, w)
+        if not corollary_check(q, direction).cond1:
+            continue  # the screen never negates there: the top vertex is not unique
+        expected, _ = project_to_3d(rr, tuple(-x for x in v), w)
+        got = wps._negated(q)
+        assert got.vertices == expected.vertices
+        assert got.facets() == expected.facets()
+        assert got == expected and hash(got) == hash(expected)
+        reflected += 1
+    assert reflected > 100
 
 
 def test_screen_worked_example():
@@ -497,27 +535,36 @@ def test_scan_weights_rejects_a_min_weight_below_one():
 ])
 def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, weights,
                                                                   projections):
-    projected, kernels = [], []
-    project, kernel = wps._project_orientation, linalg.integral_kernel
+    projected, negated, kernels = [], [], []
+    project, negate, kernel = wps.project_to_3d, wps._negated, linalg.integral_kernel
 
     def counting_project(*args, **kwargs):
         projected.append(args[1])
         return project(*args, **kwargs)
 
+    def counting_negate(q):
+        negated.append(q)
+        return negate(q)
+
     def counting_kernel(m):
         kernels.append([tuple(row) for row in m])
         return kernel(m)
 
-    monkeypatch.setattr(wps, "_project_orientation", counting_project)
+    monkeypatch.setattr(wps, "project_to_3d", counting_project)
+    monkeypatch.setattr(wps, "_negated", counting_negate)
     monkeypatch.setattr(linalg, "integral_kernel", counting_kernel)
     report = screen(weights)
-    assert len(projected) == projections
-    # the report keeps the passing orientation, else the canonical one
-    assert report.v_tilde == projected[-1 if report.verdict == "nef_not_semiample" else 0]
+    # one projection, of the canonical sign; the negated sign is its reflection
+    assert len(projected) == 1 and len(negated) == projections - 1
+    canonical = projected[0]
+    if report.verdict == "nef_not_semiample" and projections == 2:
+        assert report.v_tilde == tuple(-x for x in canonical)
+    else:  # the report keeps the passing orientation, else the canonical one
+        assert report.v_tilde == canonical
     assert kernels.count([weights]) == 1
     if not report.corollary.cond1:  # the skipped negated orientation fails cond1 too
-        negated = tuple(-x for x in report.v_tilde)
-        flipped = project_to_3d(rr_polytope(report.weights), negated, report.weights)
+        negated_v = tuple(-x for x in report.v_tilde)
+        flipped = project(rr_polytope(report.weights), negated_v, report.weights)
         assert not corollary_check(*flipped).cond1
 
 
@@ -525,38 +572,36 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
     ((4, 6, 7, 9), 1), ((4, 5, 6, 7), 2), ((7, 11, 13, 15), 1), ((7, 15, 19, 23), 2)])
 def test_screen_builds_no_hull_and_solves_the_vertex_coordinates_once(monkeypatch, weights,
                                                                        projections):
-    hulls, solves, orientations, smiths = [], [], [], []
-    solve, orient, smith = (linalg.lattice_coordinates, wps._project_orientation,
-                            linalg.smith_normal_form)
+    hulls = []
+    calls = {"lattice_coordinates": [], "complete_to_unimodular": [], "smith_normal_form": []}
 
     def no_hull(self, *args, **kwargs):
         hulls.append(args)
         raise AssertionError("the screen's simplices are built in closed form")
 
-    def counting_solve(basis, vectors):
-        solves.append(len(basis))
-        return solve(basis, vectors)
-
-    def counting_orient(*args):
-        orientations.append(args[1])
-        return orient(*args)
-
-    def counting_smith(m):
-        smiths.append([tuple(row) for row in m])
-        return smith(m)
+    def counting(name, real):
+        def call(*args):
+            calls[name].append(args[0])
+            return real(*args)
+        return call
 
     monkeypatch.setattr(polytope.LatticePolytope, "__init__", no_hull)
-    monkeypatch.setattr(linalg, "lattice_coordinates", counting_solve)
-    monkeypatch.setattr(wps, "_project_orientation", counting_orient)
-    monkeypatch.setattr(linalg, "smith_normal_form", counting_smith)
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    calls["_negated"] = []
+    monkeypatch.setattr(wps, "_negated", counting("_negated", wps._negated))
     screen(weights)
     assert hulls == []
-    assert len(orientations) == projections
+    assert len(calls["_negated"]) == projections - 1  # the counts below hold either way
     # one solve for the four vertices on the rank-3 weight lattice, however
     # many orientations; width_direction solves nothing
-    assert solves == [3]
+    assert [len(basis) for basis in calls["lattice_coordinates"]] == [3]
+    # one Euclid completion of w (width_direction) and one of the projected
+    # direction (project_to_3d): the negated sign reuses the latter
+    completions = calls["complete_to_unimodular"]
+    assert len(completions) == 2 and completions[0] == weights
     # and one Smith form, for that weight lattice's integral kernel
-    assert smiths == [[weights]]
+    assert [[tuple(row) for row in m] for m in calls["smith_normal_form"]] == [[weights]]
 
 
 def _screened_weights():
