@@ -17,9 +17,13 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
    with v~ mapped to (1,0,0), followed by the obstruction conditions. Both
    simplices are built in closed form with no hull: the Riemann-Roch
    simplex's vertices are (lcm/a_i) e_i, and the projected facets are the
-   planes through each three vertices, oriented by the fourth.
-   ``project_to_3d`` runs once, for the canonical sign of v~; the negated
-   sign's image is its reflection about the top vertex (``_negated``);
+   planes through each three vertices, oriented by the fourth. The weight
+   lattice's Hermite basis is read in closed form from gcds and modular
+   inverses of the weights (``_weight_lattice``), and the vertex
+   coordinates by back-substitution on it, with no Smith form, Hermite
+   elimination or solve. ``project_to_3d`` runs once, for the canonical
+   sign of v~; the negated sign's image, facets included, is its
+   reflection about the top vertex (``_negated``);
 5. the nefness certificate: generator degrees below lcm(w)/m plus
    saturation of the generated relation lattice, read off the gcd of its
    maximal minors.
@@ -39,8 +43,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, LatticePolytope, _as_point, _simplex_facets, point_key,
-                       sign_normalized, width_in_direction)
+from .polytope import (Direction, Facet, LatticePolytope, _as_int, _as_point, _simplex_facets,
+                       point_key, sign_normalized, width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
 DEGREE_BUDGET = 4000
@@ -161,6 +165,14 @@ def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
         diagnostics={"weights": w.weights, "degree_budget": budget})
 
 
+def _int_arg(name: str, x) -> int:
+    """``x`` as an int; a bool, float, string or None is an InputError."""
+    try:
+        return _as_int(x)
+    except TypeError:
+        raise InputError(f"{name} {x!r} is not an integer") from None
+
+
 def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
     """The two lowest-degree binomials, and the ties of the second one's degree.
 
@@ -168,9 +180,10 @@ def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
     degree past the second binomial's is read. They are distinct, primitive
     and sign-normalized, so no two are parallel and the first two are
     linearly independent. Returns (chosen, alternatives): alternatives are
-    the rest of the second one's degree.
+    the rest of the second one's degree. A ``budget`` that is not an int is
+    an ``InputError``.
     """
-    batches = _binomial_batches(w, budget)
+    batches = _binomial_batches(w, _int_arg("budget", budget))
     found: list[BinomialGenerator] = []
     while len(found) < 2:
         found += next(batches)
@@ -230,6 +243,50 @@ def _reduce_mod_weights(v, w):
     return min(candidates)
 
 
+def _residue(c: int, a: int, g: int, p: int) -> int:
+    """The x in [0, p) with a x + c = 0 modulo g p; g divides a and c, and a/g is prime to p."""
+    return -(c // g) * pow(a // g, -1, p) % p if p > 1 else 0
+
+
+def _weight_lattice(w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The Hermite basis of {x : w.x = 0}, for w in Z^4 with gcd 1 and w4 != 0.
+
+    The basis is upper triangular with pivots in the first three columns. The
+    pivot of column j is the least x_j > 0 of a lattice vector that is zero
+    before column j: with g34 = gcd(a3, a4) and g234 = gcd(a2, g34) these are
+    g234 (a1 is prime to it), g34 / g234 and |a4| / g34. Each entry above a
+    pivot, in column j, is the residue in [0, pivot) that makes the row's
+    partial sum a1 x1 + ... + aj xj divisible by gcd(a_{j+1}, ..., a4)
+    (``_residue``), and the last column makes w.x = 0. The Hermite form is
+    unique, so this is ``linalg.integral_kernel([w])`` with no Smith or
+    Hermite elimination.
+    """
+    a1, a2, a3, a4 = w
+    g34 = gcd(a3, a4)
+    g234 = gcd(a2, g34)
+    p1, p2, p3 = g234, g34 // g234, abs(a4) // g34
+    h12 = _residue(a1 * p1, a2, g234, p2)
+    h13 = _residue(a1 * p1 + a2 * h12, a3, g34, p3)
+    h23 = _residue(a2 * p2, a3, g34, p3)
+    return tuple((x1, x2, x3, -(a1 * x1 + a2 * x2 + a3 * x3) // a4)
+                 for x1, x2, x3 in ((p1, h12, h13), (0, p2, h23), (0, 0, p3)))
+
+
+def _triangular_coordinates(basis, x: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The c with c B = x for an upper triangular 3 x 4 ``basis`` B, or None off its lattice.
+
+    Back-substitution down the three pivot columns, each quotient exact, then
+    the fourth coordinate checked.
+    """
+    (p1, h12, h13, e1), (_, p2, h23, e2), (_, _, p3, e3) = basis
+    c1, r1 = divmod(x[0], p1)
+    c2, r2 = divmod(x[1] - c1 * h12, p2)
+    c3, r3 = divmod(x[2] - c1 * h13 - c2 * h23, p3)
+    if r1 or r2 or r3 or c1 * e1 + c2 * e2 + c3 * e3 != x[3]:
+        return None
+    return c1, c2, c3
+
+
 def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
     """Quotient the weight hyperplane to Z^3, sending v~ to (1, 0, 0).
 
@@ -239,7 +296,9 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
     weight-lattice coordinates relative to the v~-least vertex (graded-lex
     least on a tie), mapped by the Euclid completion of v~'s projection, so
     the level function is the first coordinate and widths transfer
-    unchanged. The facets come in closed form, with no hull.
+    unchanged. The weight lattice's Hermite basis is read in closed form
+    (``_weight_lattice``) and the coordinates by back-substitution on it; the
+    facets come in closed form, with no hull.
     """
     v_tilde = _as_point(v_tilde)
     wt = w.weights
@@ -249,11 +308,11 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
         raise InputError(f"polytope has dimension {rr.dim}, expected 4")
     if len({sum(a * b for a, b in zip(x, wt)) for x in rr.vertices}) != 1:
         raise InputError(f"polytope vertices are not on one level of the weights {wt}")
-    basis = linalg.integral_kernel([wt])
+    basis = _weight_lattice(wt)
     values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
     anchor = rr.vertices[values.index(min(values))]  # vertices are in point_key order
-    coords = linalg.lattice_coordinates(
-        basis, [tuple(a - b for a, b in zip(x, anchor)) for x in rr.vertices])
+    coords = [_triangular_coordinates(basis, tuple(a - b for a, b in zip(x, anchor)))
+              for x in rr.vertices]
     if None in coords:
         raise InvariantError("vertex outside the weight-orthogonal lattice")
     v_q = tuple(sum(a * b for a, b in zip(row, v_tilde)) for row in basis)
@@ -271,12 +330,15 @@ def _negated(projected: LatticePolytope) -> LatticePolytope:
 
     Euclid on -v_q picks the same pivots and floor quotients as on v_q, so
     its completion is v_q's with the first row negated; the new anchor is the
-    top vertex, so x maps to (top_1 - x_1, x_2 - top_2, x_3 - top_3).
+    top vertex t, so x maps to (t_1 - x_1, x_2 - t_2, x_3 - t_3). The facets
+    are reflected too: n.x >= b becomes (-n_1, n_2, n_3).y >= b - n.t.
     """
     t1, t2, t3 = max(projected.vertices, key=lambda x: x[0])
     verts = tuple(sorted(((t1 - x1, x2 - t2, x3 - t3) for x1, x2, x3 in projected.vertices),
                          key=point_key))
-    return LatticePolytope._trusted(3, verts, _simplex_facets(verts))
+    facets = tuple(sorted(Facet((-n1, n2, n3), b - n1 * t1 - n2 * t2 - n3 * t3)
+                          for (n1, n2, n3), b in projected.facets()))
+    return LatticePolytope._trusted(3, verts, facets)
 
 
 def saturate_generators(w: WeightVector, u1, u2, generators,
@@ -365,7 +427,11 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> ScreenReport:
-    """Run the whole pipeline on one weight vector."""
+    """Run the whole pipeline on one weight vector.
+
+    A ``budget`` that is not an int is an ``InputError``.
+    """
+    budget = _int_arg("budget", budget)
     if not isinstance(w, WeightVector):
         w = WeightVector(tuple(w))
     big = w.lcm
@@ -487,8 +553,14 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     errors on individual quadruples are recorded as skips, not fatal; an
     ``InvariantError`` is a bug, not an inconclusive quadruple, and propagates.
     ``min_weight`` must be >= 1 and ``limit`` (>= 1) stops it after that many
-    hits; either below 1 is an ``InputError``.
+    hits; either below 1 is an ``InputError``, as is a ``max_weight``,
+    ``min_weight``, ``limit`` or ``budget`` that is not an int.
     """
+    max_weight = _int_arg("max_weight", max_weight)
+    min_weight = _int_arg("min_weight", min_weight)
+    budget = _int_arg("budget", budget)
+    if limit is not None:
+        limit = _int_arg("limit", limit)
     if min_weight < 1:
         raise InputError("min_weight must be >= 1")
     if limit is not None and limit < 1:

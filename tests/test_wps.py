@@ -294,17 +294,19 @@ def test_projection_preserves_width():
 
 def _project_on(monkeypatch, basis):
     """``project_to_3d`` with ``basis`` in place of the weight lattice's HNF basis."""
-    monkeypatch.setattr(linalg, "integral_kernel", lambda m: basis)
+    monkeypatch.setattr(wps, "_weight_lattice", lambda w: basis)
     return project_to_3d(rr_polytope(W), (3, 5, 6, 7), W)
 
 
 def test_projection_alternative_basis_same_verdicts(monkeypatch):
-    default_basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
-    # a different (still valid) basis of the same lattice
-    u = linalg.integer_matrix([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    default_basis = wps._weight_lattice(W.weights)
+    # a different (still valid, still upper triangular) basis of the same lattice
+    u = linalg.integer_matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     other_basis = linalg.mat_mul(u, default_basis)
+    assert other_basis != default_basis
     q1, v1 = _project_on(monkeypatch, default_basis)
     q2, v2 = _project_on(monkeypatch, other_basis)
+    assert q1.vertices != q2.vertices  # the substitute basis is really read
     assert width_in_direction(q1, v1) == width_in_direction(q2, v2) == 572
     r1 = corollary_check(q1, v1)
     r2 = corollary_check(q2, v2)
@@ -314,7 +316,7 @@ def test_projection_alternative_basis_same_verdicts(monkeypatch):
 
 
 def test_projection_rejects_a_non_saturated_basis(monkeypatch):
-    basis = linalg.integral_kernel(linalg.integer_matrix([W.weights]))
+    basis = wps._weight_lattice(W.weights)
     doubled = (tuple(2 * x for x in basis[0]),) + basis[1:]
     with pytest.raises(InvariantError, match="vertex outside the weight-orthogonal lattice"):
         _project_on(monkeypatch, doubled)
@@ -535,8 +537,9 @@ def test_scan_weights_rejects_a_min_weight_below_one():
 ])
 def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, weights,
                                                                   projections):
-    projected, negated, kernels = [], [], []
-    project, negate, kernel = wps.project_to_3d, wps._negated, linalg.integral_kernel
+    projected, negated, lattices, kernels = [], [], [], []
+    project, negate, lattice = wps.project_to_3d, wps._negated, wps._weight_lattice
+    kernel = linalg.integral_kernel
 
     def counting_project(*args, **kwargs):
         projected.append(args[1])
@@ -546,12 +549,17 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
         negated.append(q)
         return negate(q)
 
+    def counting_lattice(w):
+        lattices.append(w)
+        return lattice(w)
+
     def counting_kernel(m):
         kernels.append([tuple(row) for row in m])
         return kernel(m)
 
     monkeypatch.setattr(wps, "project_to_3d", counting_project)
     monkeypatch.setattr(wps, "_negated", counting_negate)
+    monkeypatch.setattr(wps, "_weight_lattice", counting_lattice)
     monkeypatch.setattr(linalg, "integral_kernel", counting_kernel)
     report = screen(weights)
     # one projection, of the canonical sign; the negated sign is its reflection
@@ -561,7 +569,8 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
         assert report.v_tilde == tuple(-x for x in canonical)
     else:  # the report keeps the passing orientation, else the canonical one
         assert report.v_tilde == canonical
-    assert kernels.count([weights]) == 1
+    # one weight lattice, read in closed form: no integral kernel
+    assert lattices == [weights] and kernels == []
     if not report.corollary.cond1:  # the skipped negated orientation fails cond1 too
         negated_v = tuple(-x for x in report.v_tilde)
         flipped = project(rr_polytope(report.weights), negated_v, report.weights)
@@ -573,7 +582,8 @@ def test_screen_projects_each_orientation_it_needs_on_one_lattice(monkeypatch, w
 def test_screen_builds_no_hull_and_solves_the_vertex_coordinates_once(monkeypatch, weights,
                                                                        projections):
     hulls = []
-    calls = {"lattice_coordinates": [], "complete_to_unimodular": [], "smith_normal_form": []}
+    calls = {"lattice_coordinates": [], "complete_to_unimodular": [], "smith_normal_form": [],
+             "hermite_normal_form": []}
 
     def no_hull(self, *args, **kwargs):
         hulls.append(args)
@@ -588,20 +598,22 @@ def test_screen_builds_no_hull_and_solves_the_vertex_coordinates_once(monkeypatc
     monkeypatch.setattr(polytope.LatticePolytope, "__init__", no_hull)
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
-    calls["_negated"] = []
-    monkeypatch.setattr(wps, "_negated", counting("_negated", wps._negated))
+    for name in ("_negated", "_simplex_facets"):
+        calls[name] = []
+        monkeypatch.setattr(wps, name, counting(name, getattr(wps, name)))
     screen(weights)
     assert hulls == []
     assert len(calls["_negated"]) == projections - 1  # the counts below hold either way
-    # one solve for the four vertices on the rank-3 weight lattice, however
-    # many orientations; width_direction solves nothing
-    assert [len(basis) for basis in calls["lattice_coordinates"]] == [3]
+    # the weight lattice and the four vertices' coordinates in it are closed
+    # form, however many orientations: no Smith or Hermite form and no solve
+    for name in ("lattice_coordinates", "smith_normal_form", "hermite_normal_form"):
+        assert calls[name] == [], name
     # one Euclid completion of w (width_direction) and one of the projected
     # direction (project_to_3d): the negated sign reuses the latter
     completions = calls["complete_to_unimodular"]
     assert len(completions) == 2 and completions[0] == weights
-    # and one Smith form, for that weight lattice's integral kernel
-    assert [[tuple(row) for row in m] for m in calls["smith_normal_form"]] == [[weights]]
+    # the facets are built once, by project_to_3d; _negated reflects them
+    assert len(calls["_simplex_facets"]) == 1
 
 
 def _screened_weights():
@@ -628,6 +640,79 @@ def test_closed_form_simplices_equal_the_hull():
             assert q.vertices == hull.vertices
             assert q.affine_dim == hull.affine_dim == 3
             assert q.facets() == hull.facets() == polytope._facets_of(q.vertices, 3)
+
+
+def _seeded_weight_quadruples(rng, count):
+    """gcd-1 quadruples mixing weight 1, repeated weights, three weights sharing a
+    factor and entries up to 10**6, in random order."""
+    quads = []
+    while len(quads) < count:
+        kind = len(quads) % 5
+        top = rng.choice([12, 300, 10**6])
+        q = [rng.randint(1, top) for _ in range(4)]
+        if kind == 0:
+            q[rng.randrange(4)] = 1
+        elif kind == 1:
+            i, j = rng.sample(range(4), 2)
+            q[i] = q[j]
+        elif kind == 2:
+            f = rng.randint(2, 60)
+            q = [x * f if i != 0 else x for i, x in enumerate(q)]
+        elif kind == 3:
+            q = [rng.randint(1, 10**6) for _ in range(4)]
+        rng.shuffle(q)
+        if gcd(*q) == 1:
+            quads.append(tuple(q))
+    return quads
+
+
+def test_weight_lattice_closed_form_matches_the_references():
+    rng = random.Random(83)
+    screened = _screened_weights()
+    seeded = _seeded_weight_quadruples(rng, 2000)
+    assert sum(1 in q for q in seeded) >= 400
+    assert sum(len(set(q)) < 4 for q in seeded) >= 400
+    assert sum(any(gcd(*q[:i], *q[i + 1:]) > 1 for i in range(4)) for q in seeded) >= 300
+    assert sum(max(q) > 10**5 for q in seeded) >= 400
+    pivots = []
+    for quad in screened + seeded:
+        basis = wps._weight_lattice(quad)
+        assert basis == linalg.integral_kernel([quad]), quad
+        pivots.append(tuple(basis[i][i] for i in range(3)))
+        # the vertex differences the projection solves, lattice vectors and off-lattice ones
+        rr = rr_polytope(WeightVector(quad)).vertices
+        vectors = [tuple(a - b for a, b in zip(x, rr[0])) for x in rr]
+        for _ in range(3):
+            c = [rng.randint(-50, 50) for _ in range(3)]
+            x = linalg.mat_vec(linalg.transpose(basis), c)
+            vectors += [x, x[:3] + (x[3] + 1,), (x[0] + 1,) + x[1:]]
+        expected = linalg.lattice_coordinates(basis, vectors)
+        assert [wps._triangular_coordinates(basis, x) for x in vectors] == expected, quad
+        assert None not in expected[:4]
+    # the scan range reaches the first pivot's branch only five times
+    scan_pivots = pivots[93:len(screened)]
+    assert sum(p1 > 1 for p1, _, _ in scan_pivots) == 5
+    assert sum(p1 > 1 for p1, _, _ in pivots) >= 100
+    assert sum(p2 > 1 for _, p2, _ in pivots) >= 100
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: screen(W, budget=50.5), "budget"),
+    (lambda: screen(W, budget="50"), "budget"),
+    (lambda: screen(W, budget=True), "budget"),
+    (lambda: lowest_degree_binomials(W, 30.5), "budget"),
+    (lambda: next(scan_weights(15.0)), "max_weight"),
+    (lambda: next(scan_weights("15")), "max_weight"),
+    (lambda: next(scan_weights(15, min_weight=2.0)), "min_weight"),
+    (lambda: next(scan_weights(8, budget=None)), "budget"),
+    (lambda: next(scan_weights(8, limit=1.5)), "limit"),
+    (lambda: next(scan_weights(8, limit=True)), "limit"),
+], ids=["screen-float", "screen-str", "screen-bool", "binomials-float", "scan-float",
+        "scan-str", "scan-min-float", "scan-budget-none", "scan-limit-float",
+        "scan-limit-bool"])
+def test_integer_arguments_reject_other_types(call, name):
+    with pytest.raises(InputError, match=f"^{name} .* is not an integer$"):
+        call()
 
 
 def _old_cond2_cond3(p, direction, p_min, p_max):
