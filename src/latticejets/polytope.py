@@ -6,12 +6,19 @@ comparisons. Lattice points come from one fiber kernel that reads only
 integer inequalities: Fourier-Motzkin elimination (Motzkin 1936, pruned by
 Chernikov's rule 1965) projects the system onto x_1..x_j for every j, and
 coordinates are fixed one at a time, each over the integer range that its
-projection leaves. ``lattice_points`` runs it on the facet system;
-``slice_points`` runs it on the facet system plus a level equation, so a
-slice is enumerated inside the slice only, never through the full polytope,
-because Riemann-Roch polytopes of weighted projective spaces are far too
-large to enumerate; ``lattice_width`` runs it on a dual parallelepiped. All
-three are bounded by a budget on the fibers and points visited.
+projection leaves. A two-variable system skips the general projections:
+``_walk_plane`` reads the y-range from one Fourier-Motzkin combination of
+each pair of opposite rows and then each y's z-range, with the same points,
+order and budget charges as the kernel. ``_enumerate_system`` picks between
+the two by the dimension alone, and every enumeration goes through it.
+``lattice_points`` runs it on the facet system; ``slice_points`` runs it on
+the facets restricted to the level x_1 = level when the direction is e_1 (a
+3-D slice is then a polygon walk), and on the facet system plus the level
+written as two rows for any other direction, so a slice is enumerated inside
+the slice only, never through the full polytope, because Riemann-Roch
+polytopes of weighted projective spaces are far too large to enumerate;
+``lattice_width`` runs it on a dual parallelepiped. All three are bounded by
+a budget on the fibers and points visited.
 
 Lattice-width certification is a flatness argument (Lenstra 1983): any
 direction v whose width is at most the best seed W0 pairs with every edge
@@ -65,6 +72,14 @@ def _as_int(x) -> int:
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is not an integer")
     return index(x)
+
+
+def _int_arg(name: str, x) -> int:
+    """``x`` as an int; a bool, float, string or None is an InputError."""
+    try:
+        return _as_int(x)
+    except TypeError:
+        raise InputError(f"{name} {x!r} is not an integer") from None
 
 
 def _as_point(p, k=None) -> Point:
@@ -431,18 +446,74 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
     time, each over the integer range its Fourier-Motzkin projection leaves,
     so the cost follows the point count (plus one range per fiber), not the
     bounding-box volume. The budget guards against polytopes that are too
-    large to enumerate at all (Riemann-Roch simplices of weight vectors).
+    large to enumerate at all (Riemann-Roch simplices of weight vectors); a
+    ``budget`` that is not an int is an InputError.
     """
+    budget = _int_arg("budget", budget)
     if p._lattice_points is not None:
         return p._lattice_points
     if not p.is_full_dim:
         raise ToolkitError("lattice-point enumeration requires a full-dimensional polytope")
-    ineqs = [(f.normal, f.offset) for f in p.facets()]
     pts: list[Point] = []
-    _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, budget])
+    _enumerate_system(p.facets(), p.dim, pts, [0, budget])
     pts.sort(key=sum)  # the kernel emits lex order; a stable sort by sum makes it point_key order
     p._lattice_points = PointConfig._trusted(p.dim, tuple(pts))
     return p._lattice_points
+
+
+def _enumerate_system(rows, k, out, counter):
+    """Emit the integer points of {x in Z^k : <a, x> >= b for (a, b) in rows} in lex order.
+
+    Two variables take ``_walk_plane``; any other k takes the general kernel.
+    Both read exact real projections, so they give the same integer ranges,
+    the same points in the same order, and the same budget charges.
+    """
+    if k == 2:
+        _walk_plane(rows, out, counter)
+    else:
+        _enumerate_fibers(_projections(rows, k), (), out, counter)
+
+
+def _walk_plane(rows, out, counter):
+    """``_enumerate_fibers`` for k = 2: rows ((a, b), c) mean a y + b z >= c.
+
+    The y-range comes from the rows with b = 0 and from one Fourier-Motzkin
+    combination of each pair of rows with b > 0 and b < 0, exactly the rows
+    of the kernel's S_1; each y's z-range is then a ceiling and a floor per
+    row. A row 0 >= c with c > 0 empties the plane, and a missing bound is
+    the kernel's "unbounded fiber". Budget as the kernel's: 1 on entry, then
+    the count plus 1 for each nonempty z-fiber.
+    """
+    pos = [(a, b, c) for (a, b), c in rows if b > 0]
+    neg = [(a, b, c) for (a, b), c in rows if b < 0]
+    y_rows = [(a, c) for (a, b), c in rows if not b]
+    y_rows += [(b1 * a2 - b2 * a1, b1 * c2 - b2 * c1) for a1, b1, c1 in pos for a2, b2, c2 in neg]
+    lo = hi = None
+    infeasible = False
+    for a, c in y_rows:
+        if a > 0:
+            bound = -(-c // a)  # ceil(c / a)
+            if lo is None or bound > lo:
+                lo = bound
+        elif a < 0:
+            bound = c // a  # floor(c / a) for negative a
+            if hi is None or bound < hi:
+                hi = bound
+        elif c > 0:
+            infeasible = True
+    if not infeasible and (lo is None or hi is None):
+        raise ToolkitError("unbounded fiber in lattice-point enumeration")
+    _charge(counter, 1)
+    if infeasible or lo > hi:
+        return
+    if not pos or not neg:
+        raise ToolkitError("unbounded fiber in lattice-point enumeration")
+    for y in range(lo, hi + 1):
+        z_lo = max([-((a * y - c) // b) for a, b, c in pos])  # ceil((c - a y) / b)
+        z_hi = min([(c - a * y) // b for a, b, c in neg])  # floor, as b < 0
+        if z_lo <= z_hi:
+            _charge(counter, z_hi - z_lo + 2)
+            out.extend([(y, z) for z in range(z_lo, z_hi + 1)])
 
 
 def _projections(ineqs, k):
@@ -549,29 +620,37 @@ def width_in_direction(p: LatticePolytope, v: Direction) -> int:
 def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     """Lattice points of P on the hyperplane <x,v> = level, in graded-lex order.
 
-    The slice is the polytope's facet system plus the level equation, written
-    as the two rows <v,x> >= level and <-v,x> >= -level, and it is enumerated
-    by the same fiber kernel as ``lattice_points``, with fiber ranges read off
-    the projections of that system. Only the slice is visited, never the full
-    polytope; when v = (1, 0, ..., 0) the slice is a single x1-fiber and the
-    cost follows its point count. A level that is not an int (a bool, float
-    or string) is an InputError.
+    Only the slice is visited, never the full polytope. When v = e_1 =
+    (1, 0, ..., 0), the direction ``screen`` slices along, the slice is the
+    single x_1-fiber x_1 = level: it is charged 1, as the kernel charges an
+    x_1-fiber, each facet (n, b) becomes the row ((n_2, ..., n_k),
+    b - n_1 level) on x_2..x_k, that system is enumerated (a 3-D slice is a
+    ``_walk_plane`` polygon), and the level is put back in front. Any other
+    direction adds the level to the facet system as the two rows
+    <v,x> >= level and <-v,x> >= -level and enumerates that. Either way ``_enumerate_system``
+    reads the fiber ranges off exact projections, so both give the kernel's
+    points, order and charges. A level that is not an int (a bool, float or
+    string) is an InputError.
     """
-    try:
-        level = _as_int(level)
-    except TypeError:
-        raise InputError(f"level {level!r} is not an integer") from None
+    level = _int_arg("level", level)
     if len(v.coords) != p.dim:
         raise InputError("direction dimension mismatch")
     values = [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
         return PointConfig._trusted(p.dim, ())
-    ineqs = [(f.normal, f.offset) for f in p.facets()]
-    ineqs += [(v.coords, level), (tuple(-x for x in v.coords), -level)]
+    k = p.dim
     pts: list[Point] = []
-    _enumerate_fibers(_projections(ineqs, p.dim), (), pts, [0, LATTICE_POINT_BUDGET])
+    counter = [0, LATTICE_POINT_BUDGET]
+    if k > 1 and v.coords[0] == 1 and not any(v.coords[1:]):
+        _charge(counter, 1)
+        rows = [(n[1:], b - n[0] * level) for n, b in p.facets()]
+        _enumerate_system(rows, k - 1, pts, counter)
+        pts = [(level,) + q for q in pts]
+    else:
+        rows = [*p.facets(), (v.coords, level), (tuple(-x for x in v.coords), -level)]
+        _enumerate_system(rows, k, pts, counter)
     pts.sort(key=sum)  # the kernel emits lex order; a stable sort by sum makes it point_key order
-    return PointConfig._trusted(p.dim, tuple(pts))
+    return PointConfig._trusted(k, tuple(pts))
 
 
 def unimodular_image(p: LatticePolytope, u: linalg.IntMatrix,
@@ -624,8 +703,10 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
-    and the reported direction is a lift to the ambient dual lattice.
+    and the reported direction is a lift to the ambient dual lattice. A
+    ``budget`` that is not an int is an InputError.
     """
+    budget = _int_arg("budget", budget)
     r = p.affine_dim
     if r == 0:
         return WidthResult(0, None, True)
@@ -647,7 +728,7 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     ineqs = [(e, -best_w) for e in e_basis] + [(tuple(-x for x in e), -best_w) for e in e_basis]
     points: list[Point] = []
     try:
-        _enumerate_fibers(_projections(ineqs, k), (), points, [0, budget])
+        _enumerate_system(ineqs, k, points, [0, budget])
     except BudgetExceededError:
         return WidthResult(best_w, Direction(best_v), False)
     # a non-primitive point is no narrower than its primitive multiple, also a point

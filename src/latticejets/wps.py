@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, Facet, LatticePolytope, _as_int, _as_point, _simplex_facets,
+from .polytope import (Direction, Facet, LatticePolytope, _as_point, _int_arg, _simplex_facets,
                        point_key, sign_normalized, width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
@@ -163,14 +163,6 @@ def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
     raise BudgetExceededError(
         f"no further binomials up to weighted degree {budget}",
         diagnostics={"weights": w.weights, "degree_budget": budget})
-
-
-def _int_arg(name: str, x) -> int:
-    """``x`` as an int; a bool, float, string or None is an InputError."""
-    try:
-        return _as_int(x)
-    except TypeError:
-        raise InputError(f"{name} {x!r} is not an integer") from None
 
 
 def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
@@ -349,8 +341,11 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
     Candidates are the binomials by ascending degree, restricted to the
     rational plane of u1 and u2 (relations vanishing on the one-parameter
     subgroup); only candidates that strictly improve the lattice index are
-    kept, and the number of extensions is bounded.
+    kept, and the number of extensions is bounded. A ``budget`` or
+    ``max_extra`` that is not an int is an ``InputError``.
     """
+    budget = _int_arg("budget", budget)
+    max_extra = _int_arg("max_extra", max_extra)
     l_rows = [g.u for g in generators]
     index = linalg.lattice_index(l_rows)
     extensions = 0

@@ -455,6 +455,106 @@ def test_budget_boundaries_are_pinned(monkeypatch):
         slice_points(p, Direction((2, 3, 5)), 40)
 
 
+def test_e1_slice_budget_boundary_is_pinned(monkeypatch):
+    # the least budget that completes: 1 for the x_1-fiber, 1 for the x_2
+    # fibers, and the count plus 1 for each nonempty x_3-fiber (the same
+    # total as the kernel on the facets plus the two level rows)
+    monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", 1753)
+    assert len(slice_points(DELTA_PRIME, Direction((1, 0, 0)), 40)) == 1704
+    monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", 1752)
+    with pytest.raises(BudgetExceededError):
+        slice_points(DELTA_PRIME, Direction((1, 0, 0)), 40)
+
+
+def _outcome(enumerate_rows, rows):
+    """(points in lex order, total charge) of ``enumerate_rows(rows, out, counter)``,
+    or the error it raised."""
+    out, counter = [], [0, 10**9]
+    try:
+        enumerate_rows(rows, out, counter)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return out, counter[0]
+
+
+def _kernel(k):
+    """The general fiber kernel on k variables, as an ``enumerate_rows``."""
+    return lambda rows, out, counter: polytope._enumerate_fibers(
+        polytope._projections(rows, k), (), out, counter)
+
+
+def test_plane_walk_matches_the_kernel():
+    # seeded polygons, their width slabs, and raw row systems (infeasible and
+    # unbounded ones too): the same points in the same order, the same total
+    # charge, or the same error
+    rng = random.Random(26)
+    systems = []
+    for _ in range(60):
+        p = random_full_dim_polytope(rng, 2, coord_bound=rng.choice((3, 6, 20)))
+        systems.append(list(p.facets()))
+        e1, e2 = rng.sample(polytope._edges_at_vertex(p, p.vertices[0]), 2)
+        if e1[0] * e2[1] != e1[1] * e2[0]:
+            w = rng.randint(1, 6)
+            systems.append([(e1, -w), (e2, -w), ((-e1[0], -e1[1]), -w), ((-e2[0], -e2[1]), -w)])
+    for _ in range(400):
+        systems.append([((rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-6, 6))
+                        for _ in range(rng.randint(1, 5))])
+    outcomes = set()
+    for rows in systems:
+        expected = _outcome(_kernel(2), rows)
+        assert _outcome(polytope._walk_plane, rows) == expected, rows
+        outcomes.add(expected[0] if isinstance(expected[0], type) else bool(expected[0]))
+    assert outcomes == {True, False, ToolkitError}  # points, empty and unbounded all occur
+
+
+def _reference_slice(p, v, level):
+    """A slice as the facets plus the two level rows through the general kernel:
+    (points in point_key order, total charge)."""
+    values = [v.pair(x) for x in p.vertices]
+    if level < min(values) or level > max(values):
+        return (), 0
+    rows = [(f.normal, f.offset) for f in p.facets()]
+    rows += [(v.coords, level), (tuple(-x for x in v.coords), -level)]
+    pts, charge = _outcome(_kernel(p.dim), rows)
+    return tuple(sorted(pts, key=sum)), charge
+
+
+def test_e1_slices_match_the_level_row_path(monkeypatch):
+    # every level from min - 1 to max + 1 of seeded 3-D simplices and 2-D and
+    # 4-D polytopes: the restricted path gives the kernel's points, order and
+    # total charge, read as the least budget that completes
+    rng = random.Random(2026)
+    polytopes = []
+    while len(polytopes) < 40:
+        p = LatticePolytope([tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(4)])
+        if p.is_full_dim:
+            polytopes.append(p)
+    polytopes += [random_full_dim_polytope(rng, 2) for _ in range(40)]
+    polytopes += [random_full_dim_polytope(rng, 4, coord_bound=3) for _ in range(6)]
+    for p in polytopes:
+        v = Direction((1,) + (0,) * (p.dim - 1))
+        lo, hi = min(x[0] for x in p.vertices), max(x[0] for x in p.vertices)
+        for level in range(lo - 1, hi + 2):
+            points, charge = _reference_slice(p, v, level)
+            monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", charge)
+            assert slice_points(p, v, level).points == points
+            if charge:
+                monkeypatch.setattr(polytope, "LATTICE_POINT_BUDGET", charge - 1)
+                with pytest.raises(BudgetExceededError):
+                    slice_points(p, v, level)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p: lattice_points(p, budget="5"), "budget"),
+    (lambda p: lattice_points(p, budget=1.5), "budget"),
+    (lambda p: lattice_width(p, budget="5"), "budget"),
+    (lambda p: lattice_width(p, budget=1.5), "budget"),
+], ids=["points-str", "points-float", "width-str", "width-float"])
+def test_budgets_reject_other_types(call, name):
+    with pytest.raises(InputError, match=f"^{name} .* is not an integer$"):
+        call(LatticePolytope(DELTA_PRIME.vertices))
+
+
 def test_projections_are_the_real_projections():
     # S_j of the facet system against the hull of the projected vertices, on
     # the half-integer grid of the bounding box: a dropped facet shows as a

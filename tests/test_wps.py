@@ -463,15 +463,20 @@ def test_saturate_generators_extends_an_unsaturated_seed():
         assert linalg.rank([u1, u2, g.u]) == 2
 
 
-def test_saturate_generators_bounded_retries():
+def _saturate_doubled_seed(**kwargs):
+    """``saturate_generators`` on W from the doubled seed, which needs candidates."""
     from latticejets.wps import saturate_generators
 
     chosen, _ = lowest_degree_binomials(W)
     u1, u2 = chosen[0].u, chosen[1].u
     doubled = [BinomialGenerator(u=tuple(2 * x for x in u1), degree=44),
                BinomialGenerator(u=tuple(2 * x for x in u2), degree=52)]
+    return saturate_generators(W, u1, u2, doubled, **kwargs)
+
+
+def test_saturate_generators_bounded_retries():
     with pytest.raises(BudgetExceededError):
-        saturate_generators(W, u1, u2, doubled, max_extra=0)
+        _saturate_doubled_seed(max_extra=0)
 
 
 def test_scan_weights_small_range():
@@ -707,9 +712,11 @@ def test_weight_lattice_closed_form_matches_the_references():
     (lambda: next(scan_weights(8, budget=None)), "budget"),
     (lambda: next(scan_weights(8, limit=1.5)), "limit"),
     (lambda: next(scan_weights(8, limit=True)), "limit"),
+    (lambda: _saturate_doubled_seed(budget=50.5), "budget"),
+    (lambda: _saturate_doubled_seed(max_extra=1.5), "max_extra"),
 ], ids=["screen-float", "screen-str", "screen-bool", "binomials-float", "scan-float",
         "scan-str", "scan-min-float", "scan-budget-none", "scan-limit-float",
-        "scan-limit-bool"])
+        "scan-limit-bool", "saturate-budget-float", "saturate-max-extra-float"])
 def test_integer_arguments_reject_other_types(call, name):
     with pytest.raises(InputError, match=f"^{name} .* is not an integer$"):
         call()
