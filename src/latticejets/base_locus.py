@@ -36,7 +36,7 @@ from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import _form_rows, leading_term_matrix
 from .poly import MultiPoly, from_coefficients, monomials_up_to_degree
-from .polytope import Direction, PointConfig
+from .polytope import Direction, PointConfig, _int_arg
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
     Returns (flag, witness); the witness is the canonical minimal-support
     solution and is re-checked to vanish on S exactly.
     """
+    m = _int_arg("order", m)
     if m < 2:
         raise InputError("base-point test needs m >= 2")
     if v.dim != s.dim:
@@ -87,6 +88,7 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
 
 def is_base_point_via_form(s: PointConfig, m: int, v: Direction) -> bool:
     """Evaluation route: every integer form row vanishes at w = v."""
+    m = _int_arg("order", m)
     if m < 2:
         raise InputError("base-point test needs m >= 2")
     if v.dim != s.dim:
@@ -192,6 +194,7 @@ def base_locus_k2(s: PointConfig, m: int) -> BaseLocusK2:
     gcd of the F_i(t, 1) is G(t, 1), with the power of t ([0:1]), the
     rational roots and the irreducible degrees.
     """
+    m = _int_arg("order", m)
     if s.dim != 2:
         raise InputError("base_locus_k2 needs a planar configuration")
     if m < 2:

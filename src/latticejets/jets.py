@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial, prod
 from operator import mul
 from typing import NamedTuple
@@ -51,16 +51,16 @@ from typing import NamedTuple
 from . import linalg
 from .errors import InputError
 from .poly import MultiPoly, from_coefficients, monomials_of_degree, monomials_up_to_degree
-from .polytope import PointConfig
+from .polytope import PointConfig, _int_arg
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: m = True or 2.0 is checked, not read as 1 or 2
 def jet_row_indices(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Multi-indices |alpha| = 0..m: degree ascending, grlex within a degree.
 
     Built once per (k, m), so the result is a tuple.
     """
-    return tuple(monomials_up_to_degree(k, m))
+    return tuple(monomials_up_to_degree(k, _int_arg("order", m)))
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,7 @@ def _jet_rows(s: PointConfig, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_jets(s: PointConfig, m: int) -> JetSystem:
+    m = _int_arg("order", m)
     k = s.dim
     rows = _jet_rows(s, m)
     # the rank of each top block is the number of pivot columns inside it
@@ -98,6 +99,7 @@ def build_jets(s: PointConfig, m: int) -> JetSystem:
 def leading_term_matrix(s: PointConfig, m: int) -> linalg.IntMatrix:
     """L_m: one row p^alpha per multi-index of degree <= m, in jet order,
     with one entry per point p."""
+    m = _int_arg("order", m)
     if m < 0:
         raise InputError("jet order must be >= 0")
     return _monomial_rows(s, m)
@@ -154,11 +156,13 @@ def _echelon(s: PointConfig, m: int) -> _Echelon:
 
 def rank_j(s: PointConfig, r: int) -> int:
     """Rank of the order-r jet matrix L_r: the pivots before column C(r+k, k)."""
+    r = _int_arg("order", r)
     return bisect_left(_echelon(s, r).pivots, comb(r + s.dim, s.dim))
 
 
 def h0(s: PointConfig, m: int) -> int:
     """dim of hyperplane sections with multiplicity >= m at the unit point."""
+    m = _int_arg("order", m)
     if m < 1:
         raise InputError("multiplicity order must be >= 1")
     return len(s) - rank_j(s, m - 1)
@@ -166,6 +170,7 @@ def h0(s: PointConfig, m: int) -> int:
 
 def expected_h0(n: int, k: int, m: int) -> int:
     """Conditions-counting dimension: max(0, n+1 - C(m-1+k, k))."""
+    m = _int_arg("order", m)
     if m < 0:
         raise InputError("order must be >= 0")
     if m == 0:
@@ -258,6 +263,7 @@ def _form_rows(s: PointConfig, m: int):
 def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     """Canonical basis of the degree-m form system: the RREF of the
     ``_form_rows``, the only step that forms Fractions."""
+    m = _int_arg("order", m)
     mons, rows = _form_rows(s, m)
     basis = linalg.rref(rows)[0] if rows else ()
     return FundamentalForm(k=s.dim, m=m, monomials=tuple(mons), basis=basis)

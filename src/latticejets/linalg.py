@@ -20,12 +20,11 @@ its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 over d. ``pivot_columns`` are the columns that raise the rank, and the rows
 that do are the pivot columns of the transpose (``independent_rows``);
 ``lattice_coordinates`` inverts the minor on the pivot columns of its basis
-with ``scaled_inverse``. Smith and Hermite normal forms and
-``integral_kernel`` are integer as well, and two lattice steps need no Smith
-form: ``complete_to_unimodular`` runs Euclid on its one row and carries the
-inverse of the column operations, and ``lattice_is_saturated`` and
-``lattice_index`` read the gcd of the maximal minors. The reference
-eliminations in ``oracles`` share no code with these.
+with ``scaled_inverse``. No lattice step needs a Smith form (nothing here
+calls ``smith_normal_form``): ``integral_kernel`` reads the Hermite form of
+[m^T | I], ``complete_to_unimodular`` runs Euclid on its one row, and
+``lattice_is_saturated`` and ``lattice_index`` read the gcd of the maximal
+minors. The reference eliminations in ``oracles`` share no code with these.
 """
 
 from __future__ import annotations
@@ -404,16 +403,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form."""
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(len(d), len(d[0]))):
-        if d[i][i]:
-            out.append(d[i][i])
-    return tuple(out)
-
-
 def _maximal_minors(m):
     """The r x r minors of an integer ``m``, r its rank, in order of rows then columns.
 
@@ -468,20 +457,18 @@ def lattice_is_saturated(m: IntMatrix) -> bool:
 def integral_kernel(m: IntMatrix) -> IntMatrix:
     """Z-basis (rows, in Hermite normal form) of {x : m x = 0} in Z^cols.
 
-    The output lattice is saturated by construction (columns of the
-    unimodular V from the Smith normal form).
+    The Hermite form of [m^T | I] is U [m^T | I] with U unimodular, and the
+    right blocks of its rows whose left block is zero are the Hermite form
+    of the kernel, saturated since U is unimodular (Cohen 1993, section 2.4).
     """
     if not m or not m[0]:
         # kernel of the empty map is everything
         n = len(m[0]) if m else 0
         return identity(n)
-    _, d, v = smith_normal_form(m)
-    nrows, ncols = len(m), len(m[0])
-    r = sum(1 for i in range(min(nrows, ncols)) if d[i][i])
-    cols = transpose(v)[r:]
-    if not cols:
-        return ()
-    return hermite_normal_form(tuple(cols))
+    a = _int_rows(m)
+    r = len(a)
+    h = hermite_normal_form([(*col, *e) for col, e in zip(zip(*a), identity(len(a[0])))])
+    return tuple(row[r:] for row in h if not any(row[:r]))
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
@@ -550,13 +537,13 @@ def bezout(a: int, b: int) -> tuple[int, int]:
 def complete_to_unimodular(v: Sequence[int]) -> IntMatrix:
     """Unimodular matrix whose first row is the primitive vector ``v``.
 
-    Euclid on the one row, with the pivot rule of ``smith_normal_form``:
-    the smallest nonzero |entry|, the first on a tie, is swapped to the
-    front, and the others are reduced by floor quotients, until only the
-    front is nonzero. The column operations V would collect are carried out
-    on U = V^-1 as row operations instead: swapping columns of V swaps rows
-    of U, col_j -= q col_0 is row_0 += q row_j, and a final -1 negates
-    row 0. The result is the inverse of the Smith V, flipped to give +1.
+    Euclid on the one row: the smallest nonzero |entry|, the first on a
+    tie, is swapped to the front, and the others are reduced by floor
+    quotients, until only the front is nonzero, and +-1 since v is
+    primitive. Those column operations E take v to (+-1, 0, ..., 0), so
+    v = (+-1, 0, ..., 0) E^-1, and U = E^-1 is built as row operations:
+    swapping two columns of E swaps two rows of U, col_j -= q col_0 is
+    row_0 += q row_j, and for -1 a final step negates row 0.
     """
     row = tuple(v)
     _nonempty((row,))

@@ -27,16 +27,15 @@ parallelepiped of the 2k slabs {v : |<v,e_i>| <= W0}. Its integer points are
 enumerated by the fiber kernel (the Fincke-Pohst scheme, 1985); if that
 stays within budget the search is exhaustive and the result is certified.
 
-A planar hull is Andrew's monotone chain (1979); its counterclockwise cycle
-gives the vertices and, edge by edge, the facets. Lower-dimensional point
-sets (hulls, quotient widths) are handled in integer coordinates on a
-saturated basis of their difference lattice, solved with one integer inverse
-of a basis minor (``linalg.lattice_coordinates``). A polytope whose vertices
-are known in closed form (the Riemann-Roch simplices of ``wps`` and their
-projections to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes
-its vertices as given, and a full-dimensional simplex takes its facets from
-``_simplex_facets``, the hyperplane through each k of its k + 1 vertices
-oriented by the remaining one.
+One hull pass (``_hull``) gives the vertices, dimension and facets: one ccw
+cycle of Andrew's monotone chain (1979) for a polygon, ``_simplex_facets``
+(the hyperplane through each k of the k + 1 vertices, oriented by the last
+one) for a full-dimensional simplex, and one facet search that also finds
+the vertices otherwise. Lower-dimensional point sets (hulls, quotient widths)
+are handled in integer coordinates on a saturated basis of their difference
+lattice (``linalg.lattice_coordinates``). A polytope whose vertices are known
+in closed form (the Riemann-Roch simplices of ``wps`` and their projections
+to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes them as given.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class PointConfig:
     _jet_echelon: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:  # a bool is no dimension
             raise InputError(f"dimension must be an integer >= 1, got {self.dim!r}")
         pts = tuple(_as_point(p, self.dim) for p in self.points)
         object.__setattr__(self, "points", pts)
@@ -175,13 +174,13 @@ class PointConfig:
 
     @property
     def differences_generate(self) -> bool:
-        """True iff pairwise differences generate all of Z^k (index one)."""
+        """True iff pairwise differences generate all of Z^k (index one): their
+        Hermite form, the one canonical basis of their lattice, is the identity."""
         if len(self.points) < 2:
             return self.dim == 0
         base = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
-        divisors = linalg.elementary_divisors(diffs)
-        return len(divisors) == self.dim and all(d == 1 for d in divisors)
+        return linalg.hermite_normal_form(diffs) == linalg.identity(self.dim)
 
 
 class Facet(NamedTuple):
@@ -201,14 +200,13 @@ class LatticePolytope:
         if not pts:
             raise InputError("polytope needs at least one point")
         k = dim if dim is not None else len(pts[0])
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:  # a bool is no dimension
             raise InputError(f"dimension must be an integer >= 1, got {k!r}")
         for p in pts:
             if len(p) != k:
                 raise InputError("inconsistent point dimensions")
         self.dim = k
-        self.vertices, self.affine_dim = _extreme_points(sorted(set(pts), key=point_key), k)
-        self._facets = None
+        self.vertices, self.affine_dim, self._facets = _hull(sorted(set(pts), key=point_key), k)
         self._lattice_points = None
 
     @classmethod
@@ -217,7 +215,8 @@ class LatticePolytope:
         """A polytope on distinct int vertices of length ``dim`` in ``point_key``
         order, unchecked: for polytopes whose vertices are known in closed form.
         With ``facets`` (sorted, as ``facets()`` returns them) it is
-        full-dimensional; without, the vertices are affinely independent."""
+        full-dimensional; without, the vertices are affinely independent and
+        span less than full dimension, so ``facets()`` raises."""
         p = object.__new__(cls)
         p.dim = dim
         p.vertices = vertices
@@ -244,12 +243,7 @@ class LatticePolytope:
 
     def facets(self) -> tuple[Facet, ...]:
         if self._facets is None:
-            if not self.is_full_dim:
-                raise ToolkitError("facet description requires a full-dimensional polytope")
-            if self.dim == 2:
-                self._facets = _polygon_facets(self.vertices)
-            else:
-                self._facets = _facets_of(self.vertices, self.dim)
+            raise ToolkitError("facet description requires a full-dimensional polytope")
         return self._facets
 
     def contains(self, p: Sequence[int]) -> bool:
@@ -284,9 +278,9 @@ def config_from_json(data) -> PointConfig:
 
 
 # ---------------------------------------------------------------------------
-# hull machinery (the monotone chain in the plane, brute-force facet
-# enumeration above it; fine for the small inputs this toolkit meets, and exact;
-# a simplex with known vertices skips it through ``_simplex_facets``)
+# hull machinery (the monotone chain in the plane, the closed form for a
+# simplex, brute-force facet enumeration for anything else; fine for the small
+# inputs this toolkit meets, and exact)
 # ---------------------------------------------------------------------------
 
 def polygon_ccw_vertices(points: Iterable[Sequence[int]]) -> list[Point]:
@@ -314,9 +308,8 @@ def polygon_ccw_vertices(points: Iterable[Sequence[int]]) -> list[Point]:
     return half(pts) + half(reversed(pts))
 
 
-def _polygon_facets(vertices: Sequence[Point]) -> tuple[Facet, ...]:
-    """One facet per edge a -> b of the ccw cycle: the inner normal is b - a turned left."""
-    cycle = polygon_ccw_vertices(vertices)
+def _polygon_facets(cycle: Sequence[Point]) -> tuple[Facet, ...]:
+    """One facet per edge a -> b of a ccw cycle: the inner normal is b - a turned left."""
     facets = []
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         normal = primitive((a[1] - b[1], b[0] - a[0]))
@@ -389,19 +382,22 @@ def _difference_rank(points: Sequence[Point]) -> int:
     return linalg.rank([tuple(a - b for a, b in zip(p, base)) for p in points[1:]])
 
 
-def _extreme_points(points: Sequence[Point], k: int) -> tuple[tuple[Point, ...], int]:
-    """Vertices of conv(points), for distinct points, in graded-lex order, and its dimension."""
+def _hull(points: Sequence[Point], k: int):
+    """(vertices in graded-lex order, dimension, sorted facets or None below
+    full dimension) of conv(points), for distinct points."""
     if k == 2:  # a cycle of r + 1 <= 3 vertices spans dimension r
         cycle = polygon_ccw_vertices(points)
-        return tuple(sorted(cycle, key=point_key)), min(len(cycle) - 1, 2)
-    cfg_rank = _difference_rank(points)
-    if len(points) == cfg_rank + 1:
-        return tuple(sorted(points, key=point_key)), cfg_rank  # a simplex: every point is a vertex
-    if cfg_rank < k:
+        r = min(len(cycle) - 1, 2)
+        return tuple(sorted(cycle, key=point_key)), r, _polygon_facets(cycle) if r == 2 else None
+    r = _difference_rank(points)
+    if len(points) == r + 1:  # a simplex: every point is a vertex
+        vertices = tuple(sorted(points, key=point_key))
+        return vertices, r, _simplex_facets(vertices) if r == k else None
+    if r < k:
         # lower-dimensional hull: map to coordinates on the affine span, recurse
-        coords, _, _ = _affine_lattice_coordinates(points, cfg_rank)
-        keep = set(_extreme_points(sorted(set(coords), key=point_key), cfg_rank)[0])
-        return tuple(p for p, c in zip(points, coords) if c in keep), cfg_rank
+        coords, _, _ = _affine_lattice_coordinates(points, r)
+        keep = set(_hull(sorted(set(coords), key=point_key), r)[0])
+        return tuple(p for p, c in zip(points, coords) if c in keep), r, None
     facets = _facets_of(points, k)
     out = []
     for p in points:
@@ -409,7 +405,7 @@ def _extreme_points(points: Sequence[Point], k: int) -> tuple[tuple[Point, ...],
                   if sum(a * b for a, b in zip(f.normal, p)) == f.offset]
         if active and linalg.rank(active) == k:
             out.append(p)
-    return tuple(sorted(out, key=point_key)), k
+    return tuple(sorted(out, key=point_key)), k, facets
 
 
 def _affine_lattice_coordinates(points: Sequence[Point], r: int):
@@ -479,36 +475,24 @@ def _walk_plane(rows, out, counter):
 
     The y-range comes from the rows with b = 0 and from one Fourier-Motzkin
     combination of each pair of rows with b > 0 and b < 0, exactly the rows
-    of the kernel's S_1; each y's z-range is then a ceiling and a floor per
-    row. A row 0 >= c with c > 0 empties the plane, and a missing bound is
-    the kernel's "unbounded fiber". Budget as the kernel's: 1 on entry, then
-    the count plus 1 for each nonempty z-fiber.
+    of the kernel's S_1, read by its ``_fiber_interval``; each y's z-range
+    is then a ceiling and a floor per row. A row 0 >= c with c > 0 empties
+    the plane, and a missing bound is the kernel's "unbounded fiber". Budget
+    as the kernel's: 1 on entry, then the count plus 1 for each nonempty
+    z-fiber.
     """
     pos = [(a, b, c) for (a, b), c in rows if b > 0]
     neg = [(a, b, c) for (a, b), c in rows if b < 0]
-    y_rows = [(a, c) for (a, b), c in rows if not b]
-    y_rows += [(b1 * a2 - b2 * a1, b1 * c2 - b2 * c1) for a1, b1, c1 in pos for a2, b2, c2 in neg]
-    lo = hi = None
-    infeasible = False
-    for a, c in y_rows:
-        if a > 0:
-            bound = -(-c // a)  # ceil(c / a)
-            if lo is None or bound > lo:
-                lo = bound
-        elif a < 0:
-            bound = c // a  # floor(c / a) for negative a
-            if hi is None or bound < hi:
-                hi = bound
-        elif c > 0:
-            infeasible = True
-    if not infeasible and (lo is None or hi is None):
-        raise ToolkitError("unbounded fiber in lattice-point enumeration")
+    y_rows = [((a,), c) for (a, b), c in rows if not b]
+    y_rows += [((b1 * a2 - b2 * a1,), b1 * c2 - b2 * c1)
+               for a1, b1, c1 in pos for a2, b2, c2 in neg]
+    ys = _fiber_interval(y_rows, ())
     _charge(counter, 1)
-    if infeasible or lo > hi:
+    if not ys:
         return
     if not pos or not neg:
         raise ToolkitError("unbounded fiber in lattice-point enumeration")
-    for y in range(lo, hi + 1):
+    for y in ys:
         z_lo = max([-((a * y - c) // b) for a, b, c in pos])  # ceil((c - a y) / b)
         z_hi = min([(c - a * y) // b for a, b, c in neg])  # floor, as b < 0
         if z_lo <= z_hi:
@@ -703,8 +687,10 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
-    and the reported direction is a lift to the ambient dual lattice. A
-    ``budget`` that is not an int is an InputError.
+    and the direction u found there on the basis B of the difference lattice
+    lifts to the sign-normalized sum of u_i t_i over the first rows (e_i, t_i)
+    of the Hermite form of [B^T | I], so B v = +-u. A ``budget`` that is not
+    an int is an InputError.
     """
     budget = _int_arg("budget", budget)
     r = p.affine_dim
@@ -749,12 +735,12 @@ def _quotient_width(p: LatticePolytope, budget: int) -> WidthResult:
     res = lattice_width(inner, budget)
     if res.direction is None:
         return res
-    u = res.direction.coords
-    # lift: v in Z^k with B v = u, via the SNF completion of B
-    uu, dd, vv = linalg.smith_normal_form(basis)
-    if any(dd[i][i] != 1 for i in range(r)):
+    # lift: the Hermite form of [B^T | I] is U [B^T | I], and its first r rows
+    # start with I_r when B is saturated, so their right blocks t_i have B t_i = e_i
+    h = linalg.hermite_normal_form([(*col, *e)
+                                    for col, e in zip(zip(*basis), linalg.identity(p.dim))])
+    if any(row[:r] != e for row, e in zip(h, linalg.identity(r))):
         raise InvariantError("difference lattice basis is not saturated")
-    uu_u = linalg.mat_vec(uu, u)
-    padded = tuple(uu_u) + (0,) * (p.dim - r)
-    lift = linalg.mat_vec(vv, padded)
-    return WidthResult(res.width, Direction(lift), res.certified)
+    t = [row[r:] for row in h[:r]]
+    lift = [sum(c * x for c, x in zip(res.direction.coords, col)) for col in zip(*t)]
+    return WidthResult(res.width, Direction(sign_normalized(lift)), res.certified)

@@ -31,6 +31,16 @@ def type_ii_points():
     return lattice_points(LatticePolytope([(0, 0), (0, 1), (5, 0)]))
 
 
+def invariant_factors_reference(m) -> tuple[int, ...]:
+    """The nonzero invariant factors (elementary divisors) of an integer matrix,
+    from sympy's Smith form: a reference that shares no code with ``linalg``."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    return tuple(int(d) for d in invariant_factors(Matrix([list(row) for row in m]), domain=ZZ)
+                 if d)
+
+
 def sweep_shapes():
     """Normal-form parameters (kind, a, b) of the classification sweep: 189 shapes."""
     shapes = []

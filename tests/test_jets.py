@@ -6,13 +6,14 @@ from math import comb, factorial
 
 import pytest
 
-from latticejets import jets, linalg, oracles
+from latticejets import base_locus, jets, linalg, oracles
 from latticejets.errors import InputError
 from latticejets.jets import (_monomial_rows, build_jets, expected_h0, fundamental_form,
                               h0, is_special, jet_row_indices, leading_term_matrix,
                               min_vanishing_degree, rank_j)
 from latticejets.poly import MultiPoly, monomials_of_degree, monomials_up_to_degree
-from latticejets.polytope import LatticePolytope, PointConfig, lattice_points, lattice_width
+from latticejets.polytope import (Direction, LatticePolytope, PointConfig, lattice_points,
+                                  lattice_width)
 from tests.conftest import cleared_rows, random_config, random_unimodular, reference_rows
 
 PAPER_QUARTICS = ((1, 4, 10, 4, 1),  # w1^4 + 4w1^3w2 + 10w1^2w2^2 + 4w1w2^3 + w2^4
@@ -408,3 +409,33 @@ def test_build_jets_builds_the_monomial_rows_once(monkeypatch):
             build_jets(s, r)
             rank_j(s, r)
         assert calls == [m]
+
+
+_SIX = PointConfig(2, ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_jets(_SIX, 1.5), "order 1.5 is not an integer"),
+    (lambda: build_jets(_SIX, True), "order True is not an integer"),
+    (lambda: jet_row_indices(2, True), "order True is not an integer"),
+    (lambda: leading_term_matrix(_SIX, 1.5), "order 1.5 is not an integer"),
+    (lambda: rank_j(_SIX, 2.0), "order 2.0 is not an integer"),
+    (lambda: h0(_SIX, 2.0), "order 2.0 is not an integer"),
+    (lambda: expected_h0(5, 2, "2"), "order '2' is not an integer"),
+    (lambda: is_special(_SIX, True), "order True is not an integer"),
+    (lambda: fundamental_form(_SIX, "2"), "order '2' is not an integer"),
+    (lambda: base_locus.is_base_point(_SIX, 2.0, Direction((0, 1))),
+     "order 2.0 is not an integer"),
+    (lambda: base_locus.is_base_point_via_form(_SIX, 2.0, Direction((0, 1))),
+     "order 2.0 is not an integer"),
+    (lambda: base_locus.base_locus_k2(_SIX, 2.5), "order 2.5 is not an integer"),
+    (lambda: LatticePolytope([(0,), (2,)], dim=True), "dimension must be an integer"),
+    (lambda: PointConfig(True, ((0,), (1,))), "dimension must be an integer"),
+], ids=["build-jets-float", "build-jets-bool", "row-indices-bool", "leading-terms-float",
+        "rank-j-float", "h0-float", "expected-h0-str", "is-special-bool", "form-str",
+        "base-point-float", "base-point-via-form-float", "base-locus-float",
+        "polytope-dim-bool", "config-dim-bool"])
+def test_orders_and_dimensions_reject_other_types(call, message):
+    # argparse's type=int already rejects these on the CLI, so no CLI byte changes
+    with pytest.raises(InputError, match=message):
+        call()

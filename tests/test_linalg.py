@@ -1,5 +1,7 @@
 """Exact linear algebra: ranks, kernels, normal forms, saturation."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,7 +12,7 @@ from latticejets import linalg, oracles
 from latticejets.errors import InputError, ToolkitError
 from latticejets.jets import leading_term_matrix
 from latticejets.wps import WeightVector, width_direction
-from tests.conftest import cleared_rows
+from tests.conftest import cleared_rows, invariant_factors_reference
 
 U_MATRIX = ((1, -2, 0, 1), (0, 1, -2, 1))  # exponent differences of the worked example
 
@@ -87,7 +89,7 @@ def test_non_integer_entries_fail_the_input_check(bad):
         lambda: linalg.bareiss_det(square),
         lambda: linalg.scaled_inverse(square),
         lambda: linalg.smith_normal_form(square),
-        lambda: linalg.elementary_divisors([[bad, 0]]),
+        lambda: linalg.integral_kernel([[bad, 0]]),
         lambda: linalg.hermite_normal_form(square),
         lambda: linalg.rref([[1, 2], [3, bad]]),
         lambda: linalg.kernel_basis([[1, bad, 0]]),
@@ -166,8 +168,14 @@ def test_smith_normal_form_diag_2_3():
     assert (d[0][0], d[1][1]) == (1, 6)
 
 
+def _smith_divisors(m):
+    """The nonzero diagonal entries of ``linalg.smith_normal_form``."""
+    _, d, _ = linalg.smith_normal_form(linalg.integer_matrix(m))
+    return tuple(x for x in (d[i][i] for i in range(min(len(d), len(d[0])))) if x)
+
+
 def test_smith_normal_form_worked_example_divisors():
-    assert linalg.elementary_divisors(linalg.integer_matrix(U_MATRIX)) == (1, 1)
+    assert _smith_divisors(U_MATRIX) == (1, 1)
 
 
 def test_smith_normal_form_zero_row_appended():
@@ -176,9 +184,7 @@ def test_smith_normal_form_zero_row_appended():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        base = linalg.elementary_divisors(linalg.integer_matrix(m))
-        padded = linalg.elementary_divisors(linalg.integer_matrix(m + [[0] * cols]))
-        assert base == padded
+        assert _smith_divisors(m) == _smith_divisors(m + [[0] * cols])
 
 
 def test_smith_normal_form_properties_on_randoms():
@@ -230,6 +236,33 @@ def test_integral_kernel_worked_example_contains_w_and_v():
     for target in ((7, 11, 13, 15), (3, 5, 6, 7)):
         x, d = linalg.solve(bt, target)
         assert not any(c % d for c in x)  # an integer solution
+
+
+def _kernel_corpus():
+    """2,000 seeded integer matrices up to 5 x 5: many zero entries, dependent
+    rows and zero rows."""
+    rng = random.Random(61)
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.choice((0, 0, rng.randint(-3, 3), rng.randint(-12, 12))) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.4:  # a dependent row
+            m[-1] = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(m[0], m[1])]
+        if rng.random() < 0.15:
+            m[rng.randrange(rows)] = [0] * cols
+        yield m
+
+
+def test_integral_kernel_matches_the_pinned_corpus():
+    # the digest was read off the Smith-form kernel (the Hermite form of the
+    # columns of V past the rank); a Hermite form is unique, so any correct
+    # route to it gives the same rows
+    h = hashlib.sha256()
+    for m in _kernel_corpus():
+        kernel = linalg.integral_kernel(m)
+        assert len(kernel) == len(m[0]) - linalg.rank(m)
+        h.update(json.dumps([list(row) for row in kernel]).encode())
+    assert h.hexdigest() == "9044fdb3f6f295db6886cbbe769ff0dcd2c6e66cf7d36f0bfe6501cf031ddb3f"
 
 
 def test_integral_kernel_annihilates_and_is_saturated():
@@ -324,7 +357,7 @@ def test_lattice_is_saturated_matches_the_elementary_divisors():
             m[rng.randrange(rows)] = [0] * cols
         if rng.random() < 0.3:  # rank 2 in a wider row: the screen's shape
             m = [row[:] for row in m[:2]] + [[a - b for a, b in zip(m[0], m[1 % rows])]]
-        divisors = linalg.elementary_divisors(m)
+        divisors = invariant_factors_reference(m)
         index = 1
         for d in divisors:
             index *= d

@@ -1,8 +1,10 @@
 """Lattice polytopes: enumeration, widths, slices, transforms."""
 
+import hashlib
 import json
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -12,7 +14,8 @@ from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
                                   config_from_json, lattice_points,
                                   lattice_width, point_key, slice_points,
                                   unimodular_image, width_in_direction)
-from tests.conftest import random_full_dim_polytope, random_unimodular
+from tests.conftest import (invariant_factors_reference, random_full_dim_polytope,
+                            random_unimodular)
 
 DELTA_PRIME = LatticePolytope([(0, 0, 0), (572, 286, 143),
                                (390, 195, -585), (495, -330, -165)])
@@ -108,6 +111,104 @@ def test_differences_generate_flag():
     assert PointConfig(2, ((0, 0), (2, 0), (0, 1))).differences_generate is False
     # differences do not even have full rank
     assert PointConfig(2, ((0, 0), (1, 0), (2, 0))).differences_generate is False
+
+
+def _hull_corpus():
+    """470 seeded point sets in Z^1 .. Z^4, about half of them spanning less
+    (two points, or points of Z^r mapped into Z^k by an integer matrix and a
+    shift)."""
+    rng = random.Random(67)
+    for k, count, most, bound in ((1, 60, 5, 9), (2, 200, 10, 6), (3, 150, 9, 4), (4, 60, 9, 3)):
+        for _ in range(count):
+            roll = rng.random()
+            r = 0 if roll < 0.05 else rng.randint(1, k - 1) if roll < 0.4 and k > 1 else k
+            n = rng.randint(2, most)
+            if r == k:
+                pts = [tuple(rng.randint(-bound, bound) for _ in range(k)) for _ in range(n)]
+            else:
+                a = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(k)]
+                t = [rng.randint(-3, 3) for _ in range(k)]
+                pts = []
+                for _ in range(n):
+                    c = [rng.randint(-bound, bound) for _ in range(r)]
+                    pts.append(tuple(ti + sum(x * y for x, y in zip(row, c))
+                                     for row, ti in zip(a, t)))
+            yield k, pts
+
+
+def test_hull_matches_the_pinned_corpus():
+    # vertices, dimension and facets, digest read when the constructor found
+    # the vertices and facets() searched the facets again on its own
+    h = hashlib.sha256()
+    for k, pts in _hull_corpus():
+        p = LatticePolytope(pts, k)
+        facets = [[list(n), b] for n, b in p.facets()] if p.is_full_dim else None
+        h.update(json.dumps([[list(v) for v in p.vertices], p.affine_dim, facets]).encode())
+    assert h.hexdigest() == "04ad276cda7117925c4b6458733854526851e7f4ba3d7335eb463a12e1cae958"
+
+
+def test_differences_generate_matches_the_invariant_factors():
+    seen = set()
+    for k, pts in _hull_corpus():
+        cfg = PointConfig(k, tuple(dict.fromkeys(pts)))
+        diffs = [tuple(a - b for a, b in zip(q, cfg.points[0])) for q in cfg.points[1:]]
+        expected = bool(diffs) and invariant_factors_reference(diffs) == (1,) * k
+        assert cfg.differences_generate is expected
+        seen.add((expected, bool(diffs) and linalg.rank(diffs) == k))
+    # index one, a proper sublattice of full rank, and too small a rank all occur
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _counting(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(polytope, name, wrap(name, getattr(polytope, name)))
+    return calls
+
+
+@pytest.mark.parametrize("points, chains, searches", [
+    ([(0, 0), (7, 2), (3, 9), (-4, 5), (1, 1)], 1, 0),
+    ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 4)], 0, 0),
+    ([(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 3)], 0, 0),
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3), (1, 1, 1)], 0, 1),
+], ids=["polygon", "3-simplex", "4-simplex", "3-pyramid"])
+def test_hull_builds_each_facet_description_once(monkeypatch, points, chains, searches):
+    # one monotone chain per polygon, the closed form for a simplex, and one
+    # facet search for any other polytope; facets() and the enumerations reuse them
+    calls = _counting(monkeypatch, ("polygon_ccw_vertices", "_facets_of"))
+    p = LatticePolytope(points)
+    p.facets()
+    lattice_points(p)
+    lattice_width(p)
+    assert calls == {"polygon_ccw_vertices": chains, "_facets_of": searches}
+
+
+def test_quotient_width_lifts_a_primitive_normalized_direction():
+    # the lift v of the quotient direction u: B v = +-u (u and -u have one
+    # width, and v is sign-normalized), v primitive, and the width is read on v
+    lifted = 0
+    for k, pts in _hull_corpus():
+        p = LatticePolytope(pts, k)
+        if not 0 < p.affine_dim < k:
+            continue
+        res = lattice_width(p)
+        coords, basis, _ = polytope._affine_lattice_coordinates(p.vertices, p.affine_dim)
+        inner = lattice_width(LatticePolytope(coords, p.affine_dim))
+        v, u = res.direction.coords, inner.direction.coords
+        assert res.certified and res.width == inner.width == width_in_direction(p, res.direction)
+        assert gcd(*v) == 1 and polytope.sign_normalized(v) == v
+        assert linalg.mat_vec(basis, v) in (u, tuple(-x for x in u))
+        lifted += 1
+    assert lifted >= 150
+    # the segment of the CI step: (-1, -1) came from the Smith form
+    assert lattice_width(LatticePolytope([(1, -2), (-3, 3)])) == (1, Direction((4, 3)), True)
 
 
 def test_lattice_points_unit_square():

@@ -17,6 +17,7 @@ from latticejets.wps import (BinomialGenerator, WeightVector, load_table,
                              lowest_degree_binomials, project_to_3d,
                              rows_by_hash, rr_polytope, scan_weights, screen,
                              width_direction)
+from tests.conftest import invariant_factors_reference
 
 W = WeightVector((7, 11, 13, 15))
 
@@ -170,8 +171,7 @@ def test_width_direction_worked_example():
     v = width_direction(W, (1, -2, 0, 1), (0, 1, -2, 1))
     assert v == (3, 5, 6, 7)
     # (w, v~) is a basis of a saturated rank-2 lattice
-    assert linalg.elementary_divisors(
-        linalg.integer_matrix([W.weights, v])) == (1, 1)
+    assert invariant_factors_reference([W.weights, v]) == (1, 1)
 
 
 def test_width_direction_vertex_values():
