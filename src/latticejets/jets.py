@@ -170,7 +170,7 @@ def h0(s: PointConfig, m: int) -> int:
 
 def expected_h0(n: int, k: int, m: int) -> int:
     """Conditions-counting dimension: max(0, n+1 - C(m-1+k, k))."""
-    m = _int_arg("order", m)
+    n, k, m = _int_arg("n", n), _int_arg("dimension", k), _int_arg("order", m)
     if m < 0:
         raise InputError("order must be >= 0")
     if m == 0:

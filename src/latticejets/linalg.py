@@ -20,9 +20,12 @@ its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 over d. ``pivot_columns`` are the columns that raise the rank, and the rows
 that do are the pivot columns of the transpose (``independent_rows``);
 ``lattice_coordinates`` inverts the minor on the pivot columns of its basis
-with ``scaled_inverse``. No lattice step needs a Smith form (nothing here
+with ``scaled_inverse`` (no module of the package calls either; the tests
+read them as a reference). No lattice step needs a Smith form (nothing here
 calls ``smith_normal_form``): ``integral_kernel`` reads the Hermite form of
-[m^T | I], ``complete_to_unimodular`` runs Euclid on its one row, and
+[m^T | I], as ``polytope`` reads a point set's rank, coordinates and width
+lift off the Hermite form of [D^T | I], ``complete_to_unimodular`` runs
+Euclid on its one row, and
 ``lattice_is_saturated`` and ``lattice_index`` read the gcd of the maximal
 minors. The reference eliminations in ``oracles`` share no code with these.
 """

@@ -32,8 +32,9 @@ cycle of Andrew's monotone chain (1979) for a polygon, ``_simplex_facets``
 (the hyperplane through each k of the k + 1 vertices, oriented by the last
 one) for a full-dimensional simplex, and one facet search that also finds
 the vertices otherwise. Lower-dimensional point sets (hulls, quotient widths)
-are handled in integer coordinates on a saturated basis of their difference
-lattice (``linalg.lattice_coordinates``). A polytope whose vertices are known
+are handled in integer coordinates on a basis of their saturated difference
+lattice, read with the rank and the width lift off one Hermite form
+(``_affine_coordinates``). A polytope whose vertices are known
 in closed form (the Riemann-Roch simplices of ``wps`` and their projections
 to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes them as given.
 """
@@ -251,6 +252,7 @@ class LatticePolytope:
         return all(sum(a * b for a, b in zip(f.normal, p)) >= f.offset for f in self.facets())
 
     def dilate(self, r: int) -> "LatticePolytope":
+        r = _int_arg("dilation factor", r)
         if r < 1:
             raise InputError("dilation factor must be >= 1")
         return LatticePolytope([tuple(r * x for x in v) for v in self.vertices], self.dim)
@@ -374,12 +376,26 @@ def _simplex_facets(vertices: Sequence[Point]) -> tuple[Facet, ...]:
     return tuple(sorted(facets))
 
 
-def _difference_rank(points: Sequence[Point]) -> int:
-    """Rank of the differences p - p_0: the dimension of the affine span."""
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    return linalg.rank([tuple(a - b for a, b in zip(p, base)) for p in points[1:]])
+def _affine_coordinates(points: Sequence[Point]):
+    """(coords, T): integer coordinates of ``points`` on a basis of their
+    saturated difference lattice, and the rows t_i that read them.
+
+    The row Hermite form of [D^T | I_k], with D the differences p - points[0],
+    is U [D^T | I_k] with U unimodular (Cohen 1993, section 2.4). Its first r
+    rows (h_i, t_i) have a nonzero left block, r the rank of D, and the others
+    have a zero one: so coords(p)_i = t_i . (p - points[0]) is the column of
+    p in the left blocks, and since U is unimodular these are coordinates on a
+    Z-basis of the saturated lattice. T is the tuple of the t_i, and r = len(T).
+    """
+    base, n = points[0], len(points)
+    h = linalg.hermite_normal_form([(*(p[j] - base[j] for p in points), *e)
+                                    for j, e in enumerate(linalg.identity(len(base)))])
+    nonzero = [any(row[:n]) for row in h]
+    r = nonzero.count(True)
+    if len(h) != len(base) or any(nonzero[r:]):
+        raise InvariantError("Hermite form of [D^T | I] is not U [D^T | I] in echelon shape")
+    left = [row[:n] for row in h[:r]]
+    return list(zip(*left)) if r else [()] * n, tuple(row[n:] for row in h[:r])
 
 
 def _hull(points: Sequence[Point], k: int):
@@ -389,14 +405,13 @@ def _hull(points: Sequence[Point], k: int):
         cycle = polygon_ccw_vertices(points)
         r = min(len(cycle) - 1, 2)
         return tuple(sorted(cycle, key=point_key)), r, _polygon_facets(cycle) if r == 2 else None
-    r = _difference_rank(points)
+    coords, t = _affine_coordinates(points)
+    r = len(t)
     if len(points) == r + 1:  # a simplex: every point is a vertex
         vertices = tuple(sorted(points, key=point_key))
         return vertices, r, _simplex_facets(vertices) if r == k else None
-    if r < k:
-        # lower-dimensional hull: map to coordinates on the affine span, recurse
-        coords, _, _ = _affine_lattice_coordinates(points, r)
-        keep = set(_hull(sorted(set(coords), key=point_key), r)[0])
+    if r < k:  # lower-dimensional hull: recurse on the coordinates in the affine span
+        keep = set(_hull(sorted(coords, key=point_key), r)[0])
         return tuple(p for p, c in zip(points, coords) if c in keep), r, None
     facets = _facets_of(points, k)
     out = []
@@ -406,29 +421,6 @@ def _hull(points: Sequence[Point], k: int):
         if active and linalg.rank(active) == k:
             out.append(p)
     return tuple(sorted(out, key=point_key)), k, facets
-
-
-def _affine_lattice_coordinates(points: Sequence[Point], r: int):
-    """Coordinates of ``points`` in a basis of their saturated difference lattice.
-
-    Returns (coords, basis B, base point); x = base + coords @ B for every
-    input point, with B an r x k Z-basis in Hermite form. The coordinates
-    come from ``linalg.lattice_coordinates``: one fraction-free inverse of an
-    r x r minor of B, checked against all k coordinates of each point.
-    """
-    base = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points]
-    if r == 0:
-        return [()] * len(points), (), base
-    ker = linalg.integral_kernel(diffs)  # directions orthogonal to the span
-    if ker:
-        basis = linalg.integral_kernel(ker)  # saturation of the row span
-    else:
-        basis = linalg.identity(len(base))
-    coords = linalg.lattice_coordinates(basis, diffs)
-    if None in coords:
-        raise InvariantError("point outside its own difference lattice")
-    return coords, basis, base
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +631,10 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
 
 def unimodular_image(p: LatticePolytope, u: linalg.IntMatrix,
                      t: Sequence[int] | None = None) -> LatticePolytope:
-    """Image of P under x -> U x + t for unimodular U."""
+    """Image of P under x -> U x + t for a unimodular k x k U, k = P.dim."""
+    u = tuple(map(tuple, u))
+    if len(u) != p.dim or any(len(row) != p.dim for row in u):
+        raise InputError(f"transformation matrix is not {p.dim} x {p.dim}")
     u = linalg.integer_matrix(u)
     if linalg.bareiss_det(u) not in (1, -1):
         raise InputError("transformation matrix is not unimodular")
@@ -687,10 +682,10 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
-    and the direction u found there on the basis B of the difference lattice
-    lifts to the sign-normalized sum of u_i t_i over the first rows (e_i, t_i)
-    of the Hermite form of [B^T | I], so B v = +-u. A ``budget`` that is not
-    an int is an InputError.
+    on the vertex coordinates t_i . (x - x_0) of ``_affine_coordinates``, and
+    the direction u found there lifts to v, the sign-normalized sum of the
+    u_i t_i, so <v, x - x_0> = +-<u, coords(x)>. A ``budget`` that is not an
+    int is an InputError.
     """
     budget = _int_arg("budget", budget)
     r = p.affine_dim
@@ -729,18 +724,8 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
 
 
 def _quotient_width(p: LatticePolytope, budget: int) -> WidthResult:
-    r = p.affine_dim
-    coords, basis, _ = _affine_lattice_coordinates(p.vertices, r)
-    inner = LatticePolytope(coords, r)
-    res = lattice_width(inner, budget)
-    if res.direction is None:
-        return res
-    # lift: the Hermite form of [B^T | I] is U [B^T | I], and its first r rows
-    # start with I_r when B is saturated, so their right blocks t_i have B t_i = e_i
-    h = linalg.hermite_normal_form([(*col, *e)
-                                    for col, e in zip(zip(*basis), linalg.identity(p.dim))])
-    if any(row[:r] != e for row, e in zip(h, linalg.identity(r))):
-        raise InvariantError("difference lattice basis is not saturated")
-    t = [row[r:] for row in h[:r]]
-    lift = [sum(c * x for c, x in zip(res.direction.coords, col)) for col in zip(*t)]
+    coords, t = _affine_coordinates(p.vertices)
+    res = lattice_width(LatticePolytope(coords, len(t)), budget)
+    # <v, x - x_0> = <u, coords(x)> for v = sum u_i t_i, primitive as U is unimodular
+    lift = [sum(map(mul, res.direction.coords, col)) for col in zip(*t)]
     return WidthResult(res.width, Direction(sign_normalized(lift)), res.certified)

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
 from .poly import MultiPoly
-from .polytope import (Direction, LatticePolytope, PointConfig, _as_int, _as_point,
+from .polytope import (Direction, LatticePolytope, PointConfig, _as_int, _as_point, _int_arg,
                        point_key, slice_points)
 
 
@@ -86,6 +86,7 @@ class CorollaryWitness:
 
     def expanded(self, term_budget: int = 200_000) -> MultiPoly:
         """Full expansion (small widths only; raises past the budget)."""
+        term_budget = _int_arg("term_budget", term_budget)
         m = self.degree
         k = len(self.direction.coords)
         if comb(m + k, k) > term_budget:

@@ -532,6 +532,8 @@ def rows_by_hash(rows: Sequence[TableRow], count: int) -> list[TableRow]:
     """Deterministic pseudo-random row sample: sort by sha256 of the weights."""
     import hashlib
 
+    count = _int_arg("count", count)
+
     def key(row: TableRow):
         text = ",".join(map(str, row.weights))
         return hashlib.sha256(text.encode()).hexdigest()

@@ -312,7 +312,7 @@ WIDTH_TWO_TYPE_III = '{"dim":2,"vertices":[[2,2],[0,1],[-2,-2],[0,-1]]}'
     (["screen", "6,7,9,11"], 0,
      "63b97d988e898372c7da45556f824bcbf09801fd7d84b0be46840b16600fc1c2"),
     (["polytope", '{"dim":2,"vertices":[[1,-2],[-3,3]]}'], 0,
-     "0eb888d7f256635c7e9a1356b0a94fa56458e3fa25bb5bf285e78a7a2bb9894c"),
+     "7b285eece4f59310bffd0f1e135817697006c91a5deb44b41fa8bc4349104271"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
     import hashlib

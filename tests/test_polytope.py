@@ -159,7 +159,7 @@ def test_differences_generate_matches_the_invariant_factors():
     assert seen == {(True, True), (False, True), (False, False)}
 
 
-def _counting(monkeypatch, names):
+def _counting(monkeypatch, names, module=polytope):
     calls = dict.fromkeys(names, 0)
 
     def wrap(name, fn):
@@ -169,7 +169,7 @@ def _counting(monkeypatch, names):
         return counted
 
     for name in names:
-        monkeypatch.setattr(polytope, name, wrap(name, getattr(polytope, name)))
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
     return calls
 
 
@@ -190,25 +190,72 @@ def test_hull_builds_each_facet_description_once(monkeypatch, points, chains, se
     assert calls == {"polygon_ccw_vertices": chains, "_facets_of": searches}
 
 
+def test_affine_coordinates_read_a_unimodular_transform():
+    # coords(p) = T (p - p_0); T with the zero-left rows, the integral kernel
+    # of the differences, is unimodular; r = len(T) is the rank of the differences
+    for k, pts in _hull_corpus():
+        pts = list(dict.fromkeys(pts))
+        diffs = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts]
+        coords, t = polytope._affine_coordinates(pts)
+        assert len(t) == linalg.rank(diffs)
+        assert coords == [linalg.mat_vec(t, d) for d in diffs]
+        assert linalg.bareiss_det(t + linalg.integral_kernel(diffs)) in (1, -1)
+
+
+def test_quotient_widths_match_the_pinned_corpus():
+    # (width, certified) of the 190 lower-dimensional corpus polytopes, digest
+    # read when the lift went through a second Hermite form; the brute-force
+    # oracle agrees on the width for k <= 3
+    h = hashlib.sha256()
+    count = checked = 0
+    for k, pts in _hull_corpus():
+        p = LatticePolytope(pts, k)
+        if not 0 < p.affine_dim < k:
+            continue
+        res = lattice_width(p)
+        h.update(json.dumps([res.width, res.certified]).encode())
+        count += 1
+        if k <= 3:
+            assert oracles.brute_force_width(p, bound=8)[0] == res.width
+            checked += 1
+    assert (count, checked) == (190, 155)
+    assert h.hexdigest() == "b3c06b0f20ec5f046c86e4ae07b4fc3f9a01521310128fc7ea08d7bf6ef3f6ca"
+
+
+def test_quotient_width_reads_one_hermite_form(monkeypatch):
+    # a coplanar parallelogram with its centre: one Hermite form for the hull,
+    # one for the quotient width and its lift, and no other lattice step
+    calls = _counting(monkeypatch, ("hermite_normal_form", "integral_kernel",
+                                    "lattice_coordinates", "scaled_inverse"), linalg)
+    p = LatticePolytope([(0, 0, 0), (1, 2, 3), (2, 1, 0), (3, 3, 3), (1, 1, 1)])
+    assert lattice_width(p) == (2, Direction((0, 1, -1)), True)
+    assert calls == {"hermite_normal_form": 2, "integral_kernel": 0,
+                     "lattice_coordinates": 0, "scaled_inverse": 0}
+
+
 def test_quotient_width_lifts_a_primitive_normalized_direction():
-    # the lift v of the quotient direction u: B v = +-u (u and -u have one
-    # width, and v is sign-normalized), v primitive, and the width is read on v
+    # the lift v of the quotient direction u: <v, x - x_0> = +-<u, coords(x)>
+    # on every vertex (u and -u have one width, and v is sign-normalized), v
+    # primitive, and the width is read on v
     lifted = 0
     for k, pts in _hull_corpus():
         p = LatticePolytope(pts, k)
         if not 0 < p.affine_dim < k:
             continue
         res = lattice_width(p)
-        coords, basis, _ = polytope._affine_lattice_coordinates(p.vertices, p.affine_dim)
+        coords, _ = polytope._affine_coordinates(p.vertices)
         inner = lattice_width(LatticePolytope(coords, p.affine_dim))
         v, u = res.direction.coords, inner.direction.coords
         assert res.certified and res.width == inner.width == width_in_direction(p, res.direction)
         assert gcd(*v) == 1 and polytope.sign_normalized(v) == v
-        assert linalg.mat_vec(basis, v) in (u, tuple(-x for x in u))
+        base = p.vertices[0]
+        lifted_values = [res.direction.pair(x) - res.direction.pair(base) for x in p.vertices]
+        inner_values = [inner.direction.pair(c) for c in coords]
+        assert lifted_values in (inner_values, [-x for x in inner_values])
         lifted += 1
     assert lifted >= 150
-    # the segment of the CI step: (-1, -1) came from the Smith form
-    assert lattice_width(LatticePolytope([(1, -2), (-3, 3)])) == (1, Direction((4, 3)), True)
+    # the segment of the CI step
+    assert lattice_width(LatticePolytope([(1, -2), (-3, 3)])) == (1, Direction((1, 1)), True)
 
 
 def test_lattice_points_unit_square():
@@ -388,47 +435,34 @@ def test_lattice_width_quotient_for_lower_dimensional():
     assert res.direction.pair((2, 4)) - res.direction.pair((0, 0)) in (2, -2)
 
 
-def test_affine_lattice_coordinates_rejects_a_non_saturated_lattice(monkeypatch):
-    # the saturation step returns a basis of index 2: (1, 0, 0) is not on it
-    real = linalg.integral_kernel
-    calls = []
+def _dropped_row(hermite_normal_form):
+    return lambda m: hermite_normal_form(m)[:-1]
 
-    def doubled_second_call(m):
-        out = real(m)
-        calls.append(m)
-        if len(calls) == 2:
-            out = (tuple(2 * x for x in out[0]),) + out[1:]
-        return out
 
-    monkeypatch.setattr(polytope.linalg, "integral_kernel", doubled_second_call)
-    with pytest.raises(InvariantError, match="outside its own difference lattice"):
-        polytope._affine_lattice_coordinates([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2)
-    assert len(calls) == 2
+def _zero_left_row_first(hermite_normal_form):
+    return lambda m: hermite_normal_form(m)[::-1]
 
 
 def _one_edge(edges_at_vertex):
     return lambda p, vertex: edges_at_vertex(p, vertex)[:1]
 
 
-def _doubled_basis(affine_lattice_coordinates):
-    def doubled(points, r):
-        coords, basis, base = affine_lattice_coordinates(points, r)
-        return coords, (tuple(2 * x for x in basis[0]),) + basis[1:], base
-    return doubled
-
-
-@pytest.mark.parametrize("name, fault, vertices, message", [
-    ("_edges_at_vertex", _one_edge, [(0, 0), (3, 0), (0, 3)],
+@pytest.mark.parametrize("module, name, fault, vertices, message", [
+    (polytope, "_edges_at_vertex", _one_edge, [(0, 0), (3, 0), (0, 3)],
      "vertex cone is not full-dimensional"),
-    ("_affine_lattice_coordinates", _doubled_basis, [(0, 0, 0), (3, 0, 0), (0, 3, 0)],
-     "difference lattice basis is not saturated"),
-], ids=["vertex-cone", "quotient-basis"])
-def test_lattice_width_reports_internal_faults_as_invariant_errors(monkeypatch, name, fault,
-                                                                    vertices, message):
-    # neither can happen on any input, so each is a bug (CLI exit 4), never bad input (exit 2)
-    monkeypatch.setattr(polytope, name, fault(getattr(polytope, name)))
+    (linalg, "hermite_normal_form", _dropped_row, [(0, 0, 0), (3, 0, 0), (0, 3, 0)],
+     "is not U \\[D\\^T \\| I\\] in echelon shape"),
+    (linalg, "hermite_normal_form", _zero_left_row_first, [(0, 0, 0), (3, 0, 0), (0, 3, 0)],
+     "is not U \\[D\\^T \\| I\\] in echelon shape"),
+], ids=["vertex-cone", "dropped-hermite-row", "zero-left-hermite-row-first"])
+def test_lattice_width_reports_internal_faults_as_invariant_errors(monkeypatch, module, name,
+                                                                    fault, vertices, message):
+    # none can happen on any input, so each is a bug (CLI exit 4), never bad input (exit 2);
+    # a plane in Z^3 has one zero-left Hermite row, last
+    p = LatticePolytope(vertices)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
     with pytest.raises(InvariantError, match=message):
-        lattice_width(LatticePolytope(vertices))
+        lattice_width(p)
 
 
 def test_all_points_within_width_band():
@@ -459,6 +493,18 @@ def test_unimodular_image_rejects_non_unimodular():
     p = LatticePolytope([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(InputError):
         unimodular_image(p, linalg.integer_matrix([[2, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("u", [
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # unimodular, but 3 x 3: zip cut each image to 2
+    [[1, 0, 0], [0, 1, 0]],
+    [[1]],
+    [[1, 0], [0]],
+], ids=["3x3", "2x3", "1x1", "ragged"])
+def test_unimodular_image_rejects_a_matrix_of_the_wrong_size(u):
+    p = LatticePolytope([(0, 0), (2, 0), (0, 3)])
+    with pytest.raises(InputError, match="transformation matrix is not 2 x 2"):
+        unimodular_image(p, u)
 
 
 def test_width_equivariance():

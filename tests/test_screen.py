@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 import latticejets.screen as screen_module
-from latticejets import linalg, wps
+from latticejets import jets, linalg, wps
 from latticejets.errors import InputError
 from latticejets.oracles import rank_reference
 from latticejets.polytope import (Direction, LatticePolytope, lattice_points, lattice_width,
@@ -64,6 +64,29 @@ def test_paper_triangle_full_witness_check():
     lead = MultiPoly(2, {e: c for e, c in expanded.terms.items() if sum(e) == top})
     lead = lead.integer_normalized()
     assert lead == MultiPoly.linear_form_power((1, 0), 5).integer_normalized()
+
+
+_WITNESS = corollary_check(PAPER_TRIANGLE, Direction((1, 0))).witness
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PAPER_TRIANGLE.dilate(True), "dilation factor True is not an integer"),
+    (lambda: PAPER_TRIANGLE.dilate("2"), "dilation factor '2' is not an integer"),
+    (lambda: PAPER_TRIANGLE.dilate(None), "dilation factor None is not an integer"),
+    (lambda: PAPER_TRIANGLE.dilate(2.0), "dilation factor 2.0 is not an integer"),
+    (lambda: jets.expected_h0(5.5, 2, 2), "n 5.5 is not an integer"),
+    (lambda: jets.expected_h0(True, 2, 2), "n True is not an integer"),
+    (lambda: jets.expected_h0(5, 2.0, 2), "dimension 2.0 is not an integer"),
+    (lambda: wps.rows_by_hash(wps.load_table(), 2.5), "count 2.5 is not an integer"),
+    (lambda: wps.rows_by_hash(wps.load_table(), True), "count True is not an integer"),
+    (lambda: _WITNESS.expanded("x"), "term_budget 'x' is not an integer"),
+    (lambda: _WITNESS.expanded(True), "term_budget True is not an integer"),
+], ids=["dilate-bool", "dilate-str", "dilate-none", "dilate-float", "expected-h0-n-float",
+        "expected-h0-n-bool", "expected-h0-k-float", "rows-by-hash-float", "rows-by-hash-bool",
+        "expanded-str", "expanded-bool"])
+def test_public_integer_arguments_reject_other_types(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_paper_triangle_dilation():

@@ -66,10 +66,10 @@ def test_rr_polytope_unit_weights():
 
 
 def test_rr_polytope_is_a_simplex_without_the_lower_dimensional_hull(monkeypatch):
-    def unreachable(points, r):
-        raise AssertionError("the hull of a simplex needs no lattice coordinates")
+    def unreachable(points):
+        raise AssertionError("the Riemann-Roch simplex is built with no hull pass")
 
-    monkeypatch.setattr(polytope, "_affine_lattice_coordinates", unreachable)
+    monkeypatch.setattr(polytope, "_affine_coordinates", unreachable)
     w = WeightVector(load_table()[0].weights)
     rr = rr_polytope(w)
     assert set(rr.vertices) == {tuple(w.lcm // a if j == i else 0 for j in range(4))
