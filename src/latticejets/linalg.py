@@ -17,15 +17,14 @@ its pivots; ``bareiss_det`` is the swap sign times d; ``scaled_inverse`` and
 ``inverse_unimodular`` read the adjugate off the right block of [m | I];
 ``rref`` divides A by d and ``kernel_basis`` reads its vectors off A, while
 ``solve`` returns the canonical minimal-support solution scaled, as integers
-over d. ``pivot_columns`` are the columns that raise the rank, and the rows
-that do are the pivot columns of the transpose (``independent_rows``);
-``lattice_coordinates`` inverts the minor on the pivot columns of its basis
-with ``scaled_inverse`` (no module of the package calls either; the tests
-read them as a reference). No lattice step needs a Smith form (nothing here
-calls ``smith_normal_form``): ``integral_kernel`` reads the Hermite form of
-[m^T | I], as ``polytope`` reads a point set's rank, coordinates and width
-lift off the Hermite form of [D^T | I], ``complete_to_unimodular`` runs
-Euclid on its one row, and
+over d. ``pivot_columns`` are the columns that raise the rank (the rows that
+do are the pivot columns of the transpose), and ``lattice_coordinates``
+inverts the minor on the pivot columns of its basis with ``scaled_inverse``
+(no module of the package calls it; the tests read it as a reference). No
+lattice step needs a Smith form (nothing here calls ``smith_normal_form``):
+``integral_kernel`` reads the Hermite form of [m^T | I], as ``polytope``
+reads a point set's rank, coordinates and width lift off the Hermite form of
+[D^T | I], ``complete_to_unimodular`` runs Euclid on its one row, and
 ``lattice_is_saturated`` and ``lattice_index`` read the gcd of the maximal
 minors. The reference eliminations in ``oracles`` share no code with these.
 """
@@ -178,14 +177,6 @@ def pivot_columns(m) -> tuple[int, ...]:
 def rank(m) -> int:
     """Rank over Q of an integer matrix: the pivot count of the fraction-free elimination."""
     return len(pivot_columns(m))
-
-
-def independent_rows(rows) -> tuple[int, ...]:
-    """Indices of the rows, in order, that raise the rank of those before.
-
-    They are the pivot columns of the transpose.
-    """
-    return pivot_columns(transpose(rows))
 
 
 def _square(m, what: str) -> int:
@@ -523,8 +514,9 @@ def inverse_unimodular(u: IntMatrix) -> IntMatrix:
 
 
 def bezout(a: int, b: int) -> tuple[int, int]:
-    """s, t with s*a + t*b = gcd(a, b) >= 0 (extended Euclid)."""
-    old_r, r = a, b
+    """s, t with s*a + t*b = gcd(a, b) >= 0 (extended Euclid); a non-int
+    argument is a ``ToolkitError``, as in every elimination."""
+    old_r, r = _int_rows(((a, b),))[0]
     old_s, s = 1, 0
     old_t, t = 0, 1
     while r:

@@ -17,7 +17,7 @@ from math import gcd
 
 from . import linalg
 from .errors import InputError, ToolkitError
-from .polytope import Direction, LatticePolytope, WidthResult, direction_key
+from .polytope import Direction, LatticePolytope, WidthResult, _int_arg, direction_key
 
 
 def rref_reference(m):
@@ -98,9 +98,10 @@ def brute_force_width(p: LatticePolytope, bound: int = 10):
     lattice is saturated, hence a direct summand, so every primitive
     functional on it lifts to a primitive ambient direction of the same
     width, and a direction whose restriction is imprimitive is no narrower.
-    Ties go to the least ``direction_key``; a ``bound`` below 1 is an
-    ``InputError``.
+    Ties go to the least ``direction_key``; a ``bound`` that is not an int
+    or is below 1 is an ``InputError``.
     """
+    bound = _int_arg("oracle bound", bound)
     if bound < 1:
         raise InputError(f"oracle bound must be >= 1, got {bound}")
     scored = []
@@ -130,7 +131,8 @@ def binary_form_gcd_degree(forms) -> int:
 
 
 def width_oracle_agrees(p: LatticePolytope, main: WidthResult, bound: int = 10) -> dict:
-    """Diff record between ``main``, the width run a caller reports, and the scan."""
+    """Diff record between ``main``, the width run a caller reports, and the scan
+    (``bound`` is checked as by ``brute_force_width``)."""
     scan_width, scan_dir = brute_force_width(p, bound)
     agree = (not main.certified) or main.width == scan_width
     return {

@@ -17,13 +17,13 @@ the facets restricted to the level x_1 = level when the direction is e_1 (a
 written as two rows for any other direction, so a slice is enumerated inside
 the slice only, never through the full polytope, because Riemann-Roch
 polytopes of weighted projective spaces are far too large to enumerate;
-``lattice_width`` runs it on a dual parallelepiped. All three are bounded by
-a budget on the fibers and points visited.
+``lattice_width`` runs it on a dual region of slabs. All three are bounded
+by a budget on the fibers and points visited.
 
 Lattice-width certification is a flatness argument (Lenstra 1983): any
-direction v whose width is at most the best seed W0 pairs with every edge
-vector e at a vertex to |<v,e>| <= W0. For k independent edges this is the
-parallelepiped of the 2k slabs {v : |<v,e_i>| <= W0}. Its integer points are
+direction v whose width is at most the best seed W0 has |<v, w - x0>| <= W0
+for every vertex w and the least vertex x0. These slabs, one pair per vertex,
+bound a region since the vertex differences span. Its integer points are
 enumerated by the fiber kernel (the Fincke-Pohst scheme, 1985); if that
 stays within budget the search is exhaustive and the result is certified.
 
@@ -653,33 +653,15 @@ class WidthResult(NamedTuple):
     certified: bool
 
 
-def _edges_at_vertex(p: LatticePolytope, vertex: Point) -> list[Point]:
-    facets = p.facets()
-    active_at = {}
-    for w in p.vertices:
-        active_at[w] = [f.normal for f in facets
-                        if sum(a * b for a, b in zip(f.normal, w)) == f.offset]
-    k = p.dim
-    edges = []
-    for w in p.vertices:
-        if w == vertex:
-            continue
-        shared = [n for n in active_at[vertex]
-                  if n in active_at[w]]
-        if k == 1 or (shared and linalg.rank(shared) == k - 1):
-            edges.append(tuple(a - b for a, b in zip(w, vertex)))
-    return sorted(edges, key=direction_key)
-
-
 def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult:
     """Minimal lattice width, a minimizing direction, and a certification flag.
 
     Directions have their first nonzero coordinate positive, and ties go to
     the least ``direction_key``: a certified result is the least minimizing
     direction. ``budget`` bounds the fibers plus candidate points that the
-    fiber kernel visits on the 2k slab rows |<v, e_i>| <= W0 of the dual
-    parallelepiped; past it, the best seed (facet normals and coordinate
-    directions) is returned with ``certified=False``.
+    fiber kernel visits on the slab rows |<v, w - x0>| <= W0, two for each
+    vertex w but the least one x0; past it, the best seed (facet normals and
+    coordinate directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
     on the vertex coordinates t_i . (x - x_0) of ``_affine_coordinates``, and
@@ -701,17 +683,16 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     if best_w == 1:
         return WidthResult(1, Direction(best_v), True)
 
-    vertex = min(p.vertices, key=point_key)
-    edges = _edges_at_vertex(p, vertex)
-    e_basis = [edges[i] for i in linalg.independent_rows(edges)]
-    if len(e_basis) < k:
-        raise InvariantError("vertex cone is not full-dimensional")
-    ineqs = [(e, -best_w) for e in e_basis] + [(tuple(-x for x in e), -best_w) for e in e_basis]
+    x0 = p.vertices[0]
+    diffs = [tuple(a - b for a, b in zip(w, x0)) for w in p.vertices[1:]]
+    ineqs = [(d, -best_w) for d in diffs] + [(tuple(-x for x in d), -best_w) for d in diffs]
     points: list[Point] = []
     try:
         _enumerate_system(ineqs, k, points, [0, budget])
     except BudgetExceededError:
         return WidthResult(best_w, Direction(best_v), False)
+    except ToolkitError as exc:  # an unbounded fiber: the differences do not span
+        raise InvariantError(f"vertex differences do not span Z^{k}") from exc
     # a non-primitive point is no narrower than its primitive multiple, also a point
     candidates = {sign_normalized(v) for v in points if gcd(*v) == 1} - seeds
     for v in sorted(candidates, key=direction_key):

@@ -95,6 +95,8 @@ def test_non_integer_entries_fail_the_input_check(bad):
         lambda: linalg.kernel_basis([[1, bad, 0]]),
         lambda: linalg.lattice_coordinates([[1, 0], [0, 1]], [[1, 2], [bad, 0]]),
         lambda: linalg.complete_to_unimodular((bad, 1)),
+        lambda: linalg.bezout(bad, 1),
+        lambda: linalg.bezout(1, bad),
         lambda: linalg.lattice_is_saturated(square),
         lambda: linalg.lattice_index(square),
         lambda: linalg.integer_matrix(square),
@@ -450,7 +452,8 @@ def test_scaled_rref_matches_the_reference():
         assert all(a[r][c] == d for r, c in enumerate(pivots)), m
         assert linalg.rank(m) == len(pivots)
         assert linalg.pivot_columns(m) == ref_pivots
-        assert linalg.independent_rows(m) == oracles.rref_reference(linalg.transpose(m))[1], m
+        assert (linalg.pivot_columns(linalg.transpose(m))
+                == oracles.rref_reference(linalg.transpose(m))[1]), m
         b = [rhs_rng.randint(-5, 5) for _ in m]
         if rhs_rng.random() < 0.5:  # a consistent right side: m times an integer vector
             c = [rhs_rng.randint(-3, 3) for _ in m[0]]

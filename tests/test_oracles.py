@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from latticejets import linalg, oracles
+from latticejets.errors import InputError
 from latticejets.polytope import Direction, LatticePolytope, lattice_width
 
 
@@ -55,6 +58,16 @@ def test_width_oracle_agrees_record():
     p = LatticePolytope([(0, 0), (0, 1), (2, 1), (3, 0)])
     record = oracles.width_oracle_agrees(p, lattice_width(p))
     assert record["agree"] and record["main_width"] == 1
+
+
+@pytest.mark.parametrize("bound", [True, False, 1.5, 2.0, "3", None])
+def test_oracle_bound_must_be_an_int(bound):
+    # index() would read True as 1; 1.5, "3" and None once raised a bare TypeError
+    p = LatticePolytope([(0, 0), (0, 1), (2, 1), (3, 0)])
+    with pytest.raises(InputError, match="^oracle bound .* is not an integer$"):
+        oracles.brute_force_width(p, bound)
+    with pytest.raises(InputError, match="^oracle bound .* is not an integer$"):
+        oracles.width_oracle_agrees(p, lattice_width(p), bound)
 
 
 def test_rank_oracle_agrees_record():

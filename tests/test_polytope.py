@@ -11,7 +11,7 @@ import pytest
 from latticejets import linalg, oracles, polytope
 from latticejets.errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
-                                  config_from_json, lattice_points,
+                                  config_from_json, direction_key, lattice_points,
                                   lattice_width, point_key, slice_points,
                                   unimodular_image, width_in_direction)
 from tests.conftest import (invariant_factors_reference, random_full_dim_polytope,
@@ -220,6 +220,31 @@ def test_quotient_widths_match_the_pinned_corpus():
             checked += 1
     assert (count, checked) == (190, 155)
     assert h.hexdigest() == "b3c06b0f20ec5f046c86e4ae07b4fc3f9a01521310128fc7ea08d7bf6ef3f6ca"
+
+
+def _width_corpus():
+    """300 seeded full-dimensional polytopes in Z^1 .. Z^4, simplices and others."""
+    rng = random.Random(29)
+    for k, count in ((1, 20), (2, 140), (3, 110), (4, 30)):
+        for _ in range(count):
+            yield random_full_dim_polytope(rng, k, coord_bound=rng.choice((3, 6, 12)),
+                                           max_extra=rng.choice((1, 3, 6)))
+
+
+def test_full_dimensional_widths_match_the_pinned_corpus():
+    # (width, direction, certified) of the 300 corpus polytopes, digest read
+    # when the slabs were k edges at the least vertex; the brute-force oracle
+    # agrees on width and direction for k <= 2
+    h = hashlib.sha256()
+    checked = 0
+    for p in _width_corpus():
+        res = lattice_width(p)
+        h.update(json.dumps([res.width, list(res.direction.coords), res.certified]).encode())
+        if p.dim <= 2:
+            assert oracles.brute_force_width(p, bound=8) == (res.width, res.direction)
+            checked += 1
+    assert checked == 160
+    assert h.hexdigest() == "800dcb048e1b42d6fe45926068ec3b3dc8303c8fa4d54ac3c5bcdb45a99a9d1d"
 
 
 def test_quotient_width_reads_one_hermite_form(monkeypatch):
@@ -443,18 +468,20 @@ def _zero_left_row_first(hermite_normal_form):
     return lambda m: hermite_normal_form(m)[::-1]
 
 
-def _one_edge(edges_at_vertex):
-    return lambda p, vertex: edges_at_vertex(p, vertex)[:1]
+def _one_slab(enumerate_system):
+    # the first slab pair only: |<v, w - x0>| <= W0 for one vertex w
+    return lambda rows, k, out, counter: enumerate_system(
+        rows[:1] + rows[len(rows) // 2:len(rows) // 2 + 1], k, out, counter)
 
 
 @pytest.mark.parametrize("module, name, fault, vertices, message", [
-    (polytope, "_edges_at_vertex", _one_edge, [(0, 0), (3, 0), (0, 3)],
-     "vertex cone is not full-dimensional"),
+    (polytope, "_enumerate_system", _one_slab, [(0, 0), (3, 0), (0, 3)],
+     "vertex differences do not span Z\\^2"),
     (linalg, "hermite_normal_form", _dropped_row, [(0, 0, 0), (3, 0, 0), (0, 3, 0)],
      "is not U \\[D\\^T \\| I\\] in echelon shape"),
     (linalg, "hermite_normal_form", _zero_left_row_first, [(0, 0, 0), (3, 0, 0), (0, 3, 0)],
      "is not U \\[D\\^T \\| I\\] in echelon shape"),
-], ids=["vertex-cone", "dropped-hermite-row", "zero-left-hermite-row-first"])
+], ids=["unbounded-region", "dropped-hermite-row", "zero-left-hermite-row-first"])
 def test_lattice_width_reports_internal_faults_as_invariant_errors(monkeypatch, module, name,
                                                                     fault, vertices, message):
     # none can happen on any input, so each is a bug (CLI exit 4), never bad input (exit 2);
@@ -602,6 +629,21 @@ def test_budget_boundaries_are_pinned(monkeypatch):
         slice_points(p, Direction((2, 3, 5)), 40)
 
 
+@pytest.mark.parametrize("vertices, least", [
+    (DELTA_PRIME.vertices, 16),  # 16 when the slabs were k edges at the least vertex
+    ([(0, 0, 0), (4, 0, 0), (0, 4, 0), (4, 4, 0), (2, 2, 5)], 22),  # 28 then
+    ([(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)], 11),  # 13 then
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 58),  # 96 then
+], ids=["readme-simplex", "pyramid", "hexagon", "octahedron"])
+def test_least_certifying_width_budgets_are_pinned(vertices, least):
+    # the least budget that certifies, on one slab pair per vertex difference:
+    # a simplex's are its edges at the least vertex, any other region is smaller
+    p = LatticePolytope(vertices)
+    res = lattice_width(p, budget=least)
+    assert res.certified and res == lattice_width(p)
+    assert lattice_width(p, budget=least - 1).certified is False
+
+
 def test_e1_slice_budget_boundary_is_pinned(monkeypatch):
     # the least budget that completes: 1 for the x_1-fiber, 1 for the x_2
     # fibers, and the count plus 1 for each nonempty x_3-fiber (the same
@@ -630,6 +672,15 @@ def _kernel(k):
         polytope._projections(rows, k), (), out, counter)
 
 
+def _edges_at_least_vertex(p):
+    """The two edge vectors of a polygon at its least vertex, in direction_key order."""
+    cycle = polytope.polygon_ccw_vertices(p.vertices)
+    i = cycle.index(p.vertices[0])
+    ends = (cycle[i - 1], cycle[(i + 1) % len(cycle)])
+    return sorted((tuple(a - b for a, b in zip(w, p.vertices[0])) for w in ends),
+                  key=direction_key)
+
+
 def test_plane_walk_matches_the_kernel():
     # seeded polygons, their width slabs, and raw row systems (infeasible and
     # unbounded ones too): the same points in the same order, the same total
@@ -639,7 +690,7 @@ def test_plane_walk_matches_the_kernel():
     for _ in range(60):
         p = random_full_dim_polytope(rng, 2, coord_bound=rng.choice((3, 6, 20)))
         systems.append(list(p.facets()))
-        e1, e2 = rng.sample(polytope._edges_at_vertex(p, p.vertices[0]), 2)
+        e1, e2 = rng.sample(_edges_at_least_vertex(p), 2)
         if e1[0] * e2[1] != e1[1] * e2[0]:
             w = rng.randint(1, 6)
             systems.append([(e1, -w), (e2, -w), ((-e1[0], -e1[1]), -w), ((-e2[0], -e2[1]), -w)])
