@@ -412,9 +412,7 @@ def _maximal_minors(m):
         yield 1
         return
     for sub in combinations(rows, r):
-        if r == 1:
-            yield from sub[0]
-        elif r == 2:
+        if r == 2:
             x, y = sub
             for i, j in combinations(range(len(x)), 2):
                 yield x[i] * y[j] - x[j] * y[i]

@@ -132,9 +132,18 @@ def binary_form_gcd_degree(forms) -> int:
 
 def width_oracle_agrees(p: LatticePolytope, main: WidthResult, bound: int = 10) -> dict:
     """Diff record between ``main``, the width run a caller reports, and the scan
-    (``bound`` is checked as by ``brute_force_width``)."""
+    (``bound`` is checked as by ``brute_force_width``).
+
+    A certified ``main`` must have the scan's width. On a full-dimensional P
+    whose reported direction lies in the box it must have the scan's direction
+    too, as both are the least minimizing one; below full dimension only the
+    widths are compared, since the lifted direction need not be the least.
+    """
     scan_width, scan_dir = brute_force_width(p, bound)
-    agree = (not main.certified) or main.width == scan_width
+    agree = (not main.certified) or (
+        main.width == scan_width
+        and (not p.is_full_dim or max(map(abs, main.direction.coords)) > bound
+             or main.direction == scan_dir))
     return {
         "main_width": main.width,
         "main_certified": main.certified,

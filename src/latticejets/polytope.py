@@ -4,9 +4,10 @@ Everything is exact: vertices are integer tuples, facet inequalities are
 primitive integer normals with integer offsets, memberships are integer
 comparisons. Lattice points come from one fiber kernel that reads only
 integer inequalities: Fourier-Motzkin elimination (Motzkin 1936, pruned by
-Chernikov's rule 1965) projects the system onto x_1..x_j for every j, and
-coordinates are fixed one at a time, each over the integer range that its
-projection leaves. A two-variable system skips the general projections:
+Chernikov's rule 1965, which alone keeps every projection exact) projects
+the system onto x_1..x_j for every j, and coordinates are fixed one at a
+time, each over the integer range that its projection leaves. A
+two-variable system skips the general projections:
 ``_walk_plane`` reads the y-range from one Fourier-Motzkin combination of
 each pair of opposite rows and then each y's z-range, with the same points,
 order and budget charges as the kernel. ``_enumerate_system`` picks between
@@ -498,11 +499,8 @@ def _projections(ineqs, k):
     Rows (a, b) mean <a, x> >= b. S_j comes from S_{j+1} by Fourier-Motzkin
     elimination of x_{j+1} (Motzkin 1936), and each row carries a bitmask of
     the input rows it was combined from. Chernikov's rule (1965) drops a row
-    combined from more than t + 1 input rows after t eliminations. Of the rows
-    with one primitive normal only the tightest are kept, compared as b/gcd(a)
-    by cross-multiplication and never rounded: a looser row and everything
-    combined from it are never tight. Tied rows stay once per bitmask, so the
-    rule stays sound and every S_j is exact.
+    combined from more than t + 1 input rows after t eliminations; such a row
+    is implied by the others, so the rule alone keeps every S_j exact.
     """
     rows = [(tuple(a), b, 1 << i) for i, (a, b) in enumerate(ineqs)]
     systems = [[(a, b) for a, b, _ in rows]]
@@ -515,18 +513,6 @@ def _projections(ineqs, k):
                     c1, c2 = -a2[j], a1[j]
                     combined.append((tuple(c1 * x + c2 * y for x, y in zip(a1[:j], a2[:j])),
                                      c1 * b1 + c2 * b2, m))
-        if j > 1:  # S_1 is never eliminated, so it is not merged
-            tightest = {}
-            for a, b, m in combined:
-                g = gcd(*a) or 1
-                key = tuple(x // g for x in a)
-                b0, g0, masks = tightest.get(key, (b, g, set()))
-                if b * g0 > b0 * g:
-                    tightest[key] = (b, g, {m})
-                elif b * g0 == b0 * g:
-                    tightest[key] = (b0, g0, masks | {m})
-            combined = [(tuple(g * x for x in key), b, m)
-                        for key, (b, g, masks) in tightest.items() for m in masks]
         rows = combined
         systems.append([(a, b) for a, b, _ in rows])
     systems.reverse()
@@ -660,8 +646,9 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     the least ``direction_key``: a certified result is the least minimizing
     direction. ``budget`` bounds the fibers plus candidate points that the
     fiber kernel visits on the slab rows |<v, w - x0>| <= W0, two for each
-    vertex w but the least one x0; past it, the best seed (facet normals and
-    coordinate directions) is returned with ``certified=False``.
+    vertex w but the least one x0. Every width, one included, comes from that
+    search; past the budget, the best seed (facet normals and coordinate
+    directions) is returned with ``certified=False``.
     Non-full-dimensional polytopes use the quotient definition: widths are
     measured in the lattice quotient by the orthogonal of the affine span,
     on the vertex coordinates t_i . (x - x_0) of ``_affine_coordinates``, and
@@ -680,9 +667,6 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     seeds = {sign_normalized(f.normal) for f in p.facets()} | set(linalg.identity(k))
     best_w, _, best_v = min((width_in_direction(p, Direction(v)), direction_key(v), v)
                             for v in seeds)
-    if best_w == 1:
-        return WidthResult(1, Direction(best_v), True)
-
     x0 = p.vertices[0]
     diffs = [tuple(a - b for a, b in zip(w, x0)) for w in p.vertices[1:]]
     ineqs = [(d, -best_w) for d in diffs] + [(tuple(-x for x in d), -best_w) for d in diffs]

@@ -7,7 +7,8 @@ import pytest
 
 from latticejets import linalg, oracles
 from latticejets.errors import InputError
-from latticejets.polytope import Direction, LatticePolytope, lattice_width
+from latticejets.polytope import (Direction, LatticePolytope, WidthResult, lattice_width,
+                                  width_in_direction)
 
 
 def test_rank_reference_known_values():
@@ -58,6 +59,28 @@ def test_width_oracle_agrees_record():
     p = LatticePolytope([(0, 0), (0, 1), (2, 1), (3, 0)])
     record = oracles.width_oracle_agrees(p, lattice_width(p))
     assert record["agree"] and record["main_width"] == 1
+
+
+def test_width_oracle_compares_full_dimensional_directions():
+    # a certified width-one result in a direction that is not the least one
+    # disagrees with the scan; the least direction agrees
+    p = LatticePolytope([(0, 0, -2), (1, -3, 1), (2, -3, 3), (2, 1, 2)])
+    wrong = oracles.width_oracle_agrees(p, WidthResult(1, Direction((6, -1, -3)), True))
+    assert (wrong["scan_direction"], wrong["agree"]) == ([2, 0, -1], False)
+    assert oracles.width_oracle_agrees(p, lattice_width(p))["agree"] is True
+    # outside the box, or uncertified, the direction is not compared
+    assert oracles.width_oracle_agrees(p, WidthResult(1, Direction((6, -1, -3)), True),
+                                       bound=5)["agree"] is True
+    assert oracles.width_oracle_agrees(p, WidthResult(1, Direction((6, -1, -3)), False))["agree"]
+
+
+def test_width_oracle_compares_only_widths_below_full_dimension():
+    # a lifted direction need not be the least one: (1, -1, 0) also gives the
+    # coplanar parallelogram width 2, and the scan's is (0, 1, -1)
+    p = LatticePolytope([(0, 0, 0), (1, 2, 3), (2, 1, 0), (3, 3, 3), (1, 1, 1)])
+    assert width_in_direction(p, Direction((1, -1, 0))) == 2
+    record = oracles.width_oracle_agrees(p, WidthResult(2, Direction((1, -1, 0)), True))
+    assert (record["scan_direction"], record["agree"]) == ([0, 1, -1], True)
 
 
 @pytest.mark.parametrize("bound", [True, False, 1.5, 2.0, "3", None])

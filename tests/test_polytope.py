@@ -19,6 +19,8 @@ from tests.conftest import (invariant_factors_reference, random_full_dim_polytop
 
 DELTA_PRIME = LatticePolytope([(0, 0, 0), (572, 286, 143),
                                (390, 195, -585), (495, -330, -165)])
+# width 1, and a facet normal of width 1 is not the least direction
+WIDTH_ONE_TETRAHEDRON = [(0, 0, -2), (1, -3, 1), (2, -3, 3), (2, 1, 2)]
 
 
 def _bounding_box(p):
@@ -233,18 +235,20 @@ def _width_corpus():
 
 def test_full_dimensional_widths_match_the_pinned_corpus():
     # (width, direction, certified) of the 300 corpus polytopes, digest read
-    # when the slabs were k edges at the least vertex; the brute-force oracle
-    # agrees on width and direction for k <= 2
+    # when every width, one included, came from the slab search; the
+    # brute-force oracle agrees on width and direction for k <= 3, in a box
+    # that holds the reported direction
     h = hashlib.sha256()
     checked = 0
     for p in _width_corpus():
         res = lattice_width(p)
         h.update(json.dumps([res.width, list(res.direction.coords), res.certified]).encode())
-        if p.dim <= 2:
-            assert oracles.brute_force_width(p, bound=8) == (res.width, res.direction)
+        if p.dim <= 3:
+            bound = max(8, *map(abs, res.direction.coords))
+            assert oracles.brute_force_width(p, bound) == (res.width, res.direction)
             checked += 1
-    assert checked == 160
-    assert h.hexdigest() == "800dcb048e1b42d6fe45926068ec3b3dc8303c8fa4d54ac3c5bcdb45a99a9d1d"
+    assert checked == 270
+    assert h.hexdigest() == "a4da2ad995701cfd6a2c2781f290db9d99cd1e8797cb290f0e85e433abc2d186"
 
 
 def test_quotient_width_reads_one_hermite_form(monkeypatch):
@@ -451,6 +455,17 @@ def test_lattice_width_one_takes_the_least_direction():
     assert oracles.brute_force_width(p, bound=10) == (1, Direction((1, 0, 1)))
 
 
+def test_lattice_width_one_is_searched_like_any_other_width():
+    # the best seed (6, -1, -3) already has width 1, but only the slab search
+    # finds the least direction (2, 0, -1); below its budget the seed comes
+    # back uncertified
+    p = LatticePolytope(WIDTH_ONE_TETRAHEDRON)
+    assert width_in_direction(p, Direction((6, -1, -3))) == 1
+    assert lattice_width(p) == (1, Direction((2, 0, -1)), True)
+    assert oracles.brute_force_width(p, bound=6) == (1, Direction((2, 0, -1)))
+    assert lattice_width(p, budget=131) == (1, Direction((6, -1, -3)), False)
+
+
 def test_lattice_width_quotient_for_lower_dimensional():
     # segment from (0,0) to (2,4) has quotient width 2 (primitive step (1,2))
     seg = LatticePolytope([(0, 0), (2, 4)])
@@ -634,7 +649,8 @@ def test_budget_boundaries_are_pinned(monkeypatch):
     ([(0, 0, 0), (4, 0, 0), (0, 4, 0), (4, 4, 0), (2, 2, 5)], 22),  # 28 then
     ([(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)], 11),  # 13 then
     ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 58),  # 96 then
-], ids=["readme-simplex", "pyramid", "hexagon", "octahedron"])
+    (WIDTH_ONE_TETRAHEDRON, 132),
+], ids=["readme-simplex", "pyramid", "hexagon", "octahedron", "width-one-tetrahedron"])
 def test_least_certifying_width_budgets_are_pinned(vertices, least):
     # the least budget that certifies, on one slab pair per vertex difference:
     # a simplex's are its edges at the least vertex, any other region is smaller
