@@ -146,8 +146,8 @@ class CorollaryReport:
 def corollary_check(p: LatticePolytope, v: Direction) -> CorollaryReport:
     """Evaluate the obstruction conditions for (P, v) and build the witness.
 
-    The caller asserts that v realizes the lattice width; the report records
-    lw_v(P) without re-certifying global minimality.
+    v is taken as given: the report records lw_v(P), the width in direction
+    v, and does not certify that it is minimal, that is, the lattice width.
 
     Condition (3) is one affine system: f = 0 on the min+1 slice Lambda and
     at p_min, f(p_max) = lw - 1. For lw >= 2 the right side is nonzero, so

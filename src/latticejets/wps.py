@@ -4,9 +4,10 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
 
 1. the two lowest-degree binomial relations among the weighted monomials
    (exponent differences u1, u2, both orthogonal to w), found one degree at
-   a time: a primitive relation u is x^{u+} - x^{u-} for exactly one pair of
+   a time: one degree-ordered heap yields each monomial once, and a
+   primitive relation u is x^{u+} - x^{u-} for exactly one pair of
    monomials with disjoint supports, so each degree's relations come from
-   its disjoint-support pairs alone, and no degree past u2's is read;
+   its disjoint-support pairs alone, and no degree past u2's is paired;
 2. a vector v~ completing w to a Z-basis of the rank-2 lattice orthogonal
    to u1 and u2 (the tangent direction of the one-parameter subgroup), in
    closed form: one Euclid completion of w to a unimodular basis, and the
@@ -37,6 +38,7 @@ realize the width, and the published m values are reproduced exactly from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -125,31 +127,31 @@ def _monomial_text(e) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _monomials_of_weighted_degree(w: Sequence[int], d: int):
-    w1, w2, w3, w4 = w
-    for a1 in range(d // w1 + 1):
-        r1 = d - a1 * w1
-        for a2 in range(r1 // w2 + 1):
-            r2 = r1 - a2 * w2
-            for a3 in range(r2 // w3 + 1):
-                r3 = r2 - a3 * w3
-                if r3 % w4 == 0:
-                    yield (a1, a2, a3, r3 // w4)
-
-
 def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
     """The binomials of weighted degree d, one list for each d = 1 .. budget that has any.
 
-    A primitive relation u is x^{u+} - x^{u-} for exactly one pair of
-    monomials with disjoint supports, so a degree's list is the primitive,
-    sign-normalized differences of its disjoint-support pairs, ordered by
-    graded-lex on u+. A pair sharing support c has the difference of the
-    pair with c removed, of lower degree, so no relation appears twice and
-    no state carries over from one degree to the next. Past the budget this
+    The monomials come from one heap of (degree, exponents, last), seeded
+    with 1: popping x^a pushes x^a x_i for i >= last, so each monomial is
+    pushed once, from its one parent, and a degree's monomials leave the
+    heap together, in lex order. A degree is popped only when the next
+    batch is asked for, so a reader that stops at u2's batch, as
+    ``lowest_degree_binomials`` does, pairs no degree past u2's. A primitive
+    relation u is x^{u+} - x^{u-} for exactly one pair of monomials with
+    disjoint supports, so a degree's list is the primitive, sign-normalized
+    differences of its disjoint-support pairs, ordered by graded-lex on u+.
+    A pair sharing support c has the difference of the pair with c removed,
+    of lower degree, so no relation appears twice. Past the budget this
     raises ``BudgetExceededError``.
     """
-    for d in range(1, budget + 1):
-        mons = list(_monomials_of_weighted_degree(w.weights, d))
+    weights = w.weights
+    heap = [(0, (0, 0, 0, 0), 0)]
+    while (d := heap[0][0]) <= budget:
+        mons = []
+        while heap[0][0] == d:
+            _, a, last = heappop(heap)
+            mons.append(a)
+            for i in range(last, 4):
+                heappush(heap, (d + weights[i], a[:i] + (a[i] + 1,) + a[i + 1:], i))
         batch = []
         for i, a in enumerate(mons):
             for b in mons[i + 1:]:
@@ -168,8 +170,9 @@ def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
 def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
     """The two lowest-degree binomials, and the ties of the second one's degree.
 
-    Binomials come one degree at a time (``_binomial_batches``), and no
-    degree past the second binomial's is read. They are distinct, primitive
+    Binomials come one degree at a time (``_binomial_batches``, whose one
+    degree-ordered heap yields each monomial once), and no degree past the
+    second binomial's is paired. They are distinct, primitive
     and sign-normalized, so no two are parallel and the first two are
     linearly independent. Returns (chosen, alternatives): alternatives are
     the rest of the second one's degree. A ``budget`` that is not an int is

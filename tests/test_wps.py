@@ -150,21 +150,47 @@ def test_binomial_batches_group_ties_by_degree(weights, sizes):
 
 
 def test_lowest_degree_binomials_read_no_degree_past_the_second(monkeypatch):
+    # every monomial popped off the stream's heap joins its degree's pairing
     read = []
-    monomials = wps._monomials_of_weighted_degree
+    heappop = wps.heappop
 
-    def recording(w, d):
-        read.append(d)
-        return monomials(w, d)
+    def recording(heap):
+        entry = heappop(heap)
+        read.append(entry[0])
+        return entry
 
-    monkeypatch.setattr(wps, "_monomials_of_weighted_degree", recording)
+    monkeypatch.setattr(wps, "heappop", recording)
     chosen, _ = lowest_degree_binomials(W)
     assert chosen[1].degree == max(read) == 26
+
+
+def test_binomial_batches_past_the_second_match_the_box_reference():
+    # saturate_generators reads the stream past u2's degree, so check it up to twice that
+    rng = random.Random(31)
+    quads = [q for q in itertools.combinations_with_replacement(range(1, 13), 4)
+             if gcd(*q) == 1]
+    for q in rng.sample(quads, 100):
+        chosen, _ = lowest_degree_binomials(WeightVector(q))
+        top = 2 * chosen[1].degree
+        got = itertools.takewhile(lambda batch: batch[0].degree <= top,
+                                  wps._binomial_batches(WeightVector(q)))
+        expected = _relations_up_to_degree(q, top)
+        assert [[(b.u, b.degree) for b in batch] for batch in got] == [
+            list(group) for _, group in itertools.groupby(expected, key=lambda r: r[1])], q
 
 
 def test_degree_budget_error():
     with pytest.raises(BudgetExceededError):
         lowest_degree_binomials(W, budget=10)
+
+
+def test_degree_budget_boundary_is_the_second_binomials_degree():
+    chosen, alternatives = lowest_degree_binomials(W, budget=26)
+    assert [(b.u, b.degree) for b in chosen] == [((1, -2, 0, 1), 22), ((0, 1, -2, 1), 26)]
+    assert alternatives == []
+    with pytest.raises(BudgetExceededError) as info:
+        lowest_degree_binomials(W, budget=25)
+    assert info.value.diagnostics == {"weights": (7, 11, 13, 15), "degree_budget": 25}
 
 
 def test_width_direction_worked_example():
