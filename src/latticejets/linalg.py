@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
@@ -65,11 +66,11 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _nonempty(m) -> None:

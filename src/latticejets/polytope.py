@@ -131,7 +131,7 @@ class Direction:
         return len(self.coords)
 
     def pair(self, p: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(self.coords, p))
+        return sum(map(mul, self.coords, p))
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ class LatticePolytope:
 
     def contains(self, p: Sequence[int]) -> bool:
         p = _as_point(p, self.dim)
-        return all(sum(a * b for a, b in zip(f.normal, p)) >= f.offset for f in self.facets())
+        return all(sum(map(mul, f.normal, p)) >= f.offset for f in self.facets())
 
     def dilate(self, r: int) -> "LatticePolytope":
         r = _int_arg("dilation factor", r)
@@ -339,7 +339,7 @@ def _hyperplane_through(points: Sequence[Point], k: int):
         if len(kernel) != 1:
             return None  # points do not span a hyperplane
         normal = primitive(kernel[0])
-    return normal, sum(a * b for a, b in zip(normal, base))
+    return normal, sum(map(mul, normal, base))
 
 
 def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
@@ -349,7 +349,7 @@ def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
         if hp is None:
             continue
         normal, offset = hp
-        values = [sum(a * b for a, b in zip(normal, p)) for p in points]
+        values = [sum(map(mul, normal, p)) for p in points]
         if all(v >= offset for v in values):
             facets.add(Facet(normal, offset))
         elif all(v <= offset for v in values):
@@ -368,7 +368,7 @@ def _simplex_facets(vertices: Sequence[Point]) -> tuple[Facet, ...]:
     facets = []
     for i, apex in enumerate(vertices):
         hp = _hyperplane_through(vertices[:i] + vertices[i + 1:], k) if len(apex) == k else None
-        value = None if hp is None else sum(a * b for a, b in zip(hp[0], apex))
+        value = None if hp is None else sum(map(mul, hp[0], apex))
         if value is None or value == hp[1]:
             raise InputError(f"{list(vertices)} do not span a full-dimensional simplex")
         normal, offset = hp
@@ -418,7 +418,7 @@ def _hull(points: Sequence[Point], k: int):
     out = []
     for p in points:
         active = [f.normal for f in facets
-                  if sum(a * b for a, b in zip(f.normal, p)) == f.offset]
+                  if sum(map(mul, f.normal, p)) == f.offset]
         if active and linalg.rank(active) == k:
             out.append(p)
     return tuple(sorted(out, key=point_key)), k, facets

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -73,26 +74,34 @@ class WeightVector:
 
     @property
     def well_formed(self) -> bool:
-        """No weight lies in the numerical semigroup of the other three."""
+        """No weight is a sum of the others: not the standard "no three weights share a factor".
+
+        For increasing weights it reads one prefix at a time, a_j not a sum of
+        a_1 .. a_{j-1}, as ``scan_weights`` walks it, in ``combinations`` order.
+        """
         return not any(_in_semigroup(a, [b for j, b in enumerate(self.weights) if j != i])
                        for i, a in enumerate(self.weights))
 
 
-def _in_semigroup(target: int, gens: Sequence[int]) -> bool:
-    """Whether target is a sum of the positive gens (0 is the empty sum).
+def _semigroup_closure(reach: int, gens: Sequence[int], top: int) -> int:
+    """The bitmask ``reach`` (bit i: i is a sum) closed under the positive gens, cut at top.
 
-    Bit i of ``reach`` says that i is such a sum. Closing it under +g, then
-    +2g, +4g, ... adds every multiple of g up to the target, and closing
-    under each generator in turn adds every combination of them.
+    Closing it under +g, then +2g, +4g, ... adds every multiple of g up to
+    top, and closing under each generator in turn adds every combination of
+    them; the scan's walk closes a prefix's mask under its next weight.
     """
-    mask = (1 << (target + 1)) - 1
-    reach = 1
+    mask = (1 << (top + 1)) - 1
     for g in gens:
         shift = g
-        while shift <= target:
+        while shift <= top:
             reach |= (reach << shift) & mask
             shift *= 2
-    return reach >> target & 1 == 1
+    return reach
+
+
+def _in_semigroup(target: int, gens: Sequence[int]) -> bool:
+    """Whether target is a sum of the positive gens (0 is the empty sum)."""
+    return _semigroup_closure(1, gens, target) >> target & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -211,11 +220,11 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
         p = _as_point(u)
         if len(p) != len(wt):
             raise InputError(f"exponent vector {p} has length {len(p)}, expected 4")
-        if sum(a * b for a, b in zip(p, wt)) != 0:
+        if sum(map(mul, p, wt)) != 0:
             raise InputError(f"exponent vector {u} is not orthogonal to the weights")
         us.append(p)
     basis = linalg.complete_to_unimodular(wt)[1:]
-    (a1, a2, a3), (b1, b2, b3) = ([sum(x * y for x, y in zip(p, row)) for row in basis]
+    (a1, a2, a3), (b1, b2, b3) = ([sum(map(mul, p, row)) for row in basis]
                                   for p in us)
     c = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
     g = gcd(*c)
@@ -224,7 +233,7 @@ def width_direction(w: WeightVector, u1: Sequence[int], u2: Sequence[int]) -> tu
     v = _reduce_mod_weights(
         tuple(sum(k // g * x for k, x in zip(c, col)) for col in zip(*basis)), wt)
     minors = (wt[i] * v[j] - wt[j] * v[i] for i, j in combinations(range(4), 2))
-    if any(sum(a * b for a, b in zip(p, v)) for p in us) or gcd(*minors) != 1:
+    if any(sum(map(mul, p, v)) for p in us) or gcd(*minors) != 1:
         raise InvariantError(f"v~ = {v} is not a basis completion of the weights")
     return v
 
@@ -301,16 +310,16 @@ def project_to_3d(rr: LatticePolytope, v_tilde: Sequence[int], w: WeightVector):
         raise InputError(f"direction {v_tilde} has length {len(v_tilde)}, expected 4")
     if rr.dim != len(wt):
         raise InputError(f"polytope has dimension {rr.dim}, expected 4")
-    if len({sum(a * b for a, b in zip(x, wt)) for x in rr.vertices}) != 1:
+    if len({sum(map(mul, x, wt)) for x in rr.vertices}) != 1:
         raise InputError(f"polytope vertices are not on one level of the weights {wt}")
     basis = _weight_lattice(wt)
-    values = [sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices]
+    values = [sum(map(mul, x, v_tilde)) for x in rr.vertices]
     anchor = rr.vertices[values.index(min(values))]  # vertices are in point_key order
     coords = [_triangular_coordinates(basis, tuple(a - b for a, b in zip(x, anchor)))
               for x in rr.vertices]
     if None in coords:
         raise InvariantError("vertex outside the weight-orthogonal lattice")
-    v_q = tuple(sum(a * b for a, b in zip(row, v_tilde)) for row in basis)
+    v_q = tuple(sum(map(mul, row, v_tilde)) for row in basis)
     if not any(v_q):
         raise InputError("direction is a multiple of the weights")
     if gcd(*v_q) != 1:
@@ -448,7 +457,7 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
         v_tilde = tuple(sign * x for x in v_canonical)
         if sign < 0:
             projected = _negated(projected)
-        values = tuple(sum(a * b for a, b in zip(x, v_tilde)) for x in rr.vertices)
+        values = tuple(sum(map(mul, x, v_tilde)) for x in rr.vertices)
         m = max(values) - min(values)
         if width_in_direction(projected, direction) != m:
             raise InvariantError("projection changed the width")
@@ -549,9 +558,11 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     """Screen all ordered weight quadruples in a range; yield the reports.
 
     Exploratory mode beyond the published table: quadruples are strictly
-    increasing with gcd 1. Budget exhaustion, bad input and other stage
-    errors on individual quadruples are recorded as skips, not fatal; an
-    ``InvariantError`` is a bug, not an inconclusive quadruple, and propagates.
+    increasing with gcd 1, walked by prefix (``_increasing_quadruples``), so
+    with ``well_formed_only`` no other quadruple reaches the gcd test. Budget
+    exhaustion, bad input and other stage errors on individual quadruples are
+    recorded as skips, not fatal; an ``InvariantError`` is a bug, not an
+    inconclusive quadruple, and propagates.
     ``min_weight`` must be >= 1 and ``limit`` (>= 1) stops it after that many
     hits; either below 1 is an ``InputError``, as is a ``max_weight``,
     ``min_weight``, ``limit`` or ``budget`` that is not an int.
@@ -566,12 +577,10 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     if limit is not None and limit < 1:
         raise InputError("limit must be >= 1")
     hits = 0
-    for quad in combinations(range(min_weight, max_weight + 1), 4):
+    for quad in _increasing_quadruples(min_weight, max_weight, well_formed_only):
         if gcd(*quad) != 1:
             continue
         w = WeightVector(quad)
-        if well_formed_only and not w.well_formed:
-            continue
         try:
             report = screen(w, budget=budget)
         except InvariantError:
@@ -584,3 +593,20 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
             hits += 1
             if limit is not None and hits >= limit:
                 return
+
+
+def _increasing_quadruples(lo: int, hi: int, well_formed_only: bool, prefix=(), reach=1):
+    """The increasing quadruples in [lo, hi] extending ``prefix``, in ``combinations`` order.
+
+    ``reach`` is the prefix's semigroup bitmask cut at hi. Only smaller weights
+    sum to a weight, so dropping each weight whose bit is set, with its
+    extensions, keeps exactly the ``WeightVector.well_formed`` quadruples.
+    """
+    for a in range(prefix[-1] + 1 if prefix else lo, hi + 1):
+        if well_formed_only and reach >> a & 1:
+            continue
+        if len(prefix) == 3:
+            yield prefix + (a,)
+        else:
+            yield from _increasing_quadruples(lo, hi, well_formed_only, prefix + (a,),
+                                              _semigroup_closure(reach, (a,), hi))

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -558,6 +559,39 @@ def test_scan_weights_rejects_a_min_weight_below_one():
             next(scan_weights(15, min_weight=min_weight))
     first = next(scan_weights(5, min_weight=1, well_formed_only=False))
     assert first.weights.weights == (1, 2, 3, 4)
+
+
+def _screen_stub(w, budget):
+    return SimpleNamespace(weights=w, verdict="inconclusive")
+
+
+def test_scan_walk_yields_what_the_combinations_filter_kept(monkeypatch):
+    # the screen is stubbed, so this times the prefix walk alone
+    monkeypatch.setattr(wps, "screen", _screen_stub)
+    for min_weight in range(1, 5):
+        for well_formed_only in (True, False):
+            kept = [q for q in itertools.combinations(range(min_weight, 23), 4)
+                    if gcd(*q) == 1
+                    and (not well_formed_only or WeightVector(q).well_formed)]
+            for max_weight in range(min_weight, 23):
+                walked = [r.weights.weights for r in scan_weights(
+                    max_weight, min_weight=min_weight, well_formed_only=well_formed_only)]
+                assert walked == [q for q in kept if q[3] <= max_weight], \
+                    (min_weight, max_weight, well_formed_only)
+
+
+def test_scan_builds_a_weight_vector_only_for_walked_quadruples(monkeypatch):
+    built = []
+
+    def counted(weights):
+        built.append(weights)
+        return WeightVector(weights)
+
+    monkeypatch.setattr(wps, "screen", _screen_stub)
+    monkeypatch.setattr(wps, "WeightVector", counted)
+    assert len(list(scan_weights(15))) == 169
+    # one for each well-formed quadruple, not for each of the 961 with gcd 1
+    assert len(built) == 169
 
 
 @pytest.mark.parametrize("weights, projections", [
