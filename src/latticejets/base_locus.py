@@ -27,10 +27,10 @@ k >= 3 are out of scope).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
@@ -39,8 +39,7 @@ from .poly import MultiPoly, from_coefficients, monomials_up_to_degree
 from .polytope import Direction, PointConfig, _int_arg
 
 
-@dataclass(frozen=True)
-class WitnessHypersurface:
+class WitnessHypersurface(NamedTuple):
     """Affine hypersurface (v.x)^m + lower order terms vanishing on S."""
 
     k: int
@@ -102,8 +101,7 @@ def is_base_point_via_form(s: PointConfig, m: int, v: Direction) -> bool:
 # complete base locus for k = 2 (binary forms)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseLocusK2:
+class BaseLocusK2(NamedTuple):
     """Zero set in P^1 shared by all basis forms, via their gcd.
 
     ``rational_points`` are normalized [w1 : w2] pairs with multiplicities;

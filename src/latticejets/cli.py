@@ -14,6 +14,8 @@ subcommand takes only the flags it reads; any other is a usage error (2).
 ``import latticejets`` loads no layer, and each subcommand imports only the
 layers it runs: ``screen`` never loads the surface theory, ``classify`` never
 loads the weighted pipeline, and ``oracles`` loads only under ``--oracle``.
+The records are NamedTuples and the value types slotted classes, so a
+one-shot run never loads ``inspect``.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ on the exceptional direction space.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, prod
@@ -63,8 +62,7 @@ def jet_row_indices(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(monomials_up_to_degree(k, _int_arg("order", m)))
 
 
-@dataclass(frozen=True)
-class JetSystem:
+class JetSystem(NamedTuple):
     """Jet ranks of one configuration up to order m.
 
     ``row_index`` lists the multi-indices of degree <= m in jet order, and
@@ -208,8 +206,7 @@ def min_vanishing_degree(s: PointConfig) -> int:
         d += 1
 
 
-@dataclass(frozen=True)
-class FundamentalForm:
+class FundamentalForm(NamedTuple):
     """Canonical basis of the degree-m form system at the unit point.
 
     ``monomials`` fixes the coefficient order (grlex, x1^m first); ``basis``

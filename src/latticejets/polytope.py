@@ -43,7 +43,6 @@ to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes them as given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import index, mul
@@ -112,19 +111,35 @@ def sign_normalized(v: Sequence[int]) -> Point:
     raise InvariantError("zero vector has no sign normalization")
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *_):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Direction:
     """Nonzero primitive integer vector in the dual lattice."""
 
-    coords: Point
+    __slots__ = ("coords",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        c = _as_point(self.coords)
-        object.__setattr__(self, "coords", c)
+    def __init__(self, coords: Sequence[int]):
+        c = _as_point(coords)
         if not any(c):
             raise InputError("direction must be nonzero")
         if gcd(*c) != 1:
             raise InputError(f"direction {c} is not primitive")
+        object.__setattr__(self, "coords", c)
+
+    def __repr__(self):
+        return f"Direction(coords={self.coords!r})"
+
+    def __eq__(self, other):
+        return self.coords == other.coords if type(other) is Direction else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return Direction, (self.coords,)
 
     @property
     def dim(self) -> int:
@@ -134,7 +149,6 @@ class Direction:
         return sum(map(mul, self.coords, p))
 
 
-@dataclass(frozen=True)
 class PointConfig:
     """Ordered lattice point configuration S = {p_0, ..., p_n}.
 
@@ -142,17 +156,16 @@ class PointConfig:
     configuration; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
-    dim: int
-    points: tuple[Point, ...]
-    _jet_echelon: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("dim", "points", "_jet_echelon")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if type(self.dim) is not int or self.dim < 1:  # a bool is no dimension
-            raise InputError(f"dimension must be an integer >= 1, got {self.dim!r}")
-        pts = tuple(_as_point(p, self.dim) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __new__(cls, dim: int, points: Iterable[Sequence[int]]):
+        if type(dim) is not int or dim < 1:  # a bool is no dimension
+            raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
+        pts = tuple(_as_point(p, dim) for p in points)
         if len(set(pts)) != len(pts):
             raise InputError("duplicate points in configuration")
+        return cls._trusted(dim, pts)
 
     @classmethod
     def _trusted(cls, dim: int, points: tuple[Point, ...]) -> "PointConfig":
@@ -161,7 +174,22 @@ class PointConfig:
         cfg = object.__new__(cls)
         object.__setattr__(cfg, "dim", dim)
         object.__setattr__(cfg, "points", points)
+        object.__setattr__(cfg, "_jet_echelon", None)
         return cfg
+
+    def __repr__(self):
+        return f"PointConfig(dim={self.dim!r}, points={self.points!r})"
+
+    def __eq__(self, other):
+        if type(other) is not PointConfig:
+            return NotImplemented
+        return self.dim == other.dim and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.dim, self.points))
+
+    def __reduce__(self):
+        return PointConfig, (self.dim, self.points)
 
     def __len__(self):
         return len(self.points)

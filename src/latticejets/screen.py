@@ -23,11 +23,10 @@ polynomials form only for reports. The stacked levels vanish by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import InputError, InvariantError, ToolkitError
@@ -36,8 +35,7 @@ from .polytope import (Direction, LatticePolytope, PointConfig, _as_int, _as_poi
                        point_key, slice_points)
 
 
-@dataclass(frozen=True)
-class CorollaryWitness:
+class CorollaryWitness(NamedTuple):
     """Degree-m hypersurface through all lattice points, in factored form.
 
     Vanishing set: the paraboloid s^2 + s - m f covers levels min, min+1 and
@@ -107,8 +105,7 @@ class CorollaryWitness:
         }
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     """Audit record of the three-condition obstruction test."""
 
     direction: Direction
@@ -244,8 +241,7 @@ def _verify_witness(p, v, witness, p_min, p_max, slice_cfg, lo, hi) -> bool:
             and all(map(witness.is_zero_at, slice_cfg.points + (p_min, p_max))))
 
 
-@dataclass(frozen=True)
-class NefReport:
+class NefReport(NamedTuple):
     """Nefness certificate: generator degrees under the width bound, plus
     the saturation certificate for the one-parameter subgroup."""
 

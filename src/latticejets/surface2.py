@@ -33,8 +33,7 @@ polygon has lw >= 1. The facets are already cached by ``lattice_points``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .base_locus import base_locus_k2
@@ -47,8 +46,7 @@ from .polytope import (Direction, LatticePolytope, PointConfig, lattice_points,
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV, NOT_SPECIAL = "I", "II", "III", "IV", "NotSpecial"
 
 
-@dataclass(frozen=True)
-class PolygonClass:
+class PolygonClass(NamedTuple):
     """Classification result with the normalizing affine unimodular map.
 
     ``transform`` sends the input polygon exactly onto the normal form:
@@ -294,8 +292,7 @@ def classify(p: LatticePolytope) -> PolygonClass:
 # the k = m = 2 equivalence suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TeoDim2Record:
+class TeoDim2Record(NamedTuple):
     """The three equivalent predicates for a polygon with >= 6 points."""
 
     width_is_one: bool        # (1) lw = 1

@@ -37,36 +37,47 @@ realize the width, and the published m values are reproduced exactly from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, Facet, LatticePolytope, _as_point, _int_arg, _simplex_facets,
-                       point_key, sign_normalized, width_in_direction)
+from .polytope import (Direction, Facet, LatticePolytope, _as_point, _frozen, _int_arg,
+                       _simplex_facets, point_key, sign_normalized, width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
 DEGREE_BUDGET = 4000
 MAX_EXTRA_GENERATORS = 5
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Weights of a weighted projective 3-space."""
 
-    weights: tuple[int, int, int, int]
+    __slots__ = ("weights",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        w = _as_point(self.weights)
-        object.__setattr__(self, "weights", w)
+    def __init__(self, weights: Sequence[int]):
+        w = _as_point(weights)
         if len(w) != 4 or any(x <= 0 for x in w):
             raise InputError("need four positive weights")
         if gcd(*w) != 1:
             raise InputError("weights must have gcd 1")
+        object.__setattr__(self, "weights", w)
+
+    def __repr__(self):
+        return f"WeightVector(weights={self.weights!r})"
+
+    def __eq__(self, other):
+        return self.weights == other.weights if type(other) is WeightVector else NotImplemented
+
+    def __hash__(self):
+        return hash((self.weights,))
+
+    def __reduce__(self):
+        return WeightVector, (self.weights,)
 
     @property
     def lcm(self) -> int:
@@ -104,8 +115,7 @@ def _in_semigroup(target: int, gens: Sequence[int]) -> bool:
     return _semigroup_closure(1, gens, target) >> target & 1 == 1
 
 
-@dataclass(frozen=True)
-class BinomialGenerator:
+class BinomialGenerator(NamedTuple):
     """Binomial x^{u+} - x^{u-} of the weighted relation ideal."""
 
     u: tuple[int, int, int, int]
@@ -389,8 +399,7 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
 # the full screen
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScreenReport:
+class ScreenReport(NamedTuple):
     """Full audit record of one weight vector's screening."""
 
     weights: WeightVector
@@ -486,14 +495,12 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
 # the published 93-row table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     weights: tuple[int, int, int, int]
     m: int
 
 
-@dataclass(frozen=True)
-class TableRowResult:
+class TableRowResult(NamedTuple):
     row: TableRow
     computed_m: int
     verdict: str

@@ -4,6 +4,8 @@ Random sweeps use seeded ``random.Random`` instances so every run is
 reproducible bit for bit.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -29,6 +31,26 @@ def rem_base_points(rem_base_polygon):
 def type_ii_points():
     """Lattice points of the triangle (0,0), (0,1), (5,0)."""
     return lattice_points(LatticePolytope([(0, 0), (0, 1), (5, 0)]))
+
+
+def assert_value_semantics(cls, fields: dict, text: str):
+    """The frozen-value contract of ``Direction``, ``PointConfig`` and
+    ``WeightVector``: built from ``fields`` by keyword or position, the value
+    reprs as ``text``, hashes as its field tuple, equals only an instance of
+    its own class, survives copy and pickle, and refuses assignment."""
+    value = cls(**fields)
+    values = tuple(fields.values())
+    assert repr(value) == text
+    assert hash(value) == hash(values)
+    assert value == cls(*values)
+    lookalike = type("Lookalike", (), fields)()
+    assert value != values and value != lookalike and values != value
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
 
 
 def invariant_factors_reference(m) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 """The package surface and its import graph, each checked in a fresh interpreter.
 
 ``import latticejets`` loads no layer, and each README invocation loads only
-the layers it runs. Only ``latticejets.*`` names and numpy, which is no
-dependency, are checked: which stdlib modules start-up loads differs by host.
+the layers it runs. Of the other modules only numpy, which is no dependency,
+and ``dataclasses`` and ``inspect`` are checked: no module defines its records
+through ``dataclasses``, so a one-shot run loads no ``inspect``. Which stdlib
+modules start-up loads differs by host, so a run's modules are those it adds
+to ``sys.modules``, not those already loaded before the package.
 """
 
 import os
@@ -15,15 +18,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs cli.main on its arguments, then prints the latticejets.* modules it loaded,
-# and numpy if anything loaded it
+# imports the cli and runs cli.main on its arguments, then prints the exit code
+# and every module that the import and the run added to sys.modules
 CLI_CHILD = textwrap.dedent("""
     import contextlib, io, sys
+    before = set(sys.modules)
     from latticejets import cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
-    print(code, *sorted(n for n in sys.modules if n.startswith("latticejets.") or n == "numpy"))
+    print(code, *sorted(set(sys.modules) - before))
 """)
+# the stdlib modules that a dataclass definition would pull in
+NOT_AT_START_UP = {"dataclasses", "inspect"}
 
 README_POINTS = '{"dim":2,"points":[[0,0],[1,0],[2,0],[3,0],[4,0],[5,0],[0,1]]}'
 README_POLYTOPE = '{"dim":3,"vertices":[[0,0,0],[572,286,143],[390,195,-585],[495,-330,-165]]}'
@@ -57,6 +63,14 @@ def test_readme_invocation_loads_only_its_layers(argv, absent):
     assert code == "0"
     assert "latticejets.cli" in loaded
     assert {f"latticejets.{name}" for name in absent}.isdisjoint(loaded)
+    assert NOT_AT_START_UP.isdisjoint(loaded)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    out = python("import sys; before = set(sys.modules); import latticejets.cli; "
+                 "print(*sorted(set(sys.modules) - before))")
+    assert "latticejets.cli" in out.split()
+    assert NOT_AT_START_UP.isdisjoint(out.split())
 
 
 def test_oracle_run_loads_no_numpy():

@@ -3,19 +3,20 @@
 import hashlib
 import json
 import random
+import re
 from itertools import product
 from math import gcd
 
 import pytest
 
-from latticejets import linalg, oracles, polytope
+from latticejets import jets, linalg, oracles, polytope
 from latticejets.errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
                                   config_from_json, direction_key, lattice_points,
                                   lattice_width, point_key, slice_points,
                                   unimodular_image, width_in_direction)
-from tests.conftest import (invariant_factors_reference, random_full_dim_polytope,
-                            random_unimodular)
+from tests.conftest import (assert_value_semantics, invariant_factors_reference,
+                            random_full_dim_polytope, random_unimodular)
 
 DELTA_PRIME = LatticePolytope([(0, 0, 0), (572, 286, 143),
                                (390, 195, -585), (495, -330, -165)])
@@ -29,15 +30,34 @@ def _bounding_box(p):
 
 
 def test_direction_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^direction must be nonzero$"):
         Direction((0, 0))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^direction \(2, 4\) is not primitive$"):
         Direction((2, 4))
+    with pytest.raises(InputError, match=r"^\(1\.0, 0\) is not a vector of integers$"):
+        Direction((1.0, 0))
     assert Direction((2, 3)).pair((1, 1)) == 5
 
 
+@pytest.mark.parametrize("cls, fields, text", [
+    (Direction, {"coords": (1, 0, 0)}, "Direction(coords=(1, 0, 0))"),
+    (PointConfig, {"dim": 2, "points": ((0, 0), (1, 0))},
+     "PointConfig(dim=2, points=((0, 0), (1, 0)))"),
+], ids=["Direction", "PointConfig"])
+def test_value_types_keep_their_frozen_semantics(cls, fields, text):
+    assert_value_semantics(cls, fields, text)
+
+
+def test_jet_memo_stays_out_of_point_config_identity():
+    cfg = PointConfig(2, ((0, 0), (1, 0), (0, 1), (2, 1)))
+    jets.build_jets(cfg, 2)  # memoises the jet echelon on cfg
+    assert cfg._jet_echelon is not None
+    fresh = PointConfig(2, cfg.points)
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+
+
 def test_point_config_rejects_duplicates():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^duplicate points in configuration$"):
         PointConfig(2, ((0, 0), (0, 0)))
 
 
@@ -55,9 +75,10 @@ def test_public_point_config_keeps_every_check(points):
         config_from_json({"dim": 2, "points": [list(q) for q in points]})
 
 
-@pytest.mark.parametrize("dim", [0, -1, 1.0, "x"])
+@pytest.mark.parametrize("dim", [0, -1, 1.0, "x", True])
 def test_dimension_below_one_is_an_input_error(dim):
-    with pytest.raises(InputError, match="dimension"):
+    message = f"^dimension must be an integer >= 1, got {re.escape(repr(dim))}$"
+    with pytest.raises(InputError, match=message):
         PointConfig(dim, ((),) if dim == 0 else ())
     with pytest.raises(InputError, match="dimension"):
         LatticePolytope([()] if dim == 0 else [(0,)], dim=dim)

@@ -330,6 +330,12 @@ def test_nef_check_worked_example():
     assert rep.saturation_ok and rep.nef
 
 
+def test_nef_report_repr_names_each_field():
+    rep = nef_check([3, 5], 60, 4, linalg.integer_matrix([[1, -1, 0, 0], [0, 1, -1, 0]]))
+    assert repr(rep) == ("NefReport(degrees=(3, 5), d=60, lw=4, bound=Fraction(15, 1), "
+                         "saturation_ok=True, nef=True)")
+
+
 def test_nef_check_degree_too_big():
     rep = nef_check([30], 100, 4, linalg.integer_matrix([[1, -1]]))
     assert rep.bound == 25 and not rep.nef

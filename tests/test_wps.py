@@ -18,18 +18,26 @@ from latticejets.wps import (BinomialGenerator, WeightVector, load_table,
                              lowest_degree_binomials, project_to_3d,
                              rows_by_hash, rr_polytope, scan_weights, screen,
                              width_direction)
-from tests.conftest import invariant_factors_reference
+from tests.conftest import assert_value_semantics, invariant_factors_reference
 
 W = WeightVector((7, 11, 13, 15))
 
 
 def test_weight_vector_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^weights must have gcd 1$"):
         WeightVector((2, 4, 6, 8))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^need four positive weights$"):
         WeightVector((0, 1, 1, 1))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^need four positive weights$"):
         WeightVector((1, 1, 1))
+    with pytest.raises(InputError, match=r"^\(1, 2, 3, True\) is not a vector of integers$"):
+        WeightVector((1, 2, 3, True))
+
+
+def test_weight_vector_keeps_its_frozen_semantics():
+    assert_value_semantics(WeightVector, {"weights": (7, 11, 13, 15)},
+                           "WeightVector(weights=(7, 11, 13, 15))")
+    assert WeightVector((1, 2, 3, 5)) != polytope.Direction((1, 2, 3, 5))
 
 
 def test_well_formed_flag():
