@@ -229,6 +229,17 @@ class FundamentalForm(NamedTuple):
         return [p.integer_normalized().text("w") for p in self.polynomials()]
 
 
+@cache
+def _form_block(k: int, m: int):
+    """(monomials, weights, lo, hi) of the degree-m block, built once per (k, m):
+    the degree-m multi-indices in grlex order, their multinomials m!/alpha!,
+    and the block's columns lo .. hi - 1 in jet order."""
+    mons = tuple(monomials_of_degree(k, m))
+    weights = tuple(factorial(m) // prod(factorial(a) for a in alpha) for alpha in mons)
+    lo = comb(m - 1 + k, k)
+    return mons, weights, lo, lo + len(mons)
+
+
 def _form_rows(s: PointConfig, m: int):
     """The degree-m form system as integer rows: (monomials, rows).
 
@@ -246,11 +257,7 @@ def _form_rows(s: PointConfig, m: int):
     """
     if m < 1:
         raise InputError("form order must be >= 1")
-    k = s.dim
-    mons = monomials_of_degree(k, m)
-    weights = [factorial(m) // prod(factorial(a) for a in alpha) for alpha in mons]
-    lo = comb(m - 1 + k, k)
-    hi = lo + len(mons)
+    mons, weights, lo, hi = _form_block(s.dim, m)
     echelon = _echelon(s, m)
     rows = [tuple(map(mul, weights, row[lo:hi]))
             for row, pc in zip(echelon.rows, echelon.pivots) if lo <= pc < hi]
@@ -263,4 +270,4 @@ def fundamental_form(s: PointConfig, m: int) -> FundamentalForm:
     m = _int_arg("order", m)
     mons, rows = _form_rows(s, m)
     basis = linalg.rref(rows)[0] if rows else ()
-    return FundamentalForm(k=s.dim, m=m, monomials=tuple(mons), basis=basis)
+    return FundamentalForm(k=s.dim, m=m, monomials=mons, basis=basis)

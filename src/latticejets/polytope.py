@@ -7,10 +7,10 @@ integer inequalities: Fourier-Motzkin elimination (Motzkin 1936, pruned by
 Chernikov's rule 1965, which alone keeps every projection exact) projects
 the system onto x_1..x_j for every j, and coordinates are fixed one at a
 time, each over the integer range that its projection leaves. A
-two-variable system skips the general projections:
-``_walk_plane`` reads the y-range from one Fourier-Motzkin combination of
-each pair of opposite rows and then each y's z-range, with the same points,
-order and budget charges as the kernel. ``_enumerate_system`` picks between
+two-variable system skips the general projections: ``_walk_plane`` reads
+the y-range directly from one Fourier-Motzkin combination of each pair of
+opposite rows and then each y's z-range, with the same points, order and
+budget charges as the kernel. ``_enumerate_system`` picks between
 the two by the dimension alone, and every enumeration goes through it.
 ``lattice_points`` runs it on the facet system; ``slice_points`` runs it on
 the facets restricted to the level x_1 = level when the direction is e_1 (a
@@ -30,14 +30,15 @@ stays within budget the search is exhaustive and the result is certified.
 
 One hull pass (``_hull``) gives the vertices, dimension and facets: one ccw
 cycle of Andrew's monotone chain (1979) for a polygon, ``_simplex_facets``
-(the hyperplane through each k of the k + 1 vertices, oriented by the last
-one) for a full-dimensional simplex, and one facet search that also finds
-the vertices otherwise. Lower-dimensional point sets (hulls, quotient widths)
-are handled in integer coordinates on a basis of their saturated difference
-lattice, read with the rank and the width lift off one Hermite form
-(``_affine_coordinates``). A polytope whose vertices are known
-in closed form (the Riemann-Roch simplices of ``wps`` and their projections
-to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes them as given.
+(every facet normal read off the cofactors of the edge matrix at one vertex,
+oriented by its determinant) for a full-dimensional simplex, and one facet
+search that also finds the vertices otherwise. Lower-dimensional point sets
+(hulls, quotient widths) are handled in integer coordinates on a basis of
+their saturated difference lattice, read with the rank and the width lift
+off one Hermite form (``_affine_coordinates``). A polytope whose vertices
+are known in closed form (the Riemann-Roch simplices of ``wps`` and their
+projections to Z^3) runs no hull at all: ``LatticePolytope._trusted`` takes
+them as given.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 from math import gcd
-from operator import index, mul
+from operator import index, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -388,20 +389,39 @@ def _facets_of(points: Sequence[Point], k: int) -> tuple[Facet, ...]:
 def _simplex_facets(vertices: Sequence[Point]) -> tuple[Facet, ...]:
     """``_facets_of`` for the k + 1 vertices of a full-dimensional simplex in Z^k.
 
-    Facet i is the hyperplane through every vertex but the i-th, oriented so
-    that the i-th lies on its inner side; no other vertex is tested. Vertices
-    that do not span a full-dimensional simplex are an InputError.
+    Every facet is read off the cofactors of the edge matrix E, whose rows are
+    v_j - v_0 for j = 1 .. k: E adj(E) = det(E) I, so column j of adj(E) is
+    orthogonal to every edge but the (j + 1)-th and is the normal of the facet
+    opposite v_{j+1}, and minus the sum of the columns is the normal of the
+    facet opposite v_0. Each is oriented by the sign of det E, so that its
+    vertex lies on the inner side, and made primitive. For k = 3 the columns
+    are the three cross products of the edges; any other k takes one
+    ``linalg._adjugate``. Vertices that do not span a full-dimensional simplex
+    are an InputError.
     """
     k = len(vertices) - 1
+    if k < 1 or any(len(p) != k for p in vertices):
+        raise InputError(f"{list(vertices)} do not span a full-dimensional simplex")
+    base = vertices[0]
+    edges = [tuple(map(sub, p, base)) for p in vertices[1:]]
+    if k == 3:
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = edges
+        normals = [(y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3),
+                   (y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1),
+                   (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)]
+        det = x1 * normals[0][0] + y1 * normals[0][1] + z1 * normals[0][2]
+    else:
+        adj, det = linalg._adjugate(edges, "simplex facets")
+        normals = list(zip(*adj)) if det else []
+    if not det:
+        raise InputError(f"{list(vertices)} do not span a full-dimensional simplex")
+    sign = 1 if det > 0 else -1
+    normals.append(tuple(-sum(col) for col in zip(*normals)))
     facets = []
-    for i, apex in enumerate(vertices):
-        hp = _hyperplane_through(vertices[:i] + vertices[i + 1:], k) if len(apex) == k else None
-        value = None if hp is None else sum(map(mul, hp[0], apex))
-        if value is None or value == hp[1]:
-            raise InputError(f"{list(vertices)} do not span a full-dimensional simplex")
-        normal, offset = hp
-        facets.append(Facet(normal, offset) if value > offset
-                      else Facet(tuple(-x for x in normal), -offset))
+    for n, p in zip(normals, (base,) * k + (vertices[1],)):
+        g = sign * gcd(*n)
+        normal = tuple(x // g for x in n)
+        facets.append(Facet(normal, sum(map(mul, normal, p))))
     return tuple(sorted(facets))
 
 
@@ -496,24 +516,39 @@ def _walk_plane(rows, out, counter):
 
     The y-range comes from the rows with b = 0 and from one Fourier-Motzkin
     combination of each pair of rows with b > 0 and b < 0, exactly the rows
-    of the kernel's S_1, read by its ``_fiber_interval``; each y's z-range
-    is then a ceiling and a floor per row. A row 0 >= c with c > 0 empties
-    the plane, and a missing bound is the kernel's "unbounded fiber". Budget
+    of the kernel's S_1, each read as a pair (a, c) meaning a y >= c: a
+    ceiling for a > 0, a floor for a < 0. A pair 0 >= c with c > 0 empties
+    the range before a missing bound is looked for, as the kernel's
+    ``_fiber_interval`` decides, and a missing bound is its "unbounded
+    fiber"; each y's z-range is then a ceiling and a floor per row. Budget
     as the kernel's: 1 on entry, then the count plus 1 for each nonempty
     z-fiber.
     """
     pos = [(a, b, c) for (a, b), c in rows if b > 0]
     neg = [(a, b, c) for (a, b), c in rows if b < 0]
-    y_rows = [((a,), c) for (a, b), c in rows if not b]
-    y_rows += [((b1 * a2 - b2 * a1,), b1 * c2 - b2 * c1)
-               for a1, b1, c1 in pos for a2, b2, c2 in neg]
-    ys = _fiber_interval(y_rows, ())
+    pairs = [(a, c) for (a, b), c in rows if not b]
+    pairs += [(b1 * a2 - b2 * a1, b1 * c2 - b2 * c1) for a1, b1, c1 in pos for a2, b2, c2 in neg]
+    lo = hi = None
+    for a, c in pairs:
+        if a > 0:
+            bound = -(-c // a)  # ceil(c / a)
+            if lo is None or bound > lo:
+                lo = bound
+        elif a < 0:
+            bound = c // a  # floor(c / a), as a < 0
+            if hi is None or bound < hi:
+                hi = bound
+        elif c > 0:
+            _charge(counter, 1)
+            return
+    if lo is None or hi is None:
+        raise ToolkitError("unbounded fiber in lattice-point enumeration")
     _charge(counter, 1)
-    if not ys:
+    if lo > hi:
         return
     if not pos or not neg:
         raise ToolkitError("unbounded fiber in lattice-point enumeration")
-    for y in ys:
+    for y in range(lo, hi + 1):
         z_lo = max([-((a * y - c) // b) for a, b, c in pos])  # ceil((c - a y) / b)
         z_hi = min([(c - a * y) // b for a, b, c in neg])  # floor, as b < 0
         if z_lo <= z_hi:
@@ -625,13 +660,14 @@ def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     level = _int_arg("level", level)
     if len(v.coords) != p.dim:
         raise InputError("direction dimension mismatch")
-    values = [v.pair(x) for x in p.vertices]
+    along_e1 = v.coords[0] == 1 and not any(v.coords[1:])
+    values = [x[0] for x in p.vertices] if along_e1 else [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
         return PointConfig._trusted(p.dim, ())
     k = p.dim
     pts: list[Point] = []
     counter = [0, LATTICE_POINT_BUDGET]
-    if k > 1 and v.coords[0] == 1 and not any(v.coords[1:]):
+    if k > 1 and along_e1:
         _charge(counter, 1)
         rows = [(n[1:], b - n[0] * level) for n, b in p.facets()]
         _enumerate_system(rows, k - 1, pts, counter)

@@ -4,10 +4,12 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
 
 1. the two lowest-degree binomial relations among the weighted monomials
    (exponent differences u1, u2, both orthogonal to w), found one degree at
-   a time: one degree-ordered heap yields each monomial once, and a
-   primitive relation u is x^{u+} - x^{u-} for exactly one pair of
-   monomials with disjoint supports, so each degree's relations come from
-   its disjoint-support pairs alone, and no degree past u2's is paired;
+   a time: one degree-ordered heap yields each monomial once, its exponent
+   vector coded as one base-R integer and decoded only in a degree that
+   holds two or more, and a primitive relation u is x^{u+} - x^{u-} for
+   exactly one pair of monomials with disjoint supports, so each degree's
+   relations come from its disjoint-support pairs alone, and no degree past
+   u2's is paired;
 2. a vector v~ completing w to a Z-basis of the rank-2 lattice orthogonal
    to u1 and u2 (the tangent direction of the one-parameter subgroup), in
    closed form: one Euclid completion of w to a unimodular basis, and the
@@ -17,10 +19,11 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
 4. projection of the simplex to a full-dimensional lattice simplex in Z^3
    with v~ mapped to (1,0,0), followed by the obstruction conditions. Both
    simplices are built in closed form with no hull: the Riemann-Roch
-   simplex's vertices are (lcm/a_i) e_i, and the projected facets are the
-   planes through each three vertices, oriented by the fourth. The weight
-   lattice's Hermite basis is read in closed form from gcds and modular
-   inverses of the weights (``_weight_lattice``), and the vertex
+   simplex's vertices are (lcm/a_i) e_i, and the projected facets are read
+   off the cofactors of the edge matrix at one vertex (three cross
+   products, ``polytope._simplex_facets``), oriented by its determinant.
+   The weight lattice's Hermite basis is read in closed form from gcds and
+   modular inverses of the weights (``_weight_lattice``), and the vertex
    coordinates by back-substitution on it, with no Smith form, Hermite
    elimination or solve. ``project_to_3d`` runs once, for the canonical
    sign of v~; the negated sign's image, facets included, is its
@@ -40,7 +43,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -149,11 +152,15 @@ def _monomial_text(e) -> str:
 def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
     """The binomials of weighted degree d, one list for each d = 1 .. budget that has any.
 
-    The monomials come from one heap of (degree, exponents, last), seeded
-    with 1: popping x^a pushes x^a x_i for i >= last, so each monomial is
-    pushed once, from its one parent, and a degree's monomials leave the
-    heap together, in lex order. A degree is popped only when the next
-    batch is asked for, so a reader that stops at u2's batch, as
+    The monomials come from one heap of (degree, code, last), seeded with 1:
+    the code of x^a is its exponent vector read as a base-R integer, with
+    R = budget // min(w) + 1 above every exponent of a monomial of degree
+    <= budget, so codes order as the vectors do in lex order. Popping x^a
+    pushes x^a x_i for i >= last, whose code adds R^(3 - i), so each monomial
+    is pushed once, from its one parent, and a degree's monomials leave the
+    heap together, in lex order; a degree's codes are decoded to exponent
+    vectors only when it holds two or more. A degree is popped only when the
+    next batch is asked for, so a reader that stops at u2's batch, as
     ``lowest_degree_binomials`` does, pairs no degree past u2's. A primitive
     relation u is x^{u+} - x^{u-} for exactly one pair of monomials with
     disjoint supports, so a degree's list is the primitive, sign-normalized
@@ -163,19 +170,28 @@ def _binomial_batches(w: WeightVector, budget: int = DEGREE_BUDGET):
     raises ``BudgetExceededError``.
     """
     weights = w.weights
-    heap = [(0, (0, 0, 0, 0), 0)]
+    r = budget // min(weights) + 1
+    steps = tuple(zip(weights, (r ** 3, r ** 2, r, 1), range(4)))
+    heap = [(0, 0, 0)]
     while (d := heap[0][0]) <= budget:
-        mons = []
+        codes = []
         while heap[0][0] == d:
-            _, a, last = heappop(heap)
-            mons.append(a)
-            for i in range(last, 4):
-                heappush(heap, (d + weights[i], a[:i] + (a[i] + 1,) + a[i + 1:], i))
+            _, code, last = heappop(heap)
+            codes.append(code)
+            for wi, step, i in steps[last:]:
+                heappush(heap, (d + wi, code + step, i))
+        if len(codes) < 2:
+            continue
+        mons = []
+        for code in codes:
+            high, a4 = divmod(code, r)
+            high, a3 = divmod(high, r)
+            mons.append((*divmod(high, r), a3, a4))
         batch = []
         for i, a in enumerate(mons):
             for b in mons[i + 1:]:
                 if not any(x and y for x, y in zip(a, b)):
-                    u = tuple(x - y for x, y in zip(a, b))
+                    u = tuple(map(sub, a, b))
                     if gcd(*u) == 1:
                         batch.append(BinomialGenerator(u=sign_normalized(u), degree=d))
         if batch:

@@ -128,6 +128,41 @@ def test_trusted_simplex_equals_the_checked_hull():
             polytope._simplex_facets(verts)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_simplex_facets_equal_the_facet_search(k):
+    # the cofactor facets, read for k = 3 from cross products and otherwise
+    # from the adjugate, against the hyperplane search over every k vertices
+    rng = random.Random(200 + k)
+    built = 0
+    while built < 200:
+        verts = {tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(k + 1)}
+        if len(verts) != k + 1:
+            continue
+        verts = tuple(sorted(verts, key=point_key))
+        diffs = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
+        if linalg.rank(diffs) < k:
+            with pytest.raises(InputError, match="full-dimensional simplex"):
+                polytope._simplex_facets(verts)
+            continue
+        facets = polytope._simplex_facets(rng.sample(verts, k + 1))
+        assert facets == polytope._facets_of(verts, k), verts
+        assert all(gcd(*f.normal) == 1 for f in facets)
+        built += 1
+    # degenerate vertex sets that random draws in Z^1 and Z^4 rarely give:
+    # a repeated vertex, and k + 1 points on one line
+    point = (0,) * k
+    line = tuple((i,) + (2 * i,) * (k - 1) for i in range(k + 1))
+    for verts in ((point,) * (k + 1), line if k > 1 else ((0,), (0,))):
+        with pytest.raises(InputError, match="full-dimensional simplex"):
+            polytope._simplex_facets(verts)
+    unit = tuple((0,) * i + (1,) + (0,) * (k - i - 1) for i in range(k))
+    for wrong in ((point,) + unit[:-1], (point,) + unit + ((1,) * k,),
+                  (point + (0,),) + tuple(e + (0,) for e in unit),
+                  (point,) + unit[:-1] + (unit[-1] + (0,),), (), (point,)):
+        with pytest.raises(InputError, match="full-dimensional simplex"):
+            polytope._simplex_facets(wrong)
+
+
 def test_differences_generate_flag():
     assert PointConfig(2, ((0, 0), (1, 0), (0, 1))).differences_generate is True
     # differences span an index-2 sublattice

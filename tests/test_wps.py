@@ -202,6 +202,24 @@ def test_degree_budget_boundary_is_the_second_binomials_degree():
     assert info.value.diagnostics == {"weights": (7, 11, 13, 15), "degree_budget": 25}
 
 
+@pytest.mark.parametrize("weights", [(1, 2, 3, 5), (1, 1, 2, 3)])
+def test_binomial_batches_at_every_budget_up_to_twice_the_second_degree(weights):
+    # with a weight 1, x1^budget is a monomial of the top degree: the heap's
+    # exponent radix must hold it, and the budget error must follow the last batch
+    w = WeightVector(weights)
+    top = 2 * lowest_degree_binomials(w)[0][1].degree
+    for budget in range(top + 1):
+        batches = wps._binomial_batches(w, budget)
+        got = []
+        with pytest.raises(BudgetExceededError) as info:
+            for batch in batches:
+                got.append([(b.u, b.degree) for b in batch])
+        expected = _relations_up_to_degree(weights, budget)
+        assert got == [list(group) for _, group in
+                       itertools.groupby(expected, key=lambda r: r[1])], budget
+        assert info.value.diagnostics == {"weights": weights, "degree_budget": budget}
+
+
 def test_width_direction_worked_example():
     v = width_direction(W, (1, -2, 0, 1), (0, 1, -2, 1))
     assert v == (3, 5, 6, 7)
