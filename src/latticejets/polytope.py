@@ -7,15 +7,16 @@ integer inequalities: Fourier-Motzkin elimination (Motzkin 1936, pruned by
 Chernikov's rule 1965, which alone keeps every projection exact) projects
 the system onto x_1..x_j for every j, and coordinates are fixed one at a
 time, each over the integer range that its projection leaves. A
-two-variable system skips the general projections: ``_walk_plane`` reads
+two-variable system skips the general projections: ``_plane_fibers`` reads
 the y-range directly from one Fourier-Motzkin combination of each pair of
 opposite rows and then each y's z-range, with the same points, order and
-budget charges as the kernel. ``_enumerate_system`` picks between
-the two by the dimension alone, and every enumeration goes through it.
-``lattice_points`` runs it on the facet system; ``slice_points`` runs it on
-the facets restricted to the level x_1 = level when the direction is e_1 (a
-3-D slice is then a polygon walk), and on the facet system plus the level
-written as two rows for any other direction, so a slice is enumerated inside
+budget charges as the kernel, and ``_walk_plane`` builds its points.
+``_enumerate_system`` picks between the kernel and the walk by the dimension
+alone. ``lattice_points`` runs it on the facet system; ``slice_points`` walks
+the fibers of the facets restricted to the level x_1 = level when a 3-D
+polytope is sliced along e_1, building each point once, and runs
+``_enumerate_system`` on the facet system plus the level written as two rows
+for any other direction or dimension, so a slice is enumerated inside
 the slice only, never through the full polytope, because Riemann-Roch
 polytopes of weighted projective spaces are far too large to enumerate;
 ``lattice_width`` runs it on a dual region of slabs. All three are bounded
@@ -81,6 +82,14 @@ def _int_arg(name: str, x) -> int:
         return _as_int(x)
     except TypeError:
         raise InputError(f"{name} {x!r} is not an integer") from None
+
+
+def _budget_arg(name: str, x) -> int:
+    """``x`` as an int >= 0; a negative one, or one ``_int_arg`` rejects, is an InputError."""
+    x = _int_arg(name, x)
+    if x < 0:
+        raise InputError(f"{name} {x} is negative")
+    return x
 
 
 def _as_point(p, k=None) -> Point:
@@ -484,9 +493,9 @@ def lattice_points(p: LatticePolytope, budget: int = LATTICE_POINT_BUDGET) -> Po
     so the cost follows the point count (plus one range per fiber), not the
     bounding-box volume. The budget guards against polytopes that are too
     large to enumerate at all (Riemann-Roch simplices of weight vectors); a
-    ``budget`` that is not an int is an InputError.
+    ``budget`` that is not an int, or is negative, is an InputError.
     """
-    budget = _int_arg("budget", budget)
+    budget = _budget_arg("budget", budget)
     if p._lattice_points is not None:
         return p._lattice_points
     if not p.is_full_dim:
@@ -512,17 +521,23 @@ def _enumerate_system(rows, k, out, counter):
 
 
 def _walk_plane(rows, out, counter):
-    """``_enumerate_fibers`` for k = 2: rows ((a, b), c) mean a y + b z >= c.
+    """``_enumerate_fibers`` for k = 2: the points (y, z) of ``_plane_fibers``, in lex order."""
+    out += [(y, z) for y, zs in _plane_fibers(rows, counter) for z in zs]
 
-    The y-range comes from the rows with b = 0 and from one Fourier-Motzkin
-    combination of each pair of rows with b > 0 and b < 0, exactly the rows
-    of the kernel's S_1, each read as a pair (a, c) meaning a y >= c: a
-    ceiling for a > 0, a floor for a < 0. A pair 0 >= c with c > 0 empties
-    the range before a missing bound is looked for, as the kernel's
-    ``_fiber_interval`` decides, and a missing bound is its "unbounded
-    fiber"; each y's z-range is then a ceiling and a floor per row. Budget
-    as the kernel's: 1 on entry, then the count plus 1 for each nonempty
-    z-fiber.
+
+def _plane_fibers(rows, counter):
+    """The nonempty z-fibers (y, z-range) of a two-variable system, by increasing y.
+
+    Rows ((a, b), c) mean a y + b z >= c. The y-range comes from the rows
+    with b = 0 and from one Fourier-Motzkin combination of each pair of rows
+    with b > 0 and b < 0, exactly the rows of the kernel's S_1, each read as
+    a pair (a, c) meaning a y >= c: a ceiling for a > 0, a floor for a < 0.
+    A pair 0 >= c with c > 0 empties the range before a missing bound is
+    looked for, as the kernel's ``_fiber_interval`` decides, and a missing
+    bound is its "unbounded fiber"; each y's z-range is then a ceiling and a
+    floor per row. Budget as the kernel's: 1 on entry, then the count plus 1
+    for each nonempty z-fiber, charged before it is yielded. The caller
+    builds the points, so a slice builds each of its points once.
     """
     pos = [(a, b, c) for (a, b), c in rows if b > 0]
     neg = [(a, b, c) for (a, b), c in rows if b < 0]
@@ -553,7 +568,7 @@ def _walk_plane(rows, out, counter):
         z_hi = min([(c - a * y) // b for a, b, c in neg])  # floor, as b < 0
         if z_lo <= z_hi:
             _charge(counter, z_hi - z_lo + 2)
-            out.extend([(y, z) for z in range(z_lo, z_hi + 1)])
+            yield y, range(z_lo, z_hi + 1)
 
 
 def _projections(ineqs, k):
@@ -645,34 +660,33 @@ def width_in_direction(p: LatticePolytope, v: Direction) -> int:
 def slice_points(p: LatticePolytope, v: Direction, level: int) -> PointConfig:
     """Lattice points of P on the hyperplane <x,v> = level, in graded-lex order.
 
-    Only the slice is visited, never the full polytope. When v = e_1 =
-    (1, 0, ..., 0), the direction ``screen`` slices along, the slice is the
+    Only the slice is visited, never the full polytope. When P is 3-D and
+    v = e_1 = (1, 0, 0), the case of every ``screen`` slice, the slice is the
     single x_1-fiber x_1 = level: it is charged 1, as the kernel charges an
-    x_1-fiber, each facet (n, b) becomes the row ((n_2, ..., n_k),
-    b - n_1 level) on x_2..x_k, that system is enumerated (a 3-D slice is a
-    ``_walk_plane`` polygon), and the level is put back in front. Any other
-    direction adds the level to the facet system as the two rows
-    <v,x> >= level and <-v,x> >= -level and enumerates that. Either way ``_enumerate_system``
-    reads the fiber ranges off exact projections, so both give the kernel's
-    points, order and charges. A level that is not an int (a bool, float or
-    string) is an InputError.
+    x_1-fiber, each facet (n, b) becomes the row ((n_2, n_3), b - n_1 level)
+    on x_2, x_3, that polygon's fibers are walked (``_plane_fibers``), and
+    each point is built once, as (level, y, z). Any other direction or
+    dimension adds the level to the facet system as the two rows
+    <v,x> >= level and <-v,x> >= -level and enumerates that
+    (``_enumerate_system``). Both read the fiber ranges off exact
+    projections, so both give the kernel's points, order and charges. A
+    level that is not an int (a bool, float or string) is an InputError.
     """
     level = _int_arg("level", level)
     if len(v.coords) != p.dim:
         raise InputError("direction dimension mismatch")
-    along_e1 = v.coords[0] == 1 and not any(v.coords[1:])
+    k = p.dim
+    along_e1 = k == 3 and v.coords == (1, 0, 0)
     values = [x[0] for x in p.vertices] if along_e1 else [v.pair(x) for x in p.vertices]
     if level < min(values) or level > max(values):
-        return PointConfig._trusted(p.dim, ())
-    k = p.dim
-    pts: list[Point] = []
+        return PointConfig._trusted(k, ())
     counter = [0, LATTICE_POINT_BUDGET]
-    if k > 1 and along_e1:
+    if along_e1:
         _charge(counter, 1)
-        rows = [(n[1:], b - n[0] * level) for n, b in p.facets()]
-        _enumerate_system(rows, k - 1, pts, counter)
-        pts = [(level,) + q for q in pts]
+        rows = [((n2, n3), b - n1 * level) for (n1, n2, n3), b in p.facets()]
+        pts = [(level, y, z) for y, zs in _plane_fibers(rows, counter) for z in zs]
     else:
+        pts = []
         rows = [*p.facets(), (v.coords, level), (tuple(-x for x in v.coords), -level)]
         _enumerate_system(rows, k, pts, counter)
     pts.sort(key=sum)  # the kernel emits lex order; a stable sort by sum makes it point_key order
@@ -718,9 +732,9 @@ def lattice_width(p: LatticePolytope, budget: int = WIDTH_BUDGET) -> WidthResult
     on the vertex coordinates t_i . (x - x_0) of ``_affine_coordinates``, and
     the direction u found there lifts to v, the sign-normalized sum of the
     u_i t_i, so <v, x - x_0> = +-<u, coords(x)>. A ``budget`` that is not an
-    int is an InputError.
+    int, or is negative, is an InputError.
     """
-    budget = _int_arg("budget", budget)
+    budget = _budget_arg("budget", budget)
     r = p.affine_dim
     if r == 0:
         return WidthResult(0, None, True)

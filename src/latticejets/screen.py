@@ -194,25 +194,35 @@ def _affine_basis(points, max_rank: int) -> tuple:
     """The points, in order, that raise the affine rank: an affine basis of their span.
 
     The first point is kept, then every point whose difference from it is
-    independent of the differences kept so far: the pivot columns of the
-    k x (n - 1) matrix of differences. A slice can hold thousands of points
-    but lies on one level hyperplane, so its affine rank is at most k - 1
-    and the caller passes that as ``max_rank``. The differences go to the
-    elimination in growing blocks, each after the columns kept so far, and
-    none is built once the rank reaches ``max_rank``: the pivot columns of a
-    prefix are the pivot columns of the whole matrix inside that prefix.
+    outside the rational span of the differences kept so far: the pivot
+    columns of the k x (n - 1) matrix of differences. One exact reduction
+    reads the points in order. Each difference is brought to zero at the
+    leading entries of the kept ones, by one integer cross-multiplication
+    per kept difference, and is kept, led by its first nonzero entry, unless
+    nothing is left. A slice can hold thousands of points but lies on one
+    level hyperplane, so its affine rank is at most k - 1 and the caller
+    passes that as ``max_rank``: no point past the one that reaches it is read.
     """
     if not points:
         return ()
     base = points[0]
-    kept: list[int] = []
-    start, size = 1, 8
-    while start < len(points) and len(kept) < max_rank:
-        cols = kept + list(range(start, min(start + size, len(points))))
-        diffs = [[points[i][j] - b for i in cols] for j, b in enumerate(base)]
-        kept = [cols[c] for c in linalg.pivot_columns(diffs)]
-        start, size = start + size, 4 * size
-    return (base,) + tuple(points[i] for i in kept)
+    basis = [base]
+    kept = []  # (j, d): a reduced difference d and its first nonzero entry j
+    for i in range(1, len(points)):
+        if len(kept) >= max_rank:
+            break
+        q = points[i]
+        d = [a - b for a, b in zip(q, base)]
+        for j, r in kept:
+            if c := d[j]:
+                e = r[j]
+                d = [e * x - c * y for x, y in zip(d, r)]
+        for j, x in enumerate(d):
+            if x:
+                kept.append((j, d))
+                basis.append(q)
+                break
+    return tuple(basis)
 
 
 def _build_witness(v, sol, p_min, p_max, lo, hi) -> CorollaryWitness:
@@ -267,11 +277,12 @@ def nef_check(degrees: Sequence[int], d: int, lw: int,
               l_matrix: linalg.IntMatrix) -> NefReport:
     """Exact rational bound test deg < d/lw plus the subtorus certificate.
 
-    The generator list may contain linearly dependent rows (the
-    three-binomial cases); the certificate concerns the lattice they
-    generate, so saturation is checked through the gcd of the maximal
-    minors of the full matrix. A bool, float or string among the integers
-    is an InputError.
+    ``screen`` passes its two lowest-degree binomials, which always span a
+    saturated lattice (see ``wps.screen``), so the certificate holds there
+    and stays checkable. The rows may be linearly dependent; the
+    certificate concerns the lattice they generate, so saturation is
+    checked through the gcd of the maximal minors of the full matrix. A
+    bool, float or string among the integers is an InputError.
     """
     try:
         d, lw = _as_int(d), _as_int(lw)

@@ -28,9 +28,10 @@ Pipeline per weight vector w = (a1, a2, a3, a4):
    elimination or solve. ``project_to_3d`` runs once, for the canonical
    sign of v~; the negated sign's image, facets included, is its
    reflection about the top vertex (``_negated``);
-5. the nefness certificate: generator degrees below lcm(w)/m plus
-   saturation of the generated relation lattice, read off the gcd of its
-   maximal minors.
+5. the nefness certificate: u1 and u2's degrees below lcm(w)/m plus
+   saturation of the lattice they generate, read off the gcd of its maximal
+   minors. Two lowest-degree binomials always span a saturated lattice (the
+   argument is in ``screen``'s docstring), so the list is never extended.
 
 The verdict is nef_not_semiample only when every predicate passes. The
 screen does not certify m as the lattice width of the Riemann-Roch simplex
@@ -48,8 +49,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, Facet, LatticePolytope, _as_point, _frozen, _int_arg,
-                       _simplex_facets, point_key, sign_normalized, width_in_direction)
+from .polytope import (Direction, Facet, LatticePolytope, _as_point, _budget_arg, _frozen,
+                       _int_arg, _simplex_facets, point_key, sign_normalized,
+                       width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
 
 DEGREE_BUDGET = 4000
@@ -210,10 +212,10 @@ def lowest_degree_binomials(w: WeightVector, budget: int = DEGREE_BUDGET):
     second binomial's is paired. They are distinct, primitive
     and sign-normalized, so no two are parallel and the first two are
     linearly independent. Returns (chosen, alternatives): alternatives are
-    the rest of the second one's degree. A ``budget`` that is not an int is
-    an ``InputError``.
+    the rest of the second one's degree. A ``budget`` that is not an int, or
+    is negative, is an ``InputError``; 0 is a budget that no binomial fits.
     """
-    batches = _binomial_batches(w, _int_arg("budget", budget))
+    batches = _binomial_batches(w, _budget_arg("budget", budget))
     found: list[BinomialGenerator] = []
     while len(found) < 2:
         found += next(batches)
@@ -379,10 +381,12 @@ def saturate_generators(w: WeightVector, u1, u2, generators,
     Candidates are the binomials by ascending degree, restricted to the
     rational plane of u1 and u2 (relations vanishing on the one-parameter
     subgroup); only candidates that strictly improve the lattice index are
-    kept, and the number of extensions is bounded. A ``budget`` or
-    ``max_extra`` that is not an int is an ``InputError``.
+    kept, and the number of extensions is bounded. Nothing in the package
+    calls it: the two lowest-degree binomials are always saturated (see
+    ``screen``), so it returns them unchanged. A ``budget`` or ``max_extra``
+    that is not an int, or a negative ``budget``, is an ``InputError``.
     """
-    budget = _int_arg("budget", budget)
+    budget = _budget_arg("budget", budget)
     max_extra = _int_arg("max_extra", max_extra)
     l_rows = [g.u for g in generators]
     index = linalg.lattice_index(l_rows)
@@ -461,9 +465,27 @@ def _stage(name: str, fn, *args, **kwargs):
 def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> ScreenReport:
     """Run the whole pipeline on one weight vector.
 
-    A ``budget`` that is not an int is an ``InputError``.
+    The two lowest-degree binomials u1, u2 go to ``nef_check`` as they are:
+    they always span a saturated lattice L, so no further binomial could
+    lower its index. deg u = w.u+ = 1/2 sum w_i |u_i| is a norm on the
+    relations, and u1, u2 are primitive relations with deg u1 <= deg u2 and
+    every primitive relation other than +-u1 of degree >= deg u2. Were L not
+    saturated, some relation u outside L, in its rational span, would be
+    s u1 + t u2 with |s|, |t| <= 1/2. Its primitive vector p is outside L
+    too, so deg u2 <= deg p <= deg u <= (deg u1 + deg u2) / 2 <= deg u2.
+    Hence u = p, deg u1 = deg u2, |s| = |t| = 1/2, and the triangle
+    inequality is an equality; up to the signs of u and u2, u = (u1 + u2) / 2
+    and u1, u2 agree in sign in every coordinate. (u1 - u2) / 2 = u - u2 is
+    outside L in the same way, so u1 and -u2 agree in sign too, and u1, u2
+    have disjoint supports. A relation of positive weights has a positive and
+    a negative entry, so in Z^4 each has exactly two, and (u1 + u2) / 2
+    integral makes u1 even, against its primitivity. ``saturation_ok``
+    still reads the gcd of the two rows' maximal minors, so the certificate
+    stays checkable; ``saturate_generators`` is not called.
+
+    A ``budget`` that is not an int, or is negative, is an ``InputError``.
     """
-    budget = _int_arg("budget", budget)
+    budget = _budget_arg("budget", budget)
     if not isinstance(w, WeightVector):
         w = WeightVector(tuple(w))
     big = w.lcm
@@ -494,13 +516,10 @@ def screen(w: WeightVector | Sequence[int], budget: int = DEGREE_BUDGET) -> Scre
             break
     v_tilde, values, m, projected, direction, corollary = best
 
-    generators = saturate_generators(w, u1.u, u2.u, list(chosen), budget=budget)
-    l_rows = [g.u for g in generators]
-
-    nef = _stage("nef", nef_check, [g.degree for g in generators], big, m, l_rows)
+    nef = _stage("nef", nef_check, [u1.degree, u2.degree], big, m, [u1.u, u2.u])
     ok = corollary.all_conditions and corollary.verified and nef.nef
     return ScreenReport(
-        weights=w, lcm=big, binomials=tuple(generators),
+        weights=w, lcm=big, binomials=tuple(chosen),
         alternatives=tuple(alternatives), v_tilde=v_tilde, m=m,
         vertex_values=values, projected=projected, direction=direction,
         corollary=corollary, nef=nef,
@@ -588,11 +607,12 @@ def scan_weights(max_weight: int, min_weight: int = 2, well_formed_only: bool = 
     inconclusive quadruple, and propagates.
     ``min_weight`` must be >= 1 and ``limit`` (>= 1) stops it after that many
     hits; either below 1 is an ``InputError``, as is a ``max_weight``,
-    ``min_weight``, ``limit`` or ``budget`` that is not an int.
+    ``min_weight``, ``limit`` or ``budget`` that is not an int, and a
+    negative ``budget``.
     """
     max_weight = _int_arg("max_weight", max_weight)
     min_weight = _int_arg("min_weight", min_weight)
-    budget = _int_arg("budget", budget)
+    budget = _budget_arg("budget", budget)
     if limit is not None:
         limit = _int_arg("limit", limit)
     if min_weight < 1:

@@ -208,6 +208,20 @@ def test_degree_budget_zero_is_honoured(capsys):
     assert result["scanned"] > 0 and result["errors"] == result["scanned"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["screen", "7,11,13,15", "--degree-budget", "-5"],
+    ["scan", "--max-weight", "8", "--degree-budget", "-1"],
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], [0, 1], [2, 1], [3, 0]]}',
+     "--width-budget", "-1"],
+    ["polytope", '{"dim": 2, "vertices": [[0, 0], [0, 1], [2, 1], [3, 0]]}',
+     "--count-points", "--enum-budget", "-1"],
+], ids=["screen-degree", "scan-degree", "polytope-width", "polytope-enum"])
+def test_negative_budgets_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "input error: budget -" in err and "is negative" in err
+
+
 def test_invariant_error_exit_4(capsys, monkeypatch):
     def broken(args):
         raise InvariantError("normalization mismatch")

@@ -825,6 +825,20 @@ def test_budgets_reject_other_types(call, name):
         call(LatticePolytope(DELTA_PRIME.vertices))
 
 
+@pytest.mark.parametrize("enumerate_with", [lattice_points, lattice_width],
+                         ids=["points", "width"])
+def test_negative_budgets_are_input_errors(enumerate_with):
+    # a negative budget is bad input; 0 is a budget that the first charge exceeds
+    p = LatticePolytope(DELTA_PRIME.vertices)
+    with pytest.raises(InputError, match=r"^budget -1 is negative$"):
+        enumerate_with(p, budget=-1)
+    if enumerate_with is lattice_points:
+        with pytest.raises(BudgetExceededError):
+            lattice_points(p, budget=0)
+    else:
+        assert lattice_width(p, budget=0).certified is False
+
+
 def test_projections_are_the_real_projections():
     # S_j of the facet system against the hull of the projected vertices, on
     # the half-integer grid of the bounding box: a dropped facet shows as a

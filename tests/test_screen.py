@@ -131,6 +131,36 @@ def test_affine_basis_is_a_rank_raising_subsequence():
     assert _affine_basis((), 3) == ()
 
 
+class _ReadLog:
+    """A point sequence that records every index read."""
+
+    def __init__(self, points):
+        self.points, self.read = points, set()
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return self.points[i]
+
+
+def test_affine_basis_reads_no_point_past_the_rank_cap():
+    # a long slice of level x_1 = 0 whose rank reaches 2 at its fifth point:
+    # the points after that are never read, however many there are
+    line = [(0, y, 2 * y) for y in range(4)]
+    pts = line + [(0, 1, 0)] + [(0, y, z) for y in range(5) for z in range(5)]
+    log = _ReadLog(pts)
+    assert _affine_basis(log, 2) == ((0, 0, 0), (0, 1, 2), (0, 1, 0))
+    assert log.read == set(range(5))
+    # uncapped, every point is read, and the basis is the same
+    log = _ReadLog(pts)
+    assert _affine_basis(log, 3) == ((0, 0, 0), (0, 1, 2), (0, 1, 0))
+    assert log.read == set(range(len(pts)))
+    log = _ReadLog(pts)
+    assert _affine_basis(log, 0) == ((0, 0, 0),) and log.read == {0}
+
+
 def _one_shot_affine_basis(points) -> tuple:
     """Reference: the pivot columns of the whole k x (n - 1) difference matrix at once."""
     if len(points) < 2:

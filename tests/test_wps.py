@@ -532,6 +532,30 @@ def test_saturate_generators_bounded_retries():
         _saturate_doubled_seed(max_extra=0)
 
 
+@pytest.mark.parametrize("weights", [(7, 11, 13, 15), (6, 7, 9, 11)], ids=["readme", "tie"])
+def test_screen_never_calls_saturate_generators(monkeypatch, weights):
+    # two lowest-degree binomials are always saturated, so screen hands them
+    # to nef_check as they are; 6,7,9,11's two tie in degree, the case the
+    # argument in screen's docstring has to rule out
+    monkeypatch.setattr(wps, "saturate_generators", _raise(AssertionError("called")))
+    report = screen(WeightVector(weights))
+    chosen, _ = lowest_degree_binomials(WeightVector(weights))
+    assert report.binomials == tuple(chosen)
+    assert report.nef.degrees == tuple(b.degree for b in chosen)
+    assert report.nef.saturation_ok is True
+
+
+@pytest.mark.parametrize("call", [
+    lambda budget: screen(W, budget=budget),
+    lambda budget: lowest_degree_binomials(W, budget),
+    lambda budget: next(scan_weights(8, budget=budget)),
+    lambda budget: _saturate_doubled_seed(budget=budget),
+], ids=["screen", "binomials", "scan", "saturate"])
+def test_negative_budgets_are_input_errors(call):
+    with pytest.raises(InputError, match=r"^budget -1 is negative$"):
+        call(-1)
+
+
 def test_scan_weights_small_range():
     from latticejets.wps import scan_weights
 
