@@ -4,8 +4,8 @@ Two independent routes decide whether a direction v is a base point:
 
 * feasibility: does an affine hypersurface with leading form (v.x)^m pass
   through every configuration point? One linear equation per point in the
-  lower-order coefficients, whose matrix is L_{m-1}^T (``jets``), solved
-  by ``linalg.solve`` on its own;
+  lower-order coefficients, whose matrix is L_{m-1}^T, the point-major
+  rows of ``jets._monomial_rows``, solved by ``linalg.solve`` on its own;
 * evaluation: does every form vanish at w = v? It reads the integer form
   rows of the memoised jet echelon (``jets._form_rows``): a span vanishes
   at v iff each spanning form does.
@@ -32,9 +32,9 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from . import linalg
+from . import jets, linalg
 from .errors import InputError, InvariantError, ToolkitError
-from .jets import _form_rows, leading_term_matrix
+from .jets import _form_rows
 from .poly import MultiPoly, from_coefficients, monomials_up_to_degree
 from .polytope import Direction, PointConfig, _int_arg
 
@@ -73,7 +73,7 @@ def is_base_point(s: PointConfig, m: int, v: Direction):
         raise InputError("empty point configuration")
     k = s.dim
     # one row per point: its monomials of degree < m, in jet order
-    a_rows = linalg.transpose(leading_term_matrix(s, m - 1))
+    a_rows = jets._monomial_rows(s, m - 1)
     sol = linalg.solve(a_rows, [-v.pair(p) ** m for p in s.points])
     if sol is None:
         return False, None
@@ -219,7 +219,12 @@ def base_locus_k2(s: PointConfig, m: int) -> BaseLocusK2:
 
 
 def _rational_roots(g):
-    """Strip rational roots from a primitive Z[t] polynomial with g(0) != 0."""
+    """Strip rational roots from a primitive Z[t] polynomial with g(0) != 0.
+
+    A constant g has no root, so it returns at once, with no divisor candidates.
+    """
+    if len(g) == 1:
+        return g, []
     roots = []
     candidates = {(sign * p, q) for p in _divisors(abs(g[0])) for q in _divisors(abs(g[-1]))
                   for sign in (1, -1) if gcd(p, q) == 1}

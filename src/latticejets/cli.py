@@ -186,6 +186,9 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
+    # checked even when --count-points or --oracle, which read them, is absent
+    polytope._budget_arg("budget", args.enum_budget)
+    polytope._positive_arg("oracle bound", args.oracle_bound)
     data = _load_json_argument(args.input)
     p = LatticePolytope.from_json(data)
     width = lattice_width(p, budget=args.width_budget)

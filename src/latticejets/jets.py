@@ -16,7 +16,15 @@ have equal ranks and equal right kernels for every r <= m, and on that
 kernel the degree-m rows agree: D_m c = L_m c on the degree-m block when
 L_{m-1} c = 0, since the lower-degree terms vanish on c. Every question
 here is a question about these ranks, kernels and images, so only L_m is
-built (``leading_term_matrix``); the derivative matrix is a test reference.
+built; the derivative matrix is a test reference.
+
+The monomial values are built point-major, once per request, by
+``_monomial_rows``: one row per point p, holding p^alpha over the
+multi-indices of degree <= m in jet order, so the rows are those of L_m^T.
+That is the matrix both readers want: the echelon below, and the feasibility
+route of ``base_locus.is_base_point`` (one equation per point). Only the
+public ``leading_term_matrix`` transposes it back to L_m, for the CLI's
+``--oracle`` check and the tests.
 
 Every rank and form question reads one elimination per configuration:
 ``_echelon`` runs the fraction-free row echelon form (``linalg.row_echelon``,
@@ -96,29 +104,35 @@ def build_jets(s: PointConfig, m: int) -> JetSystem:
 
 def leading_term_matrix(s: PointConfig, m: int) -> linalg.IntMatrix:
     """L_m: one row p^alpha per multi-index of degree <= m, in jet order,
-    with one entry per point p."""
+    with one entry per point p: the transpose of ``_monomial_rows``."""
     m = _int_arg("order", m)
     if m < 0:
         raise InputError("jet order must be >= 0")
-    return _monomial_rows(s, m)
+    rows = _monomial_rows(s, m)
+    return linalg.transpose(rows) if rows else ((),) * comb(m + s.dim, s.dim)
 
 
-def _monomial_rows(s: PointConfig, m: int) -> linalg.IntMatrix:
-    """The rows of L_m. Row 0 is all ones, and every later row is the
-    entrywise product of an earlier row with a coordinate column, in the
-    order ``_row_steps`` fixes, so an entry costs one multiplication."""
-    cols = list(zip(*s.points)) or [()] * s.dim
-    rows = [(1,) * len(s)]
-    for parent, j in _row_steps(s.dim, m):
-        rows.append(tuple(map(mul, rows[parent], cols[j])))
-    return tuple(rows)
+def _monomial_rows(s: PointConfig, m: int) -> list[list[int]]:
+    """The point-major rows of L_m^T, as fresh lists: per point p, its powers
+    p^alpha over the multi-indices of degree <= m in jet order. Entry 0 is 1,
+    and every later entry is an earlier entry of the row times one coordinate
+    of p, in the order ``_row_steps`` fixes, so an entry costs one
+    multiplication."""
+    steps = _row_steps(s.dim, m)
+    rows = []
+    for p in s.points:
+        row = [1]
+        for parent, j in steps:
+            row.append(row[parent] * p[j])
+        rows.append(row)
+    return rows
 
 
 @cache
 def _row_steps(k: int, m: int) -> tuple[tuple[int, int], ...]:
     """One step (parent, j) per multi-index alpha != 0 of degree <= m, in jet
-    order: with j the last nonzero index of alpha, row(alpha) is the row of
-    alpha - e_j, which jet order lists earlier, times the j-th coordinates."""
+    order: with j the last nonzero index of alpha, p^alpha is p^(alpha - e_j),
+    which jet order lists earlier, times the j-th coordinate p_j."""
     alphas = jet_row_indices(k, m)
     index = {alpha: i for i, alpha in enumerate(alphas)}
     steps = []
@@ -147,7 +161,7 @@ def _echelon(s: PointConfig, m: int) -> _Echelon:
     if memo is not None and memo.order >= m >= 0:
         return memo
     _jet_rows(s, m)
-    memo = _Echelon(m, *linalg.row_echelon(linalg.transpose(leading_term_matrix(s, m))))
+    memo = _Echelon(m, *linalg.row_echelon(_monomial_rows(s, m)))
     object.__setattr__(s, "_jet_echelon", memo)
     return memo
 

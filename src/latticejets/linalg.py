@@ -515,7 +515,9 @@ def inverse_unimodular(u: IntMatrix) -> IntMatrix:
 def bezout(a: int, b: int) -> tuple[int, int]:
     """s, t with s*a + t*b = gcd(a, b) >= 0 (extended Euclid); a non-int
     argument is a ``ToolkitError``, as in every elimination."""
-    old_r, r = _int_rows(((a, b),))[0]
+    if type(a) is not int or type(b) is not int:
+        _int_rows(((a, b),))  # raises the elimination's input error
+    old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
     while r:

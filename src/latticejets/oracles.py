@@ -16,8 +16,8 @@ from itertools import product
 from math import gcd
 
 from . import linalg
-from .errors import InputError, ToolkitError
-from .polytope import Direction, LatticePolytope, WidthResult, _int_arg, direction_key
+from .errors import ToolkitError
+from .polytope import Direction, LatticePolytope, WidthResult, _positive_arg, direction_key
 
 
 def rref_reference(m):
@@ -101,9 +101,7 @@ def brute_force_width(p: LatticePolytope, bound: int = 10):
     Ties go to the least ``direction_key``; a ``bound`` that is not an int
     or is below 1 is an ``InputError``.
     """
-    bound = _int_arg("oracle bound", bound)
-    if bound < 1:
-        raise InputError(f"oracle bound must be >= 1, got {bound}")
+    bound = _positive_arg("oracle bound", bound)
     scored = []
     for v in primitive_directions(p.dim, bound):
         vals = [sum(a * b for a, b in zip(v, x)) for x in p.vertices]

@@ -92,6 +92,14 @@ def _budget_arg(name: str, x) -> int:
     return x
 
 
+def _positive_arg(name: str, x) -> int:
+    """``x`` as an int >= 1; one below 1, or one ``_int_arg`` rejects, is an InputError."""
+    x = _int_arg(name, x)
+    if x < 1:
+        raise InputError(f"{name} must be >= 1, got {x}")
+    return x
+
+
 def _as_point(p, k=None) -> Point:
     """``p`` as a tuple of ints; a bool, float, string or None is an InputError, not truncated."""
     try:
@@ -246,7 +254,7 @@ class LatticePolytope:
             if len(p) != k:
                 raise InputError("inconsistent point dimensions")
         self.dim = k
-        self.vertices, self.affine_dim, self._facets = _hull(sorted(set(pts), key=point_key), k)
+        self.vertices, self.affine_dim, self._facets = _hull(set(pts), k)
         self._lattice_points = None
 
     @classmethod
@@ -456,20 +464,24 @@ def _affine_coordinates(points: Sequence[Point]):
     return list(zip(*left)) if r else [()] * n, tuple(row[n:] for row in h[:r])
 
 
-def _hull(points: Sequence[Point], k: int):
+def _hull(points: Iterable[Point], k: int):
     """(vertices in graded-lex order, dimension, sorted facets or None below
-    full dimension) of conv(points), for distinct points."""
+    full dimension) of conv(points), for distinct points in any order.
+
+    In the plane the monotone chain sorts the points itself; otherwise they
+    are sorted into graded-lex order first."""
     if k == 2:  # a cycle of r + 1 <= 3 vertices spans dimension r
         cycle = polygon_ccw_vertices(points)
         r = min(len(cycle) - 1, 2)
         return tuple(sorted(cycle, key=point_key)), r, _polygon_facets(cycle) if r == 2 else None
+    points = sorted(points, key=point_key)
     coords, t = _affine_coordinates(points)
     r = len(t)
     if len(points) == r + 1:  # a simplex: every point is a vertex
-        vertices = tuple(sorted(points, key=point_key))
+        vertices = tuple(points)
         return vertices, r, _simplex_facets(vertices) if r == k else None
     if r < k:  # lower-dimensional hull: recurse on the coordinates in the affine span
-        keep = set(_hull(sorted(coords, key=point_key), r)[0])
+        keep = set(_hull(coords, r)[0])
         return tuple(p for p, c in zip(points, coords) if c in keep), r, None
     facets = _facets_of(points, k)
     out = []
@@ -525,8 +537,8 @@ def _walk_plane(rows, out, counter):
     out += [(y, z) for y, zs in _plane_fibers(rows, counter) for z in zs]
 
 
-def _plane_fibers(rows, counter):
-    """The nonempty z-fibers (y, z-range) of a two-variable system, by increasing y.
+def _plane_fibers(rows, counter) -> list[tuple[int, range]]:
+    """The list of nonempty z-fibers (y, z-range) of a two-variable system, by increasing y.
 
     Rows ((a, b), c) mean a y + b z >= c. The y-range comes from the rows
     with b = 0 and from one Fourier-Motzkin combination of each pair of rows
@@ -536,8 +548,9 @@ def _plane_fibers(rows, counter):
     looked for, as the kernel's ``_fiber_interval`` decides, and a missing
     bound is its "unbounded fiber"; each y's z-range is then a ceiling and a
     floor per row. Budget as the kernel's: 1 on entry, then the count plus 1
-    for each nonempty z-fiber, charged before it is yielded. The caller
-    builds the points, so a slice builds each of its points once.
+    for each nonempty z-fiber, charged in order of y before the list is
+    returned, so an exhausted budget raises before any point is built. The
+    caller builds the points, so a slice builds each of its points once.
     """
     pos = [(a, b, c) for (a, b), c in rows if b > 0]
     neg = [(a, b, c) for (a, b), c in rows if b < 0]
@@ -555,20 +568,22 @@ def _plane_fibers(rows, counter):
                 hi = bound
         elif c > 0:
             _charge(counter, 1)
-            return
+            return []
     if lo is None or hi is None:
         raise ToolkitError("unbounded fiber in lattice-point enumeration")
     _charge(counter, 1)
     if lo > hi:
-        return
+        return []
     if not pos or not neg:
         raise ToolkitError("unbounded fiber in lattice-point enumeration")
+    fibers = []
     for y in range(lo, hi + 1):
         z_lo = max([-((a * y - c) // b) for a, b, c in pos])  # ceil((c - a y) / b)
         z_hi = min([(c - a * y) // b for a, b, c in neg])  # floor, as b < 0
         if z_lo <= z_hi:
             _charge(counter, z_hi - z_lo + 2)
-            yield y, range(z_lo, z_hi + 1)
+            fibers.append((y, range(z_lo, z_hi + 1)))
+    return fibers
 
 
 def _projections(ineqs, k):

@@ -28,7 +28,10 @@ lattice lines <v, x> = c and c + 1, and every vertex lies on one of them. A
 polygon has at least three vertices, so one line holds two, and the segment
 between them is an edge of P with primitive normal +-v, of width 1.
 Conversely an edge normal of width 1 gives lw <= 1, and a full-dimensional
-polygon has lw >= 1. The facets are already cached by ``lattice_points``.
+polygon has lw >= 1. The width along a facet normal needs only the facet
+maxima: the facet (n, b) is the inequality <n, x> >= b, attained on its
+edge, so the least value of <n, x> on P is b and the width along n is
+max(<n, v> over the vertices v) - b. The facets are built with the hull.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from . import linalg
 from .base_locus import base_locus_k2
 from .errors import InputError, InvariantError, ToolkitError
 from .jets import rank_j
-from .polytope import (Direction, LatticePolytope, PointConfig, lattice_points,
-                       point_key, primitive, sign_normalized,
-                       width_in_direction)
+from .polytope import (LatticePolytope, PointConfig, lattice_points, point_key, primitive,
+                       sign_normalized)
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV, NOT_SPECIAL = "I", "II", "III", "IV", "NotSpecial"
 
@@ -218,7 +220,7 @@ def classify(p: LatticePolytope) -> PolygonClass:
                              "carries three of them: no line pair found")
     best_pts = max(lines.items(), key=lambda item: (
         len(item[1]), [-x for x in item[0][0]], -item[0][1]))[1]
-    anchor, nearest = sorted(best_pts, key=point_key)[:2]
+    anchor, nearest = best_pts[:2]  # ``_line_pair`` keeps the point_key order of pts
     d = primitive((nearest[0] - anchor[0], nearest[1] - anchor[1]))
     bz_s, bz_t = linalg.bezout(d[0], d[1])
 
@@ -312,13 +314,17 @@ def teo_dim2_suite(p: LatticePolytope) -> TeoDim2Record:
 
     (1) is read off the edge normals: lw(P) = 1 exactly when some edge's
     primitive normal has width 1 (see the module docstring), so the
-    certified ``lattice_width`` search never runs here. (3) is the gcd of
-    the degree-2 form system, ``base_locus_k2``. They must agree.
+    certified ``lattice_width`` search never runs here. Along the normal n
+    of the facet (n, b) the width is the facet maximum max(<n, v>) over the
+    vertices, minus b, the facet's own minimum. (3) is the gcd of the
+    degree-2 form system, ``base_locus_k2``. They must agree.
     """
     pts = lattice_points(p)
     if len(pts) < 6:
         raise ToolkitError(f"hypothesis fails: {len(pts)} lattice points < 6")
-    cond1 = any(width_in_direction(p, Direction(f.normal)) == 1 for f in p.facets())
+    vertices = p.vertices
+    cond1 = any(max([nx * x + ny * y for x, y in vertices]) - b == 1
+                for (nx, ny), b in p.facets())
     locus = base_locus_k2(pts, 2)
     cond3 = locus.gcd_degree >= 1
     record = TeoDim2Record(width_is_one=cond1, base_point_exists=cond3,

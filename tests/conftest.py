@@ -157,22 +157,54 @@ def random_unimodular(rng: random.Random, k: int, steps: int = 5,
     axes. ``random_unimodular_off_axes`` redraws those. The draws stay as
     they are, since ``test_classify_json_digest`` pins a corpus made with them.
     """
-    u = linalg.identity(k)
+    u = [list(row) for row in linalg.identity(k)]
     for _ in range(steps):
         i, j = rng.sample(range(k), 2)
         kind = rng.randrange(3)
-        m = [[1 if a == b else 0 for b in range(k)] for a in range(k)]
-        if kind == 0:
-            m[i][j] = rng.randint(-shear_bound, shear_bound)
-        elif kind == 1:
-            m[i][i] = 0
-            m[j][j] = 0
-            m[i][j] = 1
-            m[j][i] = -1
-        else:
-            m[i][i] = -1
-        u = linalg.mat_mul(linalg.integer_matrix(m), u)
-    return u
+        # each step multiplies u on the left by one elementary matrix, as the
+        # row operation it performs
+        if kind == 0:  # I + s e_i e_j^T: row i += s row j
+            s = rng.randint(-shear_bound, shear_bound)
+            u[i] = [x + s * y for x, y in zip(u[i], u[j])]
+        elif kind == 1:  # the signed swap e_i e_j^T - e_j e_i^T
+            u[i], u[j] = u[j], [-x for x in u[i]]
+        else:  # row i negated
+            u[i] = [-x for x in u[i]]
+    return tuple(map(tuple, u))
+
+
+def planar_path_digest(seed: int, images: int) -> tuple[int, str]:
+    """(polygons, sha256) of the planar path on ``images`` seeded unimodular
+    images of every ``sweep_shapes()`` entry.
+
+    Each polygon adds one line: the sorted-key JSON of [classify JSON,
+    teo_dim2_suite JSON, base_locus_k2(pts, 2) JSON,
+    fundamental_form(pts, 2).text(), len(pts), is_special(pts, 3)], then a
+    newline. The draws are those of ``test_classify_json_digest``: U, then t.
+    """
+    import hashlib
+    import json
+
+    from latticejets.base_locus import base_locus_k2
+    from latticejets.jets import fundamental_form, is_special
+    from latticejets.polytope import unimodular_image
+    from latticejets.surface2 import classify, normal_form, teo_dim2_suite
+
+    rng = random.Random(seed)
+    digest, n = hashlib.sha256(), 0
+    for kind, a, b in sweep_shapes():
+        base = normal_form(kind, a, b)
+        for _ in range(images):
+            u = random_unimodular(rng, 2)
+            t = (rng.randint(-8, 8), rng.randint(-8, 8))
+            p = unimodular_image(base, u, t)
+            line = [classify(p).to_json(), teo_dim2_suite(p).to_json()]
+            pts = lattice_points(p)
+            line += [base_locus_k2(pts, 2).to_json(), fundamental_form(pts, 2).text(),
+                     len(pts), is_special(pts, 3)]
+            digest.update((json.dumps(line, sort_keys=True) + "\n").encode())
+            n += 1
+    return n, digest.hexdigest()
 
 
 def random_unimodular_off_axes(rng: random.Random, k: int) -> linalg.IntMatrix:

@@ -222,6 +222,20 @@ def test_negative_budgets_exit_2(capsys, argv):
     assert "input error: budget -" in err and "is negative" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["polytope", '{"dim": 2, "vertices": [[0, 0], [0, 1], [2, 1], [3, 0]]}',
+      "--enum-budget", "-1"], "input error: budget -1 is negative\n"),
+    (["polytope", '{"dim": 2, "vertices": [[0, 0], [0, 1], [2, 1], [3, 0]]}',
+      "--oracle-bound", "0"], "input error: oracle bound must be >= 1, got 0\n"),
+], ids=["enum-budget-without-count-points", "oracle-bound-without-oracle"])
+def test_unread_polytope_values_are_still_checked(capsys, argv, message):
+    # the same exit and text as when --count-points or --oracle reads the value
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", message)
+    flag = "--count-points" if "--enum-budget" in argv else "--oracle"
+    assert run(capsys, argv + [flag]) == (2, "", message)
+
+
 def test_invariant_error_exit_4(capsys, monkeypatch):
     def broken(args):
         raise InvariantError("normalization mismatch")

@@ -388,6 +388,34 @@ def test_inverse_unimodular():
     assert linalg.mat_mul(u, inv) == linalg.identity(2)
 
 
+def _random_unimodular_by_products(rng, k, steps=5, shear_bound=3):
+    """The test helper's draws as the product of its elementary matrices."""
+    u = linalg.identity(k)
+    for _ in range(steps):
+        i, j = rng.sample(range(k), 2)
+        kind = rng.randrange(3)
+        m = [[1 if a == b else 0 for b in range(k)] for a in range(k)]
+        if kind == 0:
+            m[i][j] = rng.randint(-shear_bound, shear_bound)
+        elif kind == 1:
+            m[i][i] = m[j][j] = 0
+            m[i][j], m[j][i] = 1, -1
+        else:
+            m[i][i] = -1
+        u = linalg.mat_mul(m, u)
+    return u
+
+
+def test_random_unimodular_draws_are_the_products_of_elementary_matrices():
+    from tests.conftest import random_unimodular
+
+    for k in (2, 3, 4):
+        for seed in range(200):
+            got = random_unimodular(random.Random(seed), k)
+            assert got == _random_unimodular_by_products(random.Random(seed), k), (k, seed)
+            assert abs(linalg.bareiss_det(got)) == 1
+
+
 def test_bezout_coprime_pairs():
     rng = random.Random(17)
     pairs = [(0, 1), (0, -1), (1, 0), (-1, 0), (-3, -5), (7, -12), (-10**9, 10**9 + 1)]

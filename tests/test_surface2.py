@@ -16,11 +16,16 @@ from latticejets.surface2 import (_line_pair, _lines_through, _normal_form_verti
                                   canonical_params, classify,
                                   in_table_range, normal_form, teo_dim2_suite,
                                   three_collinear)
-from tests.conftest import random_full_dim_polytope, random_unimodular, sweep_shapes
+from tests.conftest import (planar_path_digest, random_full_dim_polytope, random_unimodular,
+                            sweep_shapes)
 
 # sha256 of classify's JSON over two seeded images of every sweep shape: it
 # pins the normalizing map (U, t), which the type and parameters do not fix
 CLASSIFY_JSON_DIGEST = "a09e797c18b635d3be300c0a16c65d43dc7d63a55c122e0b57be1d759bd08639"
+# sha256 of the whole planar path (classify, teo_dim2_suite, base_locus_k2,
+# the degree-2 form text, the point count and is_special(., 3)) over the same
+# two images of every sweep shape, read before the path was trimmed
+PLANAR_PATH_DIGEST = "1c51f63a2ff2550324025d81c1b5cb6fb3c42fd646bb53c92253e33bfdfa5a04"
 
 
 def test_classify_spec_examples():
@@ -71,6 +76,11 @@ def test_classify_json_digest():
     assert digest.hexdigest() == CLASSIFY_JSON_DIGEST
 
 
+def test_planar_path_digest():
+    """Every output of the classify path stays byte-identical, not only classify's."""
+    assert planar_path_digest(2026, 2) == (378, PLANAR_PATH_DIGEST)
+
+
 def test_classify_invariance_under_random_transforms():
     rng = random.Random(22)
     shapes = [("I", 2, 2), ("I", 3, 5), ("II", 5, None), ("II", 9, None),
@@ -105,6 +115,19 @@ def test_line_pair_matches_all_pairs_on_sweep_images():
         _assert_line_pair_matches_all_pairs(pts)
         # any three points may come first
         _assert_line_pair_matches_all_pairs(rng.sample(pts, len(pts)))
+
+
+def test_line_pair_lists_each_line_in_input_order():
+    """classify takes the anchor and its neighbour as the first two points of
+    the chosen line, so each line must keep the point_key order of pts."""
+    rng = random.Random(41)
+    for kind, a, b in sweep_shapes():
+        u = random_unimodular(rng, 2)
+        t = (rng.randint(-8, 8), rng.randint(-8, 8))
+        pts = lattice_points(unimodular_image(normal_form(kind, a, b), u, t)).points
+        for points in (pts, rng.sample(pts, len(pts))):
+            for on in _line_pair(points).values():
+                assert on == [p for p in points if p in on], points
 
 
 def test_line_pair_with_equal_point_counts():
