@@ -14,8 +14,8 @@ subcommand takes only the flags it reads; any other is a usage error (2).
 ``import latticejets`` loads no layer, and each subcommand imports only the
 layers it runs: ``screen`` never loads the surface theory, ``classify`` never
 loads the weighted pipeline, and ``oracles`` loads only under ``--oracle``.
-The records are NamedTuples and the value types slotted classes, so a
-one-shot run never loads ``inspect``.
+The records are NamedTuples and the value types slotted classes on one
+base, ``polytope._Value``, so a one-shot run never loads ``inspect``.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def _cmd_points(args) -> int:
             "agree": feasible == via_form,
             "witness": witness.text() if witness else None,
         }
-    if cfg.dim == 2 and form.dim > 0:
+    planar_locus = cfg.dim == 2 and m >= 2 and form.dim > 0  # base_locus_k2 needs m >= 2
+    if planar_locus:
         result["base_locus"] = base_locus_k2(cfg, m).to_json()
     oracle = None
     if args.oracle:
@@ -174,7 +175,7 @@ def _cmd_points(args) -> int:
         kernel = linalg.kernel_basis(lt)
         reference = oracles.right_kernel_reference(lt)
         oracle["right_kernel_span"] = {"agree": oracles.same_span(kernel, reference)}
-        if cfg.dim == 2 and form.dim > 0:
+        if planar_locus:
             gcd_deg = oracles.binary_form_gcd_degree(form.polynomials())
             oracle["base_locus_gcd_degree"] = {
                 "main": result["base_locus"]["gcd_degree"],

@@ -129,15 +129,46 @@ def sign_normalized(v: Sequence[int]) -> Point:
     raise InvariantError("zero vector has no sign normalization")
 
 
-def _frozen(self, name, *_):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Value:
+    """A frozen value whose identity is the tuple of its ``_fields``.
+
+    It reprs as ``Name(field=value, ...)``, equals only an instance of its own
+    class with the same fields, hashes as the field tuple, and copies and
+    pickles by calling its validating constructor on the fields. Assignment
+    and deletion raise ``AttributeError``, so a constructor writes its slots
+    with ``object.__setattr__``. A slot outside ``_fields`` (a memo) takes no
+    part in any of this.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-class Direction:
+class Direction(_Value):
     """Nonzero primitive integer vector in the dual lattice."""
 
-    __slots__ = ("coords",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("coords",)
 
     def __init__(self, coords: Sequence[int]):
         c = _as_point(coords)
@@ -147,18 +178,6 @@ class Direction:
             raise InputError(f"direction {c} is not primitive")
         object.__setattr__(self, "coords", c)
 
-    def __repr__(self):
-        return f"Direction(coords={self.coords!r})"
-
-    def __eq__(self, other):
-        return self.coords == other.coords if type(other) is Direction else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __reduce__(self):
-        return Direction, (self.coords,)
-
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -167,15 +186,16 @@ class Direction:
         return sum(map(mul, self.coords, p))
 
 
-class PointConfig:
+class PointConfig(_Value):
     """Ordered lattice point configuration S = {p_0, ..., p_n}.
 
     ``_jet_echelon`` is the jet elimination that ``jets`` memoises on the
-    configuration; it takes no part in ``==``, ``hash`` or ``repr``.
+    configuration; it is no field, so it takes no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     __slots__ = ("dim", "points", "_jet_echelon")
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("dim", "points")
 
     def __new__(cls, dim: int, points: Iterable[Sequence[int]]):
         if type(dim) is not int or dim < 1:  # a bool is no dimension
@@ -195,20 +215,6 @@ class PointConfig:
         object.__setattr__(cfg, "_jet_echelon", None)
         return cfg
 
-    def __repr__(self):
-        return f"PointConfig(dim={self.dim!r}, points={self.points!r})"
-
-    def __eq__(self, other):
-        if type(other) is not PointConfig:
-            return NotImplemented
-        return self.dim == other.dim and self.points == other.points
-
-    def __hash__(self):
-        return hash((self.dim, self.points))
-
-    def __reduce__(self):
-        return PointConfig, (self.dim, self.points)
-
     def __len__(self):
         return len(self.points)
 
@@ -223,9 +229,10 @@ class PointConfig:
     @property
     def differences_generate(self) -> bool:
         """True iff pairwise differences generate all of Z^k (index one): their
-        Hermite form, the one canonical basis of their lattice, is the identity."""
+        Hermite form, the one canonical basis of their lattice, is the identity.
+        Fewer than two points have no difference but 0, which spans {0}, and dim >= 1."""
         if len(self.points) < 2:
-            return self.dim == 0
+            return False
         base = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
         return linalg.hermite_normal_form(diffs) == linalg.identity(self.dim)

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import BudgetExceededError, InputError, InvariantError, ToolkitError
-from .polytope import (Direction, Facet, LatticePolytope, _as_point, _budget_arg, _frozen,
+from .polytope import (Direction, Facet, LatticePolytope, _Value, _as_point, _budget_arg,
                        _int_arg, _simplex_facets, point_key, sign_normalized,
                        width_in_direction)
 from .screen import CorollaryReport, NefReport, corollary_check, nef_check
@@ -58,11 +58,10 @@ DEGREE_BUDGET = 4000
 MAX_EXTRA_GENERATORS = 5
 
 
-class WeightVector:
+class WeightVector(_Value):
     """Weights of a weighted projective 3-space."""
 
-    __slots__ = ("weights",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("weights",)
 
     def __init__(self, weights: Sequence[int]):
         w = _as_point(weights)
@@ -71,18 +70,6 @@ class WeightVector:
         if gcd(*w) != 1:
             raise InputError("weights must have gcd 1")
         object.__setattr__(self, "weights", w)
-
-    def __repr__(self):
-        return f"WeightVector(weights={self.weights!r})"
-
-    def __eq__(self, other):
-        return self.weights == other.weights if type(other) is WeightVector else NotImplemented
-
-    def __hash__(self):
-        return hash((self.weights,))
-
-    def __reduce__(self):
-        return WeightVector, (self.weights,)
 
     @property
     def lcm(self) -> int:

@@ -341,6 +341,8 @@ WIDTH_TWO_TYPE_III = '{"dim":2,"vertices":[[2,2],[0,1],[-2,-2],[0,-1]]}'
      "63b97d988e898372c7da45556f824bcbf09801fd7d84b0be46840b16600fc1c2"),
     (["polytope", '{"dim":2,"vertices":[[1,-2],[-3,3]]}'], 0,
      "7b285eece4f59310bffd0f1e135817697006c91a5deb44b41fa8bc4349104271"),
+    (["points", '{"dim":2,"points":[[0,0],[1,0],[2,0]]}', "--m", "1", "--oracle"], 0,
+     "0c42ae068fba06692d0d5006ace70d95725a951169e5e957ae975bb3bd15962a"),
 ])
 def test_readme_and_ci_invocations_keep_their_stdout(capsys, argv, code, digest):
     import hashlib
@@ -361,3 +363,93 @@ def test_two_form_base_locus_with_a_denominator(capsys):
                             {"point": [0, 1], "multiplicity": 1}],
         "irrational_factor_degrees": [], "empty": False}
     assert report["oracle"]["base_locus_gcd_degree"]["agree"] is True
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+def test_planar_points_at_order_one_report_no_base_locus(capsys, oracle):
+    # the base locus of the forms needs m >= 2, so an order-1 run leaves it out
+    code, out, err = run(capsys, ["points", '{"dim":2,"points":[[0,0],[1,0],[2,0]]}',
+                                  "--m", "1", *oracle])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["result"]["order"] == 1 and "base_locus" not in report["result"]
+    assert "base_locus_gcd_degree" not in report.get("oracle", {})
+
+
+def _json_shape(value):
+    """The keys and JSON value types of ``value``: a dict maps each key to the
+    shape of its value, a list becomes the list of its items' distinct shapes,
+    and a scalar becomes its type (None for null)."""
+    if isinstance(value, dict):
+        return {key: _json_shape(item) for key, item in value.items()}
+    if isinstance(value, list):
+        shapes = []
+        for shape in map(_json_shape, value):
+            if shape not in shapes:
+                shapes.append(shape)
+        return shapes
+    return None if value is None else type(value)
+
+
+INTS = [int]
+POLYTOPE = {"dim": int, "vertices": [INTS], "affine_dim": int,
+            "lattice_width": {"width": int, "direction": INTS, "certified": bool},
+            "pseudonef_bound": int}
+BINOMIAL = {"u": INTS, "degree": int, "binomial": str}
+
+
+def _screen_shape(alternatives, witness):
+    return {
+        "weights": INTS, "well_formed": bool, "lcm": int, "binomials": [BINOMIAL],
+        "alternatives": alternatives, "v_tilde": INTS, "vertex_values": INTS, "m": int,
+        "projected_polytope": {"dim": int, "vertices": [INTS]}, "direction": INTS,
+        "corollary": {"direction": INTS, "lw": int, "p_min": INTS, "p_max": INTS,
+                      "slice_points": [INTS], "cond1_extreme_vertices_unique": bool,
+                      "cond2_slice_span_codim_ge_2": bool, "cond2_vacuous": bool,
+                      "cond3_line_misses_span": bool, "witness": witness, "verified": bool},
+        "nef": {"degrees": INTS, "d": int, "lw": int, "bound": str, "saturation_ok": bool,
+                "nef": bool},
+        "verdict": str,
+    }
+
+
+# the result of every subcommand, pinned to its keys and JSON value types, so a
+# record (a NamedTuple) that reaches the JSON as a list fails here
+@pytest.mark.parametrize("argv, shape", [
+    (["points", TYPE_II_POINTS, "--m", "2", "--direction", "0,1"], {
+        "dim": int, "n_points": int, "differences_generate": bool, "order": int,
+        "jet_ranks": INTS, "h0": {"1": int, "2": int, "3": int},
+        "expected_h0": {"1": int, "2": int, "3": int},
+        "special": {"1": bool, "2": bool, "3": bool}, "min_vanishing_degree": int,
+        "fundamental_form": {"m": int, "dim": int, "basis": [str]},
+        "base_point": {"direction": INTS, "feasibility_route": bool,
+                       "evaluation_route": bool, "agree": bool, "witness": str},
+        "base_locus": {"gcd_degree": int,
+                       "rational_points": [{"point": INTS, "multiplicity": int}],
+                       "irrational_factor_degrees": [], "empty": bool}}),
+    (["polytope", DELTA_PRIME, "--direction", "1,0,0"],
+     {**POLYTOPE, "width_in_direction": {"direction": INTS, "width": int}}),
+    (["polytope", '{"dim": 2, "vertices": [[0,0],[0,1],[2,1],[3,0]]}', "--oracle",
+      "--count-points"], {**POLYTOPE, "lattice_point_count": int}),
+    (["classify", TYPE_II_POLYGON], {
+        "type": str, "a": int, "b": None, "transform": {"U": [INTS], "t": INTS},
+        "in_table_range": bool,
+        "teo_dim2": {"lw_is_1": bool, "base_point": bool, "base_curve_implied": bool,
+                     "equivalent": bool},
+        "special_for_3E": bool}),
+    (["screen", "7,11,13,15"], _screen_shape([], {
+        "degree": int, "level_form": str, "paraboloid": str, "hyperplane_levels": INTS,
+        "f": str, "g": str})),
+    (["screen", "1,1,1,1"], _screen_shape([BINOMIAL], None)),
+    (["table", "--strict"], {
+        "rows": [{"weights": INTS, "expected_m": int, "computed_m": int, "verdict": str,
+                  "pass": bool}],
+        "total": int, "passed": int, "failed": []}),
+    (["scan", "--max-weight", "15", "--limit", "1"], {
+        "scanned": int, "errors": int, "hits": [{"weights": INTS, "m": int}]}),
+], ids=["points", "polytope", "polytope-count", "classify", "screen", "screen-inconclusive",
+        "table", "scan"])
+def test_results_keep_their_keys_and_json_types(capsys, argv, shape):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert _json_shape(json.loads(out)["result"]) == shape

@@ -1,14 +1,17 @@
 """Lattice polytopes: enumeration, widths, slices, transforms."""
 
 import hashlib
+import importlib
 import json
 import random
 import re
+import sys
 from itertools import product
 from math import gcd
 
 import pytest
 
+import latticejets
 from latticejets import jets, linalg, oracles, polytope
 from latticejets.errors import BudgetExceededError, InputError, InvariantError, ToolkitError
 from latticejets.polytope import (Direction, LatticePolytope, PointConfig,
@@ -46,6 +49,34 @@ def test_direction_validation():
 ], ids=["Direction", "PointConfig"])
 def test_value_types_keep_their_frozen_semantics(cls, fields, text):
     assert_value_semantics(cls, fields, text)
+
+
+def test_every_value_type_runs_the_frozen_value_contract(monkeypatch):
+    # every subclass of the base in the package goes through assert_value_semantics,
+    # as a case of the test above or in test_wps, so a new value type cannot skip it
+    test_wps = importlib.import_module("tests.test_wps")
+    for name in sorted(latticejets._SUBMODULES):
+        importlib.import_module(f"latticejets.{name}")
+    value_types, todo = set(), [polytope._Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("latticejets."):
+                value_types.add(cls)
+    checked, contract = [], assert_value_semantics
+
+    def recording(cls, fields, text):
+        checked.append(cls)
+        contract(cls, fields, text)
+
+    for module in (sys.modules[__name__], test_wps):
+        monkeypatch.setattr(module, "assert_value_semantics", recording)
+    (cases,) = [mark.args[1] for mark in test_value_types_keep_their_frozen_semantics.pytestmark]
+    for case in cases:
+        test_value_types_keep_their_frozen_semantics(*case)
+    test_wps.test_weight_vector_keeps_its_frozen_semantics()
+    assert set(checked) == value_types
+    assert polytope._Value.__slots__ == ()  # the base adds no slot to a value
 
 
 def test_jet_memo_stays_out_of_point_config_identity():
